@@ -1,11 +1,13 @@
 // Extension: multi-user execution on the REAL engine — the concurrent
-// query runtime (shared worker pool + admission control) against the
-// legacy one-query-at-a-time path, at equal total thread count.
+// query runtime (shared worker pool + admission control) against
+// one-query-at-a-time execution on private threads, at equal total thread
+// count.
 //
 // The benchmark sweeps the number of concurrent IdealJoin sessions
 // (1..8, mirroring the simulator's multi-user study). At each point the
-// same batch runs (a) sequentially through the direct path, where every
-// query spawns and joins its own per-operation threads, and (b)
+// same batch runs (a) sequentially, each query scheduled and handed to
+// its own Executor::Run, which spawns and joins private per-operation
+// threads, and (b)
 // concurrently through Database::Submit, where all sessions draw
 // workers from one engine-wide pool sized like the sequential run's
 // thread allocation. Admission control caps in-flight execution at
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/memory_quota.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
 #include "server/query_runtime.h"
@@ -79,18 +82,49 @@ QueryOptions BaseOptions() {
   return options;
 }
 
-/// One rep of the legacy path: `sessions` queries back to back, each
+/// The IdealJoin A ⋈ Bp outside the runtime: build the plan, schedule it,
+/// and execute it on private per-operation threads.
+Status RunIdealJoinPrivately(Database& db, const QueryOptions& options) {
+  DBS3_ASSIGN_OR_RETURN(Relation * a, db.relation("A"));
+  DBS3_ASSIGN_OR_RETURN(Relation * b, db.relation("Bp"));
+  DBS3_ASSIGN_OR_RETURN(const size_t a_key, a->schema().IndexOf("key"));
+  DBS3_ASSIGN_OR_RETURN(const size_t b_key, b->schema().IndexOf("key"));
+  const size_t degree = a->degree();
+  // Unlimited but tracked, as under the runtime; declared first so it
+  // outlives the plan's logics.
+  MemoryQuota quota;
+  Relation result(options.result_name,
+                  Schema::Concat(a->schema(), b->schema()), a_key,
+                  Partitioner(a->partitioner().kind(), degree));
+  Plan plan;
+  const size_t join = plan.AddNode(
+      "join", ActivationMode::kTriggered, degree,
+      std::make_unique<TriggeredJoinLogic>(a, a_key, b, b_key,
+                                           options.algorithm,
+                                           options.vectorize));
+  const size_t store = plan.AddNode("store", ActivationMode::kPipelined,
+                                    degree,
+                                    std::make_unique<StoreLogic>(&result));
+  DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(join, store));
+  DBS3_RETURN_IF_ERROR(
+      ScheduleQuery(plan, options.cost_model, options.schedule).status());
+  ExecOptions exec;
+  exec.quota = &quota;
+  Executor executor;
+  DBS3_ASSIGN_OR_RETURN(ExecutionResult run, executor.Run(plan, exec));
+  return run.completion;
+}
+
+/// One rep of the sequential path: `sessions` queries back to back, each
 /// spawning its own per-operation threads inside Executor::Run.
 ModeResult RunSequential(Database& db, size_t sessions) {
-  QueryOptions options = BaseOptions();
-  options.use_shared_runtime = false;
+  const QueryOptions options = BaseOptions();
   ModeResult out;
   out.sessions = sessions;
   const auto start = std::chrono::steady_clock::now();
   for (size_t s = 0; s < sessions; ++s) {
     const auto q0 = std::chrono::steady_clock::now();
-    auto r = RunIdealJoin(db, "A", "key", "Bp", "key", options);
-    CheckOk(r.status(), "sequential IdealJoin");
+    CheckOk(RunIdealJoinPrivately(db, options), "sequential IdealJoin");
     out.latencies_s.push_back(
         Seconds(std::chrono::steady_clock::now() - q0));
   }
@@ -145,15 +179,9 @@ void Run() {
   CheckOk(db.StartRuntime(runtime_options), "StartRuntime");
 
   // Warm both paths (relation pages, allocator) outside the timed reps.
-  {
-    QueryOptions warm = BaseOptions();
-    warm.use_shared_runtime = false;
-    CheckOk(RunIdealJoin(db, "A", "key", "Bp", "key", warm).status(),
-            "warmup direct");
-    CheckOk(RunIdealJoin(db, "A", "key", "Bp", "key", BaseOptions())
-                .status(),
-            "warmup runtime");
-  }
+  CheckOk(RunIdealJoinPrivately(db, BaseOptions()), "warmup private");
+  CheckOk(RunIdealJoin(db, "A", "key", "Bp", "key", BaseOptions()).status(),
+          "warmup runtime");
 
   std::vector<SweepPoint> points;
   for (size_t sessions : kSweep) {

@@ -261,8 +261,8 @@ std::vector<Tuple> ProbeWorkload() {
 /// value vector — probed one tuple at a time through a virtual per-tuple
 /// hook (the default OnDataBatch loops over OnData), hashing the key
 /// through the Value variant. First-match resolution is the probe kernel's
-/// whole contract — existence for the semi join, the chain start for the
-/// join, whose subsequent match walk is identical iterator code on either
+/// whole contract — the chain start for the join, whose subsequent match
+/// walk is identical iterator code on either
 /// path and so is excluded from all sides here. The real path pays emitter
 /// dispatch per match on top.
 class SeedIndex {
@@ -362,7 +362,7 @@ MakeCurrentRowProber(const TempIndex* index) {
   return std::make_unique<CurrentRowProber>(index);
 }
 
-/// Batch path as the semi join runs it: gather the key column once (it
+/// The batch probe's first-match stage: gather the key column once (it
 /// doubles as hash input and confirm keys), resolve every chunk's first
 /// matches with the pipelined tiled wave probe against the index's inline
 /// key cache.

@@ -3,7 +3,6 @@
 #include <functional>
 #include <utility>
 
-#include "common/memory_quota.h"
 #include "server/query_runtime.h"
 
 namespace dbs3 {
@@ -40,83 +39,28 @@ struct PlannedQuery {
   std::unique_ptr<Relation> result;
 };
 
-/// Deferred plan construction, run on the driver thread for submitted
-/// queries (so catalog errors surface through the handle) and inline for
-/// the legacy direct path.
+/// Deferred plan construction, run on the driver thread so catalog errors
+/// surface through the handle.
 using QueryPlanner = std::function<Result<PlannedQuery>()>;
 
-/// The cancel token a direct (non-runtime) execution observes: the
-/// caller's token if provided, a fresh one if only a deadline was set,
-/// nothing otherwise.
-CancelToken DirectToken(const QueryOptions& options) {
-  if (!options.cancel.has_value() && !options.deadline.has_value()) {
-    return CancelToken::None();
-  }
-  CancelToken token =
-      options.cancel.has_value() ? *options.cancel : CancelToken();
-  if (options.deadline.has_value()) token.set_deadline(*options.deadline);
-  return token;
-}
-
-/// Legacy path: schedule and execute inline on the caller's thread with
-/// private per-operation threads.
-Result<QueryResult> FinishDirect(Database& db, PlannedQuery planned,
-                                 const QueryOptions& options) {
-  QueryResult out;
-  DBS3_ASSIGN_OR_RETURN(out.schedule, ScheduleQuery(planned.plan,
-                                                    options.cost_model,
-                                                    options.schedule));
-  ExecOptions exec;
-  exec.cancel = DirectToken(options);
-  // The legacy path has no QueryEnv, so the quota lives here; it outlives
-  // the execution (and the plan's logics release against it on teardown).
-  MemoryQuota quota(options.memory_units);
-  exec.quota = &quota;
-  Executor executor;
-  DBS3_ASSIGN_OR_RETURN(out.execution, executor.Run(planned.plan, exec));
-  AccumulateEngineMetrics(db.metrics(), out.execution);
-  if (!out.execution.completion.ok()) return out.execution.completion;
-  out.result = std::move(planned.result);
-  return out;
-}
-
-/// Shared-runtime path: wrap the planner in a query body and submit it.
+/// Wraps the planner in a query body and submits it to the runtime.
 QueryHandle SubmitPlanned(Database& db, QueryPlanner planner,
                           const QueryOptions& options) {
-  QuerySpec spec;
-  spec.priority = options.priority;
-  spec.memory_units = options.memory_units;
-  // The CPU half of joint admission: the thread share the schedule would
-  // ask for (0 = derived schedule, unknown until planning — always
-  // CPU-fit).
-  spec.threads_hint = options.schedule.total_threads;
-  spec.deadline = options.deadline;
-  spec.cancel = options.cancel;
-  spec.body = [&db, planner = std::move(planner),
-               options](QueryEnv& env) -> Result<QueryResult> {
-    DBS3_ASSIGN_OR_RETURN(PlannedQuery planned, planner());
-    DBS3_ASSIGN_OR_RETURN(
-        PhaseOutcome phase,
-        env.Run(planned.plan, options.cost_model, options.schedule));
-    AccumulateEngineMetrics(db.metrics(), phase.execution);
-    QueryResult out;
-    out.result = std::move(planned.result);
-    out.execution = std::move(phase.execution);
-    out.schedule = std::move(phase.schedule);
-    return out;
-  };
-  return db.Submit(std::move(spec));
-}
-
-/// Sync facade over a planner: submit + take on the shared runtime, or
-/// the inline legacy path when the caller opted out.
-Result<QueryResult> RunPlanned(Database& db, QueryPlanner planner,
-                               const QueryOptions& options) {
-  if (!options.use_shared_runtime) {
-    DBS3_ASSIGN_OR_RETURN(PlannedQuery planned, planner());
-    return FinishDirect(db, std::move(planned), options);
-  }
-  return SubmitPlanned(db, std::move(planner), options).Take();
+  return db.Submit(MakeQuerySpec(
+      options,
+      [&db, planner = std::move(planner),
+       options](QueryEnv& env) -> Result<QueryResult> {
+        DBS3_ASSIGN_OR_RETURN(PlannedQuery planned, planner());
+        DBS3_ASSIGN_OR_RETURN(
+            PhaseOutcome phase,
+            env.Run(planned.plan, options.cost_model, options.schedule));
+        AccumulateEngineMetrics(db.metrics(), phase.execution);
+        QueryResult out;
+        out.result = std::move(planned.result);
+        out.execution = std::move(phase.execution);
+        out.schedule = std::move(phase.schedule);
+        return out;
+      }));
 }
 
 Result<size_t> ColumnOf(const Relation* rel, const std::string& column) {
@@ -267,18 +211,28 @@ Result<PlannedQuery> PlanSelect(Database& db, const std::string& input,
 
 }  // namespace
 
+QuerySpec MakeQuerySpec(const QueryOptions& options, QueryBody body) {
+  QuerySpec spec;
+  spec.body = std::move(body);
+  spec.priority = options.priority;
+  spec.memory_units = options.memory_units;
+  // The CPU half of joint admission: the thread share the schedule would
+  // ask for (0 = derived schedule, unknown until planning — always
+  // CPU-fit).
+  spec.threads_hint = options.schedule.total_threads;
+  spec.deadline = options.deadline;
+  spec.cancel = options.cancel;
+  return spec;
+}
+
 Result<QueryResult> RunIdealJoin(Database& db, const std::string& outer,
                                  const std::string& outer_column,
                                  const std::string& inner,
                                  const std::string& inner_column,
                                  const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, outer, outer_column, inner, inner_column, options] {
-        return PlanIdealJoin(db, outer, outer_column, inner, inner_column,
-                             options);
-      },
-      options);
+  return SubmitIdealJoin(db, outer, outer_column, inner, inner_column,
+                         options)
+      .Take();
 }
 
 Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
@@ -286,13 +240,9 @@ Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
                                  const std::string& inner,
                                  const std::string& inner_column,
                                  const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, probe_rel, probe_column, inner, inner_column, options] {
-        return PlanAssocJoin(db, probe_rel, probe_column, inner,
-                             inner_column, options);
-      },
-      options);
+  return SubmitAssocJoin(db, probe_rel, probe_column, inner, inner_column,
+                         options)
+      .Take();
 }
 
 Result<QueryResult> RunFilterJoin(Database& db, const std::string& filtered,
@@ -302,26 +252,16 @@ Result<QueryResult> RunFilterJoin(Database& db, const std::string& filtered,
                                   const std::string& inner,
                                   const std::string& inner_column,
                                   const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, filtered, predicate = std::move(predicate), selectivity,
-       filter_join_column, inner, inner_column, options] {
-        return PlanFilterJoin(db, filtered, predicate, selectivity,
-                              filter_join_column, inner, inner_column,
-                              options);
-      },
-      options);
+  return SubmitFilterJoin(db, filtered, std::move(predicate), selectivity,
+                          filter_join_column, inner, inner_column, options)
+      .Take();
 }
 
 Result<QueryResult> RunSelect(Database& db, const std::string& input,
                               Predicate predicate, double selectivity,
                               const QueryOptions& options) {
-  return RunPlanned(
-      db,
-      [&db, input, predicate = std::move(predicate), selectivity, options] {
-        return PlanSelect(db, input, predicate, selectivity, options);
-      },
-      options);
+  return SubmitSelect(db, input, std::move(predicate), selectivity, options)
+      .Take();
 }
 
 QueryHandle SubmitIdealJoin(Database& db, const std::string& outer,

@@ -18,7 +18,10 @@
 
 namespace dbs3 {
 
-/// Knobs for running one query on the real engine.
+/// Knobs for running one query on the real engine. Every query runs through
+/// the database's shared QueryRuntime (admission control, shared worker
+/// pool); code that wants private threads schedules a Plan and calls
+/// Executor::Run itself.
 struct QueryOptions {
   /// Thread allocation inputs (Section 3 steps 1-4).
   ScheduleOptions schedule;
@@ -35,27 +38,34 @@ struct QueryOptions {
   /// Name given to the materialized result relation.
   std::string result_name = "Res";
 
-  /// Multi-user knobs, forwarded to the runtime's QuerySpec.
-  /// Higher-priority queries leave the admission queue first.
+  /// Multi-user knobs, forwarded to the runtime's QuerySpec (see
+  /// MakeQuerySpec). Higher-priority queries leave the admission queue
+  /// first.
   int priority = 0;
-  /// Declared working-set tuple units charged against the runtime's
-  /// memory budget. 0 = free.
+  /// Declared working-set tuple units: charged against the runtime's
+  /// memory budget at admission, and enforced while the query runs — every
+  /// join charges its build side against this bound and spills when a
+  /// charge is refused. 0 = unlimited (still tracked: the query's
+  /// quota_high_water_units reports its working set).
   uint64_t memory_units = 0;
   /// Absolute deadline; expiry (even while queued) fails the query with
   /// DeadlineExceeded.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// External cancel token; default = fresh (cancel via the handle).
   std::optional<CancelToken> cancel;
-  /// Run through the database's shared QueryRuntime (admission control,
-  /// shared worker pool). false = legacy path: schedule and execute
-  /// inline on the caller's thread with private per-operation threads.
-  bool use_shared_runtime = true;
 };
+
+/// The runtime submission of `body` under `options`: priority, declared
+/// memory, declared thread share (schedule.total_threads, the CPU half of
+/// joint admission), deadline and cancel token. Every facade and ESQL
+/// entry point submits through it, so admission sees the same declaration
+/// however a query arrives.
+QuerySpec MakeQuerySpec(const QueryOptions& options, QueryBody body);
 
 /// QueryResult (materialized relation + ExecutionResult + ScheduleReport)
 /// lives in server/query_handle.h so the async API can return it through
-/// QueryHandle; the synchronous RunXxx functions below return the same
-/// type.
+/// QueryHandle; the synchronous RunXxx functions below (each SubmitXxx +
+/// Take) return the same type.
 
 /// Runs the IdealJoin plan (Figure 10): `outer` and `inner` must be
 /// co-partitioned on the join columns; join instance i joins fragment i
@@ -93,8 +103,7 @@ Result<QueryResult> RunSelect(Database& db, const std::string& input,
 
 /// Async variants: queue the query on the database's shared runtime and
 /// return immediately with a handle (wait / cancel / stats / Take). The
-/// RunXxx functions above are Submit + Take when
-/// options.use_shared_runtime (the default).
+/// RunXxx functions above are Submit + Take.
 QueryHandle SubmitIdealJoin(Database& db, const std::string& outer,
                             const std::string& outer_column,
                             const std::string& inner,

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "common/memory_quota.h"
 #include "common/metrics.h"
-#include "engine/vector/column_batch.h"
-#include "engine/vector/kernels.h"
 
 namespace dbs3 {
 
@@ -505,94 +502,6 @@ NodeEstimate SortLogic::Estimate(const CostModel& cost_model,
   e.total_work = input_tuples * lg * cost_model.scan_tuple;
   e.activations = input_tuples;
   e.output_tuples = input_tuples;
-  return e;
-}
-
-// --------------------------------------------------------------- SemiJoin
-
-PipelinedSemiJoinLogic::PipelinedSemiJoinLogic(const Relation* inner,
-                                               size_t inner_column,
-                                               size_t probe_column, bool anti,
-                                               bool vectorize)
-    : inner_(inner),
-      inner_column_(inner_column),
-      probe_column_(probe_column),
-      anti_(anti),
-      vectorize_(vectorize) {}
-
-Status PipelinedSemiJoinLogic::Prepare(size_t num_instances) {
-  if (num_instances > inner_->degree()) {
-    return Status::InvalidArgument(
-        "semi-join has " + std::to_string(num_instances) +
-        " instances but inner relation '" + inner_->name() + "' has only " +
-        std::to_string(inner_->degree()) + " fragments");
-  }
-  index_once_.clear();
-  indexes_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    index_once_.push_back(std::make_unique<std::once_flag>());
-    indexes_.push_back(nullptr);
-  }
-  return Status::OK();
-}
-
-const TempIndex* PipelinedSemiJoinLogic::IndexFor(size_t instance) {
-  std::call_once(*index_once_[instance], [&] {
-    indexes_[instance] = std::make_unique<TempIndex>(
-        inner_->fragment(instance), inner_column_);
-  });
-  return indexes_[instance].get();
-}
-
-void PipelinedSemiJoinLogic::OnData(size_t instance, Tuple tuple,
-                                    Emitter* out) {
-  // Probe() materializes no match list — existence is the head of the
-  // chain, found without allocating.
-  const bool match =
-      !IndexFor(instance)->Probe(tuple.at(probe_column_)).empty();
-  if (match != anti_) out->Emit(instance, std::move(tuple));
-}
-
-void PipelinedSemiJoinLogic::OnDataBatch(size_t instance,
-                                         std::span<Tuple> tuples,
-                                         Emitter* out) {
-  constexpr size_t kMinBatchRows = 4;
-  if (!vectorize_ || tuples.size() < kMinBatchRows) {
-    for (Tuple& t : tuples) OnData(instance, std::move(t), out);
-    return;
-  }
-  // Existence only needs each key's first match: one batched, prefetching
-  // probe resolves the whole chunk, then the emit loop moves out the
-  // keepers in order (identical to the row loop's output).
-  const TempIndex* index = IndexFor(instance);
-  const size_t n = tuples.size();
-  Arena& arena = ThreadLocalKernelArena();
-  ScopedArena scope(&arena);
-  ColumnBatch batch(std::span<const Tuple>(tuples.data(), n), &arena);
-  uint32_t* first = arena.AllocateArrayOf<uint32_t>(n);
-  const int64_t* int_keys =
-      index->int_keyed() ? batch.Ints(probe_column_) : nullptr;
-  if (int_keys != nullptr) {
-    index->ProbeKeys(std::span<const int64_t>(int_keys, n), first);
-  } else {
-    const uint64_t* hashes = HashColumn(batch, probe_column_, &arena);
-    const Value* const* keys = batch.Values(probe_column_);
-    index->ProbeHashed(std::span<const uint64_t>(hashes, n), keys, first);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const bool match = first[i] != TempIndex::kNone;
-    if (match != anti_) out->Emit(instance, std::move(tuples[i]));
-  }
-}
-
-NodeEstimate PipelinedSemiJoinLogic::Estimate(const CostModel& cost_model,
-                                              double input_tuples) const {
-  NodeEstimate e;
-  const double build = static_cast<double>(inner_->cardinality()) *
-                       cost_model.index_build_tuple;
-  e.total_work = build + input_tuples * cost_model.index_probe;
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples * 0.5;  // Unknown selectivity.
   return e;
 }
 

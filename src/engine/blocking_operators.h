@@ -14,7 +14,6 @@
 #include "engine/operators.h"
 #include "storage/relation.h"
 #include "storage/spill.h"
-#include "storage/temp_index.h"
 
 namespace dbs3 {
 
@@ -172,39 +171,6 @@ class SortLogic : public OperatorLogic {
   SortOrder order_;
   ExecResources resources_;
   std::vector<std::unique_ptr<InstanceState>> instances_;
-};
-
-/// Pipelined semi-join (or anti-join): emits the probe tuple iff the inner
-/// fragment of the receiving instance contains (semi) / lacks (anti) a
-/// matching key. The existential form of the AssocJoin probe.
-class PipelinedSemiJoinLogic : public OperatorLogic {
- public:
-  /// `vectorize` enables the batched prefetching existence probe for large
-  /// data activations (single-tuple activations always take the row path).
-  PipelinedSemiJoinLogic(const Relation* inner, size_t inner_column,
-                         size_t probe_column, bool anti = false,
-                         bool vectorize = true);
-
-  Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked probe: hashes the whole probe-key column up front and resolves
-  /// every key's existence with one batched, prefetching index probe.
-  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                   Emitter* out) override;
-  std::string name() const override { return anti_ ? "anti-join" : "semi-join"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  const TempIndex* IndexFor(size_t instance);
-
-  const Relation* inner_;
-  size_t inner_column_;
-  size_t probe_column_;
-  bool anti_;
-  bool vectorize_;
-  std::vector<std::unique_ptr<std::once_flag>> index_once_;
-  std::vector<std::unique_ptr<TempIndex>> indexes_;
 };
 
 }  // namespace dbs3

@@ -36,7 +36,7 @@ struct ExecOptions {
   /// call; the result's `chunk_pool` stats then report this execution's
   /// delta (approximate when executions share the pool concurrently).
   ChunkPool* chunk_pool = nullptr;
-  /// When set, memory-aware operators (spilling join, group-by, sort)
+  /// When set, memory-aware operators (hash joins, group-by, sort)
   /// charge their retained tuple/group state here and spill or error when a
   /// charge fails — the enforcement half of the admission controller's
   /// declared `memory_units`. Must outlive the plan's logics (their

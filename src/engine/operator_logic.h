@@ -88,8 +88,8 @@ class OperatorLogic {
   virtual ~OperatorLogic() = default;
 
   /// Called once per execution, before Prepare, with the run's shared
-  /// resources. The default ignores them; memory-aware operators (spilling
-  /// join, group-by, sort) keep the quota/metrics pointers and charge
+  /// resources. The default ignores them; memory-aware operators (hash
+  /// joins, group-by, sort) keep the quota/metrics pointers and charge
   /// retained state against the quota as they buffer it.
   virtual void BindExecution(const ExecResources& resources) {
     (void)resources;

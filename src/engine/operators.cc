@@ -63,6 +63,30 @@ void BatchProbeJoin(const TempIndex& index, std::span<const Tuple> probe,
   }
 }
 
+/// Joins `probes` against `instance`'s build side: the resident index when
+/// its charge was granted (the batched probe for chunks of kMinBatchRows
+/// or more, the row loop below that), the partitioned build when it was
+/// refused. Probe() walks the index's preallocated chains and EmitConcat
+/// writes into a recycled output slot, so the resident path allocates
+/// nothing.
+void ProbeBuild(HashJoinBuild& build, size_t instance,
+                std::span<const Tuple> probes, size_t probe_column,
+                const std::vector<Tuple>& inner, bool vectorize,
+                Emitter* out) {
+  const TempIndex* index = build.Build(instance);
+  if (index == nullptr) {
+    build.ProbePartitions(instance, probes, out);
+  } else if (vectorize && probes.size() >= kMinBatchRows) {
+    BatchProbeJoin(*index, probes, probe_column, inner, instance, out);
+  } else {
+    for (const Tuple& probe : probes) {
+      for (uint32_t i : index->Probe(probe.at(probe_column))) {
+        out->EmitConcat(instance, probe, inner[i]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Predicate::Predicate(PredExpr e)
@@ -217,7 +241,12 @@ TriggeredJoinLogic::TriggeredJoinLogic(const Relation* outer,
       inner_(inner),
       inner_column_(inner_column),
       algorithm_(algorithm),
-      vectorize_(vectorize) {}
+      vectorize_(vectorize),
+      build_(inner, inner_column, outer_column) {}
+
+void TriggeredJoinLogic::BindExecution(const ExecResources& resources) {
+  build_.Bind(resources);
+}
 
 NodeEstimate TriggeredJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -259,6 +288,8 @@ Status TriggeredJoinLogic::Prepare(size_t num_instances) {
         std::to_string(outer_->degree()) + "), got " +
         std::to_string(num_instances));
   }
+  // Nested loop keeps no build state and charges nothing.
+  if (algorithm_ != JoinAlgorithm::kNestedLoop) build_.Reset(num_instances);
   return Status::OK();
 }
 
@@ -275,25 +306,24 @@ void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
       }
       break;
     case JoinAlgorithm::kHash:
-    case JoinAlgorithm::kTempIndex: {
-      // Build on the fly over the inner fragment, probe with the outer.
-      // Probe() walks the index's preallocated chains and EmitConcat writes
-      // into a recycled output slot, so the match loop allocates nothing.
-      const TempIndex index(inner, inner_column_);
-      if (vectorize_ && outer.tuples.size() >= kMinBatchRows) {
-        BatchProbeJoin(index, outer.tuples, outer_column_, inner.tuples,
-                       instance, out);
-        break;
-      }
-      for (const Tuple& r : outer.tuples) {
-        for (uint32_t i : index.Probe(r.at(outer_column_))) {
-          out->EmitConcat(instance, r, inner.tuples[i]);
-        }
-      }
+    case JoinAlgorithm::kTempIndex:
+      // Build on the fly over the inner fragment and probe with the outer;
+      // then join what was deferred and return the instance's charges —
+      // now, not at OnFinish.
+      ProbeBuild(build_, instance, outer.tuples, outer_column_, inner.tuples,
+                 vectorize_, out);
+      build_.Finish(instance, out);
       break;
-    }
   }
 }
+
+void TriggeredJoinLogic::OnFinish(size_t instance, Emitter* out) {
+  (void)instance;
+  (void)out;
+  build_.PublishMetrics();
+}
+
+Status TriggeredJoinLogic::error() const { return build_.error(); }
 
 // -------------------------------------------------------- PipelinedJoin
 
@@ -306,7 +336,12 @@ PipelinedJoinLogic::PipelinedJoinLogic(const Relation* inner,
       inner_column_(inner_column),
       probe_column_(probe_column),
       algorithm_(algorithm),
-      vectorize_(vectorize) {}
+      vectorize_(vectorize),
+      build_(inner, inner_column, probe_column) {}
+
+void PipelinedJoinLogic::BindExecution(const ExecResources& resources) {
+  build_.Bind(resources);
+}
 
 NodeEstimate PipelinedJoinLogic::Estimate(const CostModel& cost_model,
                                           double input_tuples) const {
@@ -341,22 +376,9 @@ Status PipelinedJoinLogic::Prepare(size_t num_instances) {
         " instances but inner relation '" + inner_->name() + "' has only " +
         std::to_string(inner_->degree()) + " fragments");
   }
-  index_once_.clear();
-  indexes_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    index_once_.push_back(std::make_unique<std::once_flag>());
-    indexes_.push_back(nullptr);
-  }
+  // Nested loop keeps no build state and charges nothing.
+  if (algorithm_ != JoinAlgorithm::kNestedLoop) build_.Reset(num_instances);
   return Status::OK();
-}
-
-const TempIndex* PipelinedJoinLogic::IndexFor(size_t instance) {
-  std::call_once(*index_once_[instance], [&] {
-    indexes_[instance] =
-        std::make_unique<TempIndex>(inner_->fragment(instance),
-                                    inner_column_);
-  });
-  return indexes_[instance].get();
 }
 
 void PipelinedJoinLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
@@ -379,23 +401,21 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       }
       break;
     case JoinAlgorithm::kHash:
-    case JoinAlgorithm::kTempIndex: {
-      const TempIndex* index = IndexFor(instance);
-      if (vectorize_ && tuples.size() >= kMinBatchRows) {
-        BatchProbeJoin(*index,
-                       std::span<const Tuple>(tuples.data(), tuples.size()),
-                       probe_column_, inner.tuples, instance, out);
-        break;
-      }
-      for (const Tuple& probe : tuples) {
-        for (uint32_t i : index->Probe(probe.at(probe_column_))) {
-          out->EmitConcat(instance, probe, inner.tuples[i]);
-        }
-      }
+    case JoinAlgorithm::kTempIndex:
+      ProbeBuild(build_, instance,
+                 std::span<const Tuple>(tuples.data(), tuples.size()),
+                 probe_column_, inner.tuples, vectorize_, out);
       break;
-    }
   }
 }
+
+void PipelinedJoinLogic::OnFinish(size_t instance, Emitter* out) {
+  if (algorithm_ == JoinAlgorithm::kNestedLoop) return;
+  build_.Finish(instance, out);
+  build_.PublishMetrics();
+}
+
+Status PipelinedJoinLogic::error() const { return build_.error(); }
 
 // ------------------------------------------------------------------ Store
 

@@ -14,6 +14,7 @@
 
 #include "common/mutex.h"
 #include "engine/operator_logic.h"
+#include "engine/spill_join.h"
 #include "engine/vector/pred.h"
 #include "storage/relation.h"
 #include "storage/temp_index.h"
@@ -113,6 +114,12 @@ const char* JoinAlgorithmName(JoinAlgorithm a);
 /// Triggered join (IdealJoin node, Figure 10): both operands are
 /// co-partitioned on the join attribute; the control activation for
 /// instance i joins outer fragment i with inner fragment i.
+///
+/// The indexed algorithms build through HashJoinBuild: the inner fragment
+/// is charged against the query's MemoryQuota, probed in memory when the
+/// charge is granted, and run as a spilling hybrid hash join when it is
+/// refused. Either way the instance's build is joined, flushed and
+/// released before OnTrigger returns.
 class TriggeredJoinLogic : public OperatorLogic {
  public:
   /// Joins `outer` and `inner` on outer.column(outer_column) ==
@@ -122,8 +129,12 @@ class TriggeredJoinLogic : public OperatorLogic {
                      const Relation* inner, size_t inner_column,
                      JoinAlgorithm algorithm, bool vectorize = true);
 
+  void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
+  /// Publishes the spill counters.
+  void OnFinish(size_t instance, Emitter* out) override;
+  Status error() const override;
   std::string name() const override { return "join"; }
   NodeEstimate Estimate(const CostModel& cost_model,
                         double input_tuples) const override;
@@ -135,11 +146,17 @@ class TriggeredJoinLogic : public OperatorLogic {
   size_t inner_column_;
   JoinAlgorithm algorithm_;
   bool vectorize_;
+  HashJoinBuild build_;
 };
 
 /// Pipelined join (AssocJoin node, Figure 11): the inner operand is bound
 /// statically; each data activation conveys one probe tuple, joined against
 /// the inner fragment of the receiving instance.
+///
+/// The indexed algorithms build through HashJoinBuild on an instance's
+/// first activation: granted, the build stays resident (and charged) until
+/// OnFinish; refused, probes of spilled partitions are deferred and joined
+/// by OnFinish.
 class PipelinedJoinLogic : public OperatorLogic {
  public:
   /// Probes column `probe_column` of incoming tuples against
@@ -150,6 +167,7 @@ class PipelinedJoinLogic : public OperatorLogic {
                      size_t probe_column, JoinAlgorithm algorithm,
                      bool vectorize = true);
 
+  void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
   void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   /// Chunked probe: resolves the inner fragment / temp index once per
@@ -157,21 +175,21 @@ class PipelinedJoinLogic : public OperatorLogic {
   /// whole probe-key column up front and runs the batched prefetching probe.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
+  /// Joins deferred probes, releases the instance's build, and publishes
+  /// the spill counters.
+  void OnFinish(size_t instance, Emitter* out) override;
+  Status error() const override;
   std::string name() const override { return "join"; }
   NodeEstimate Estimate(const CostModel& cost_model,
                         double input_tuples) const override;
 
  private:
-  /// Lazily built per-instance temp index (kHash / kTempIndex algorithms).
-  const TempIndex* IndexFor(size_t instance);
-
   const Relation* inner_;
   size_t inner_column_;
   size_t probe_column_;
   JoinAlgorithm algorithm_;
   bool vectorize_;
-  std::vector<std::unique_ptr<std::once_flag>> index_once_;
-  std::vector<std::unique_ptr<TempIndex>> indexes_;
+  HashJoinBuild build_;
 };
 
 /// Pipelined materialization: appends each incoming tuple to fragment

@@ -1,6 +1,5 @@
 #include "engine/spill_join.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/hash.h"
@@ -19,69 +18,48 @@ constexpr uint64_t kSpillSalt = 0x5b11f11e5a17u;
 
 }  // namespace
 
-SpillingHashJoinLogic::SpillingHashJoinLogic(const Relation* inner,
-                                             size_t inner_column,
-                                             size_t probe_column,
-                                             SpillJoinOptions options)
-    : inner_(inner),
-      inner_column_(inner_column),
-      probe_column_(probe_column),
-      options_(options) {
-  options_.fanout = std::max<size_t>(2, options_.fanout);
-  options_.max_recursion = std::max<size_t>(1, options_.max_recursion);
+HashJoinBuild::HashJoinBuild(const Relation* inner, size_t inner_column,
+                             size_t probe_column)
+    : inner_(inner), inner_column_(inner_column), probe_column_(probe_column) {}
+
+HashJoinBuild::~HashJoinBuild() {
+  for (const auto& state : instances_) Release(*state);
 }
 
-SpillingHashJoinLogic::~SpillingHashJoinLogic() {
-  // A cancelled run skips OnFinish; charges held by retained build rows are
-  // returned here (the bound quota outlives the plan's logics by contract).
-  if (resources_.quota == nullptr) return;
-  for (const auto& state : instances_) {
-    for (const Partition& part : state->parts) {
-      resources_.quota->Release(part.charged);
-    }
-  }
-}
-
-void SpillingHashJoinLogic::BindExecution(const ExecResources& resources) {
-  resources_ = resources;
-}
-
-Status SpillingHashJoinLogic::Prepare(size_t num_instances) {
-  if (num_instances > inner_->degree()) {
-    return Status::InvalidArgument(
-        "spill-join has " + std::to_string(num_instances) +
-        " instances but inner relation '" + inner_->name() + "' has only " +
-        std::to_string(inner_->degree()) + " fragments");
-  }
-  if (resources_.quota != nullptr) {
-    for (const auto& state : instances_) {
-      for (const Partition& part : state->parts) {
-        resources_.quota->Release(part.charged);
-      }
-    }
-  }
+void HashJoinBuild::Reset(size_t num_instances) {
+  for (const auto& state : instances_) Release(*state);
   instances_.clear();
+  instances_.reserve(num_instances);
   for (size_t i = 0; i < num_instances; ++i) {
     instances_.push_back(std::make_unique<InstanceState>());
   }
-  return Status::OK();
 }
 
-size_t SpillingHashJoinLogic::PartitionOf(const Value& v,
-                                          size_t level) const {
+void HashJoinBuild::Release(InstanceState& state) {
+  uint64_t charged = state.resident_charged;
+  for (const Partition& part : state.parts) charged += part.charged;
+  if (resources_.quota != nullptr && charged != 0) {
+    resources_.quota->Release(charged);
+  }
+  state.resident_charged = 0;
+  state.resident.reset();
+  state.parts.clear();  // Frees the rows and closes the spill files.
+}
+
+size_t HashJoinBuild::PartitionOf(const Value& v, size_t level) const {
   const uint64_t salt =
       kSpillSalt + static_cast<uint64_t>(level) * 0x9e3779b97f4a7c15ull;
   return static_cast<size_t>(HashInt64(HashCombine(v.Hash(), salt)) %
-                             options_.fanout);
+                             kFanout);
 }
 
-void SpillingHashJoinLogic::RecordError(InstanceState& state, Status status) {
+void HashJoinBuild::RecordError(InstanceState& state, Status status) {
   if (status.ok()) return;
   MutexLock lock(&state.mu);
   if (state.error.ok()) state.error = std::move(status);
 }
 
-Status SpillingHashJoinLogic::error() const {
+Status HashJoinBuild::error() const {
   for (const auto& state : instances_) {
     MutexLock lock(&state->mu);
     if (!state->error.ok()) return state->error;
@@ -89,7 +67,7 @@ Status SpillingHashJoinLogic::error() const {
   return Status::OK();
 }
 
-Status SpillingHashJoinLogic::SpillPartition(Partition& part) {
+Status HashJoinBuild::SpillPartition(Partition& part) {
   if (part.build_file == nullptr) {
     DBS3_ASSIGN_OR_RETURN(part.build_file, SpillFile::Create(&counters_));
   }
@@ -106,8 +84,7 @@ Status SpillingHashJoinLogic::SpillPartition(Partition& part) {
   return Status::OK();
 }
 
-Status SpillingHashJoinLogic::SpillVictim(InstanceState& state,
-                                          size_t current) {
+Status HashJoinBuild::SpillVictim(InstanceState& state, size_t current) {
   size_t victim = state.parts.size();
   size_t victim_rows = 0;
   for (size_t p = 0; p < state.parts.size(); ++p) {
@@ -123,10 +100,10 @@ Status SpillingHashJoinLogic::SpillVictim(InstanceState& state,
   return SpillPartition(state.parts[victim]);
 }
 
-void SpillingHashJoinLogic::BuildPartitions(size_t instance) {
+void HashJoinBuild::BuildPartitions(size_t instance) {
   InstanceState& state = *instances_[instance];
   const Fragment& fragment = inner_->fragment(instance);
-  state.parts.resize(options_.fanout);
+  state.parts.resize(kFanout);
   MemoryQuota* quota = resources_.quota;
   for (const Tuple& t : fragment.tuples) {
     const size_t p = PartitionOf(t.at(inner_column_), 0);
@@ -160,52 +137,59 @@ void SpillingHashJoinLogic::BuildPartitions(size_t instance) {
   }
 }
 
-void SpillingHashJoinLogic::EnsureBuilt(size_t instance) {
+const TempIndex* HashJoinBuild::Build(size_t instance) {
   InstanceState& state = *instances_[instance];
-  std::call_once(state.built, [&] { BuildPartitions(instance); });
-}
-
-void SpillingHashJoinLogic::OnData(size_t instance, Tuple tuple,
-                                   Emitter* out) {
-  EnsureBuilt(instance);
-  InstanceState& state = *instances_[instance];
-  const Value& key = tuple.at(probe_column_);
-  Partition& part = state.parts[PartitionOf(key, 0)];
-  if (part.spilled) {
-    // Deferred probe: several worker threads may drain one instance, so
-    // the append takes the instance lock.
-    MutexLock lock(&state.mu);
-    if (part.probe_file == nullptr) {
-      Result<std::unique_ptr<SpillFile>> file =
-          SpillFile::Create(&counters_);
-      if (!file.ok()) {
-        if (state.error.ok()) state.error = file.status();
-        return;
-      }
-      part.probe_file = std::move(file).value();
+  std::call_once(state.built, [&] {
+    const Fragment& fragment = inner_->fragment(instance);
+    // Charge, then spill: one charge for the whole fragment. Granted, the
+    // fragment is indexed in place exactly as an unbudgeted join would;
+    // only a refused charge pays for partitioning.
+    ChargeGuard whole(resources_.quota, fragment.tuples.size());
+    if (!whole.ok()) {
+      BuildPartitions(instance);
+      return;
     }
-    const Status appended = part.probe_file->Append(tuple);
-    if (!appended.ok() && state.error.ok()) state.error = appended;
-    return;
-  }
-  if (part.index == nullptr) return;  // Empty resident partition: no match.
-  for (uint32_t i : part.index->Probe(key)) {
-    out->EmitConcat(instance, tuple, part.build.tuples[i]);
+    state.resident = std::make_unique<TempIndex>(fragment, inner_column_);
+    state.resident_charged = whole.Disarm();
+  });
+  return state.resident.get();
+}
+
+void HashJoinBuild::ProbePartitions(size_t instance,
+                                    std::span<const Tuple> probes,
+                                    Emitter* out) {
+  InstanceState& state = *instances_[instance];
+  for (const Tuple& probe : probes) {
+    const Value& key = probe.at(probe_column_);
+    Partition& part = state.parts[PartitionOf(key, 0)];
+    if (part.spilled) {
+      // Deferred probe: several worker threads may drain one instance, so
+      // the append takes the instance lock.
+      MutexLock lock(&state.mu);
+      if (part.probe_file == nullptr) {
+        Result<std::unique_ptr<SpillFile>> file =
+            SpillFile::Create(&counters_);
+        if (!file.ok()) {
+          if (state.error.ok()) state.error = file.status();
+          return;
+        }
+        part.probe_file = std::move(file).value();
+      }
+      const Status appended = part.probe_file->Append(probe);
+      if (!appended.ok() && state.error.ok()) state.error = appended;
+      continue;
+    }
+    // An empty resident partition has no index: no match.
+    if (part.index == nullptr) continue;
+    for (uint32_t i : part.index->Probe(key)) {
+      out->EmitConcat(instance, probe, part.build.tuples[i]);
+    }
   }
 }
 
-void SpillingHashJoinLogic::OnDataBatch(size_t instance,
-                                        std::span<Tuple> tuples,
-                                        Emitter* out) {
-  EnsureBuilt(instance);
-  for (Tuple& t : tuples) OnData(instance, std::move(t), out);
-}
-
-Status SpillingHashJoinLogic::StreamProbeFile(size_t instance,
-                                              SpillFile* probe_file,
-                                              const Fragment& build,
-                                              const TempIndex& index,
-                                              Emitter* out) {
+Status HashJoinBuild::StreamProbeFile(size_t instance, SpillFile* probe_file,
+                                      const Fragment& build,
+                                      const TempIndex& index, Emitter* out) {
   DBS3_RETURN_IF_ERROR(probe_file->Rewind());
   std::vector<Tuple> chunk;
   while (true) {
@@ -223,10 +207,10 @@ Status SpillingHashJoinLogic::StreamProbeFile(size_t instance,
   }
 }
 
-Status SpillingHashJoinLogic::ProcessSpilledPair(size_t instance,
-                                                 SpillFile* build_file,
-                                                 SpillFile* probe_file,
-                                                 size_t level, Emitter* out) {
+Status HashJoinBuild::ProcessSpilledPair(size_t instance,
+                                         SpillFile* build_file,
+                                         SpillFile* probe_file, size_t level,
+                                         Emitter* out) {
   if (resources_.cancel.ShouldStop()) return Status::OK();
   // No deferred probes: the partition produces nothing, skip its IO.
   if (probe_file == nullptr || probe_file->tuple_count() == 0) {
@@ -269,19 +253,18 @@ Status SpillingHashJoinLogic::ProcessSpilledPair(size_t instance,
   if (fits || !result.ok()) return result;
 
   build.tuples.clear();
-  if (level >= options_.max_recursion) {
+  if (level >= kMaxRecursion) {
     return BlockNestedLoop(instance, build_file, probe_file, out);
   }
   return Repartition(instance, build_file, probe_file, level, out);
 }
 
-Status SpillingHashJoinLogic::Repartition(size_t instance,
-                                          SpillFile* build_file,
-                                          SpillFile* probe_file, size_t level,
-                                          Emitter* out) {
+Status HashJoinBuild::Repartition(size_t instance, SpillFile* build_file,
+                                  SpillFile* probe_file, size_t level,
+                                  Emitter* out) {
   recursions_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::unique_ptr<SpillFile>> sub_build(options_.fanout);
-  std::vector<std::unique_ptr<SpillFile>> sub_probe(options_.fanout);
+  std::vector<std::unique_ptr<SpillFile>> sub_build(kFanout);
+  std::vector<std::unique_ptr<SpillFile>> sub_probe(kFanout);
 
   auto split = [&](SpillFile* src, size_t column,
                    std::vector<std::unique_ptr<SpillFile>>& dst) -> Status {
@@ -305,7 +288,7 @@ Status SpillingHashJoinLogic::Repartition(size_t instance,
   DBS3_RETURN_IF_ERROR(split(build_file, inner_column_, sub_build));
   DBS3_RETURN_IF_ERROR(split(probe_file, probe_column_, sub_probe));
 
-  for (size_t p = 0; p < options_.fanout; ++p) {
+  for (size_t p = 0; p < kFanout; ++p) {
     if (sub_build[p] == nullptr || sub_probe[p] == nullptr) continue;
     // A level that failed to split (one hot key captured everything) will
     // fail to split forever; stop rehashing and nested-loop it now.
@@ -320,10 +303,8 @@ Status SpillingHashJoinLogic::Repartition(size_t instance,
   return Status::OK();
 }
 
-Status SpillingHashJoinLogic::BlockNestedLoop(size_t instance,
-                                              SpillFile* build_file,
-                                              SpillFile* probe_file,
-                                              Emitter* out) {
+Status HashJoinBuild::BlockNestedLoop(size_t instance, SpillFile* build_file,
+                                      SpillFile* probe_file, Emitter* out) {
   MemoryQuota* quota = resources_.quota;
   DBS3_RETURN_IF_ERROR(build_file->Rewind());
   std::vector<Tuple> pending;
@@ -372,34 +353,22 @@ Status SpillingHashJoinLogic::BlockNestedLoop(size_t instance,
   return Status::OK();
 }
 
-void SpillingHashJoinLogic::OnFinish(size_t instance, Emitter* out) {
+void HashJoinBuild::Finish(size_t instance, Emitter* out) {
   InstanceState& state = *instances_[instance];
-  // An instance that received no probe activations never built; its output
-  // is empty either way (inner join), so skip the build entirely.
+  // A granted (resident) build has no partitions, and an instance that
+  // never built has nothing at all: both skip straight to the release.
   for (Partition& part : state.parts) {
     if (!part.spilled) continue;
     const Status processed = ProcessSpilledPair(
         instance, part.build_file.get(), part.probe_file.get(), 1, out);
     RecordError(state, processed);
-    part.build_file.reset();
-    part.probe_file.reset();
   }
-  // Drop the resident build side and return its charges: downstream of
-  // OnFinish nothing probes this instance again.
-  if (resources_.quota != nullptr) {
-    for (Partition& part : state.parts) {
-      resources_.quota->Release(part.charged);
-      part.charged = 0;
-    }
-  }
-  for (Partition& part : state.parts) {
-    part.index.reset();
-    std::vector<Tuple>().swap(part.build.tuples);
-  }
-  PublishMetrics();
+  // Drop the build and return its charges: nothing probes this instance
+  // again.
+  Release(state);
 }
 
-void SpillingHashJoinLogic::PublishMetrics() {
+void HashJoinBuild::PublishMetrics() {
   if (resources_.metrics == nullptr) return;
   // OnFinish runs sequentially, so delta publishing needs no lock.
   const uint64_t bw = counters_.bytes_written.load(std::memory_order_relaxed);
@@ -407,6 +376,12 @@ void SpillingHashJoinLogic::PublishMetrics() {
   const uint64_t parts =
       partitions_spilled_.load(std::memory_order_relaxed);
   const uint64_t recs = recursions_.load(std::memory_order_relaxed);
+  // Nothing spilled since the last publish (every resident build): skip
+  // the registry lookups.
+  if (bw == published_bytes_written_ && br == published_bytes_read_ &&
+      parts == published_partitions_ && recs == published_recursions_) {
+    return;
+  }
   resources_.metrics->counter("spill.bytes_written")
       ->Add(bw - published_bytes_written_);
   resources_.metrics->counter("spill.bytes_read")
@@ -419,29 +394,6 @@ void SpillingHashJoinLogic::PublishMetrics() {
   published_bytes_read_ = br;
   published_partitions_ = parts;
   published_recursions_ = recs;
-}
-
-NodeEstimate SpillingHashJoinLogic::Estimate(const CostModel& cost_model,
-                                             double input_tuples) const {
-  // Mirror the in-memory pipelined join's index estimate: when everything
-  // fits the paths are identical, and the scheduler has no spill statistics
-  // to do better with.
-  NodeEstimate e;
-  const std::vector<uint64_t> inner = inner_->FragmentCardinalities();
-  const size_t m = inner.size();
-  const double probes_per_instance =
-      m > 0 ? input_tuples / static_cast<double>(m) : 0.0;
-  e.per_instance_work.reserve(m);
-  for (uint64_t c : inner) {
-    const double w =
-        static_cast<double>(c) * cost_model.index_build_tuple +
-        probes_per_instance * cost_model.index_probe;
-    e.per_instance_work.push_back(w);
-    e.total_work += w;
-  }
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples;
-  return e;
 }
 
 }  // namespace dbs3

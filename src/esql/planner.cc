@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/memory_quota.h"
 #include "engine/blocking_operators.h"
-#include "engine/spill_join.h"
 #include "esql/parser.h"
 #include "server/query_runtime.h"
 #include "server/shared/shared_query.h"
@@ -13,49 +11,6 @@
 namespace dbs3 {
 
 namespace {
-
-/// How plan phases execute: through a QueryEnv when running under the
-/// shared runtime (scheduler feedback, pooled workers, cancellation), or
-/// inline with at most a cancel token on the legacy path.
-struct EsqlExecContext {
-  QueryEnv* env = nullptr;
-  CancelToken cancel = CancelToken::None();
-  /// When set, every non-final phase's execution is appended here (becomes
-  /// QueryResult::phases).
-  std::vector<ExecutionResult>* phase_execs = nullptr;
-  /// Inline-path memory quota (the env path uses the env's own quota). Must
-  /// outlive the phases' plans; may be null for unaccounted execution.
-  MemoryQuota* quota = nullptr;
-};
-
-/// Schedules and runs one plan phase through the context.
-Result<PhaseOutcome> RunEsqlPhase(Plan& plan, const CostModel& cost_model,
-                                  const ScheduleOptions& schedule,
-                                  EsqlExecContext& ctx) {
-  if (ctx.env != nullptr) return ctx.env->Run(plan, cost_model, schedule);
-  PhaseOutcome out;
-  DBS3_ASSIGN_OR_RETURN(out.schedule,
-                        ScheduleQuery(plan, cost_model, schedule));
-  ExecOptions exec;
-  exec.cancel = ctx.cancel;
-  exec.quota = ctx.quota;
-  Executor executor;
-  DBS3_ASSIGN_OR_RETURN(out.execution, executor.Run(plan, exec));
-  if (!out.execution.completion.ok()) return out.execution.completion;
-  return out;
-}
-
-/// The cancel token the legacy inline path observes (mirrors the query
-/// facade): caller's token, fresh-with-deadline, or none.
-CancelToken InlineToken(const EsqlOptions& options) {
-  if (!options.cancel.has_value() && !options.deadline.has_value()) {
-    return CancelToken::None();
-  }
-  CancelToken token =
-      options.cancel.has_value() ? *options.cancel : CancelToken();
-  if (options.deadline.has_value()) token.set_deadline(*options.deadline);
-  return token;
-}
 
 /// Provenance of one column of the working schema (for name resolution
 /// across joins, where duplicate bare names may exist).
@@ -76,6 +31,9 @@ struct PipelineState {
   /// Relations materialized for this query (repartition temporaries); must
   /// outlive execution.
   std::vector<std::unique_ptr<Relation>> temps;
+  /// Executions of those materializations, in run order (the query
+  /// result's `phases`).
+  std::vector<ExecutionResult> phase_execs;
 };
 
 Result<size_t> ResolveBinding(const std::vector<Binding>& bindings,
@@ -240,10 +198,13 @@ bool BelongsTo(const Comparison& cmp, const Relation& rel) {
 }
 
 /// Materializes a repartition of `rel` on `column`, hash-partitioned with
-/// the same degree — the subquery boundary of the general join case.
+/// the same degree — the subquery boundary of the general join case. The
+/// phase runs through the query's own env; its execution is appended to
+/// `phase_execs`.
 Result<std::unique_ptr<Relation>> MaterializeRepartition(
     const Relation& rel, size_t column, Predicate predicate,
-    double selectivity, const EsqlOptions& options, EsqlExecContext& ctx) {
+    double selectivity, const EsqlOptions& options, QueryEnv& env,
+    std::vector<ExecutionResult>* phase_execs) {
   auto temp = std::make_unique<Relation>(
       rel.name() + "_repart", rel.schema(), column,
       Partitioner(PartitionKind::kHash, rel.degree()));
@@ -257,12 +218,9 @@ Result<std::unique_ptr<Relation>> MaterializeRepartition(
                    std::make_unique<StoreLogic>(temp.get()));
   DBS3_RETURN_IF_ERROR(
       plan.ConnectByColumn(filter, store, column, temp->partitioner()));
-  DBS3_ASSIGN_OR_RETURN(
-      PhaseOutcome out,
-      RunEsqlPhase(plan, CostModel{}, options.schedule, ctx));
-  if (ctx.phase_execs != nullptr) {
-    ctx.phase_execs->push_back(std::move(out.execution));
-  }
+  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out,
+                        env.Run(plan, CostModel{}, options.schedule));
+  phase_execs->push_back(std::move(out.execution));
   return temp;
 }
 
@@ -302,8 +260,8 @@ Status AppendFilter(const std::vector<Comparison>& comparisons,
 /// single co-partitioned join and repartition materializations (subquery
 /// boundaries) for misaligned inners.
 Status BuildSource(Database& db, const EsqlQuery& query,
-                   const EsqlOptions& options, EsqlExecContext& ctx,
-                   PipelineState* state, size_t* phases) {
+                   const EsqlOptions& options, QueryEnv& env,
+                   PipelineState* state) {
   // Resolve the relation chain.
   std::vector<Relation*> rels;
   DBS3_ASSIGN_OR_RETURN(Relation * from_rel, db.relation(query.from));
@@ -387,12 +345,8 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         rels[0]->partition_column() == left_col &&
         rels[1]->partition_column() == right_col && rel_preds[0].empty() &&
         rel_preds[1].empty();
-    if (copartitioned && query.joins.size() == 1 &&
-        options.memory_units == 0) {
+    if (copartitioned && query.joins.size() == 1) {
       // IdealJoin (Figure 10): one triggered instance per fragment pair.
-      // Skipped for budgeted queries: the triggered join's per-fragment
-      // index is unaccounted, so a declared budget routes through the
-      // quota-charging (and spilling) pipelined join instead.
       state->tail = static_cast<int>(state->plan.AddNode(
           "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
           std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
@@ -512,33 +466,20 @@ Status BuildSource(Database& db, const EsqlQuery& query,
             std::unique_ptr<Relation> temp,
             MaterializeRepartition(*inner, this_inner_col,
                                    std::move(inner_pred.first),
-                                   inner_pred.second, options, ctx));
+                                   inner_pred.second, options, env,
+                                   &state->phase_execs));
         state->description =
             "repartition(" + inner->name() + ") ; " + state->description;
         inner = temp.get();
         state->temps.push_back(std::move(temp));
         rel_preds[rel_index].clear();
-        ++*phases;
       }
 
-      // A declared budget swaps in the spilling hybrid hash join, which
-      // charges its build side against the query's quota and degrades to
-      // partition-wise disk passes instead of overshooting. Output rows
-      // are identical to the in-memory join (same probe-then-inner
-      // concatenation, same per-partition probe order).
-      const bool budgeted = options.memory_units > 0;
-      std::unique_ptr<OperatorLogic> join_logic;
-      if (budgeted) {
-        join_logic = std::make_unique<SpillingHashJoinLogic>(
-            inner, this_inner_col, this_probe_col);
-      } else {
-        join_logic = std::make_unique<PipelinedJoinLogic>(
-            inner, this_inner_col, this_probe_col, options.algorithm,
-            options.vectorize);
-      }
       const size_t join = state->plan.AddNode(
           "pipelined-join", ActivationMode::kPipelined, inner->degree(),
-          std::move(join_logic));
+          std::make_unique<PipelinedJoinLogic>(
+              inner, this_inner_col, this_probe_col, options.algorithm,
+              options.vectorize));
       DBS3_RETURN_IF_ERROR(state->plan.ConnectByColumn(
           static_cast<size_t>(state->tail), join, this_probe_col,
           inner->partitioner()));
@@ -552,8 +493,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       const std::string probe_name =
           step == 0 ? rels[probe_idx]->name() : std::string("pipeline");
       state->description += " ; AssocJoin(probe=" + probe_name +
-                            ", inner=" + inner->name() +
-                            (budgeted ? ", spill)" : ")");
+                            ", inner=" + inner->name() + ")";
     }
 
     // A swapped first join produced (right, left) column order; restore the
@@ -703,10 +643,10 @@ Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
   return Status::OK();
 }
 
-/// Compiles and runs `query`, executing every phase through `ctx`.
-Result<EsqlResult> ExecuteEsqlCore(Database& db, const EsqlQuery& query,
-                                   const EsqlOptions& options,
-                                   EsqlExecContext& ctx) {
+/// The query body: compiles `query` and runs every phase (repartition
+/// materializations, then the final pipeline) through the query's env.
+Result<QueryResult> RunEsql(Database& db, const EsqlQuery& query,
+                            const EsqlOptions& options, QueryEnv& env) {
   if (query.items.empty()) {
     return Status::InvalidArgument("empty select list");
   }
@@ -720,9 +660,7 @@ Result<EsqlResult> ExecuteEsqlCore(Database& db, const EsqlQuery& query,
   }
 
   PipelineState state;
-  size_t phases = 1;
-  DBS3_RETURN_IF_ERROR(
-      BuildSource(db, query, options, ctx, &state, &phases));
+  DBS3_RETURN_IF_ERROR(BuildSource(db, query, options, env, &state));
   if (has_aggregate) {
     DBS3_RETURN_IF_ERROR(BuildAggregation(query, &state));
   }
@@ -751,27 +689,15 @@ Result<EsqlResult> ExecuteEsqlCore(Database& db, const EsqlQuery& query,
   DBS3_RETURN_IF_ERROR(state.plan.ConnectSameInstance(
       static_cast<size_t>(state.tail), store));
 
-  EsqlResult out;
   DBS3_ASSIGN_OR_RETURN(
       PhaseOutcome final_phase,
-      RunEsqlPhase(state.plan, options.cost_model, options.schedule, ctx));
-  out.schedule = std::move(final_phase.schedule);
-  out.execution = std::move(final_phase.execution);
-  out.result = std::move(result);
-  out.physical_plan = state.description + " ; store";
-  out.phases = phases;
-  return out;
-}
-
-/// Packages a core result as the runtime-facing QueryResult.
-QueryResult ToQueryResult(EsqlResult esql,
-                          std::vector<ExecutionResult> phase_execs) {
+      env.Run(state.plan, options.cost_model, options.schedule));
   QueryResult out;
-  out.result = std::move(esql.result);
-  out.execution = std::move(esql.execution);
-  out.schedule = std::move(esql.schedule);
-  out.detail = std::move(esql.physical_plan);
-  out.phases = std::move(phase_execs);
+  out.result = std::move(result);
+  out.execution = std::move(final_phase.execution);
+  out.schedule = std::move(final_phase.schedule);
+  out.detail = state.description + " ; store";
+  out.phases = std::move(state.phase_execs);
   return out;
 }
 
@@ -779,7 +705,7 @@ QueryResult ToQueryResult(EsqlResult esql,
 /// pre-check before MakeSharedSpec does name resolution): scan-only — no
 /// joins, aggregates, grouping or ordering — and no declared memory.
 bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
-  if (!options.share_work || !options.use_shared_runtime) return false;
+  if (!options.share_work) return false;
   if (options.memory_units != 0) return false;
   if (!query.joins.empty()) return false;
   if (query.group_by.has_value() || query.order_by.has_value()) return false;
@@ -836,26 +762,18 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
 
 QueryHandle SubmitParsed(Database& db, EsqlQuery query,
                          const EsqlOptions& options) {
-  QuerySpec spec;
-  spec.priority = options.priority;
-  spec.memory_units = options.memory_units;
-  spec.deadline = options.deadline;
-  spec.cancel = options.cancel;
+  std::shared_ptr<const SharedScanSpec> shared;
   if (ShareableShape(query, options)) {
-    Result<std::shared_ptr<const SharedScanSpec>> shared =
+    Result<std::shared_ptr<const SharedScanSpec>> spec =
         MakeSharedSpec(db, query, options);
-    if (shared.ok()) spec.shared = std::move(shared).value();
+    if (spec.ok()) shared = std::move(spec).value();
   }
-  spec.body = [&db, query = std::move(query),
-               options](QueryEnv& env) -> Result<QueryResult> {
-    std::vector<ExecutionResult> phase_execs;
-    EsqlExecContext ctx;
-    ctx.env = &env;
-    ctx.phase_execs = &phase_execs;
-    DBS3_ASSIGN_OR_RETURN(EsqlResult esql,
-                          ExecuteEsqlCore(db, query, options, ctx));
-    return ToQueryResult(std::move(esql), std::move(phase_execs));
-  };
+  QuerySpec spec = MakeQuerySpec(
+      options, [&db, query = std::move(query),
+                options](QueryEnv& env) -> Result<QueryResult> {
+        return RunEsql(db, query, options, env);
+      });
+  spec.shared = std::move(shared);
   return db.Submit(std::move(spec));
 }
 
@@ -863,17 +781,8 @@ QueryHandle SubmitParsed(Database& db, EsqlQuery query,
 
 Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
                                const EsqlOptions& options) {
-  if (!options.use_shared_runtime) {
-    EsqlExecContext ctx;
-    ctx.cancel = InlineToken(options);
-    // Declared outside the core call so it outlives the phases' plans
-    // (operator destructors release their remaining charges into it).
-    MemoryQuota quota(options.memory_units);
-    ctx.quota = &quota;
-    return ExecuteEsqlCore(db, query, options, ctx);
-  }
-  QueryHandle handle = SubmitEsql(db, query, options);
-  DBS3_ASSIGN_OR_RETURN(QueryResult result, handle.Take());
+  DBS3_ASSIGN_OR_RETURN(QueryResult result,
+                        SubmitEsql(db, query, options).Take());
   EsqlResult out;
   out.result = std::move(result.result);
   out.execution = std::move(result.execution);
@@ -903,15 +812,10 @@ QueryHandle SubmitEsql(Database& db, const std::string& query,
   if (parsed.ok()) {
     return SubmitParsed(db, std::move(parsed).value(), options);
   }
-  QuerySpec spec;
-  spec.priority = options.priority;
-  spec.memory_units = options.memory_units;
-  spec.deadline = options.deadline;
-  spec.cancel = options.cancel;
-  spec.body = [error = parsed.status()](QueryEnv&) -> Result<QueryResult> {
-    return error;
-  };
-  return db.Submit(std::move(spec));
+  return db.Submit(MakeQuerySpec(
+      options, [error = parsed.status()](QueryEnv&) -> Result<QueryResult> {
+        return error;
+      }));
 }
 
 }  // namespace dbs3

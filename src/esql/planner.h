@@ -1,52 +1,33 @@
 #ifndef DBS3_ESQL_PLANNER_H_
 #define DBS3_ESQL_PLANNER_H_
 
-#include <chrono>
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/result.h"
 #include "dbs3/database.h"
-#include "engine/cancel.h"
+#include "dbs3/query.h"
 #include "engine/executor.h"
-#include "engine/operators.h"
 #include "esql/ast.h"
 #include "sched/scheduler.h"
 #include "server/query_handle.h"
 
 namespace dbs3 {
 
-/// Execution knobs of the ESQL layer.
-struct EsqlOptions {
-  ScheduleOptions schedule;
-  CostModel cost_model;
-  JoinAlgorithm algorithm = JoinAlgorithm::kHash;
-  /// Run the vectorized batch kernels where the planner can lower WHERE
-  /// conjuncts to the typed predicate IR and activations carry enough
-  /// tuples. Off = always the per-row loops; results are identical either
-  /// way (chunk_size=1 executions take the row path automatically).
-  bool vectorize = true;
-  std::string result_name = "esql_result";
+/// Execution knobs of the ESQL layer: the facade's QueryOptions (schedule,
+/// cost model, join algorithm, vectorize, the multi-user knobs — see
+/// dbs3/query.h) plus work sharing. The result relation defaults to
+/// "esql_result".
+struct EsqlOptions : QueryOptions {
+  EsqlOptions() { result_name = "esql_result"; }
 
-  /// Multi-user knobs, forwarded to the runtime's QuerySpec (see
-  /// QueryOptions in dbs3/query.h for semantics).
-  int priority = 0;
-  uint64_t memory_units = 0;
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  std::optional<CancelToken> cancel;
-  /// Run every phase (repartition materializations and the final
-  /// pipeline) through the database's shared QueryRuntime. false = legacy
-  /// inline execution with private per-operation threads.
-  bool use_shared_runtime = true;
   /// Allow the runtime to fold this query into a multi-query shared scan
   /// with compatible queries (same relation, same projection shape,
   /// scan-only, no declared memory). One relation pass then serves the
   /// whole batch; per-query results are identical to solo execution. The
   /// batch forms only when compatible queries are simultaneously queued
   /// (see QueryRuntimeOptions::shared_batch_window_us to also wait for
-  /// stragglers). Only meaningful with use_shared_runtime.
+  /// stragglers).
   bool share_work = true;
 };
 
@@ -86,8 +67,7 @@ Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
 /// returns a handle immediately. Parse errors, like planning errors,
 /// surface through the handle. The QueryResult's `detail` carries the
 /// physical-plan rendering and `phases` the intermediate (repartition)
-/// executions. ExecuteEsql above is Submit + Take when
-/// options.use_shared_runtime (the default).
+/// executions. ExecuteEsql above is Submit + Take.
 QueryHandle SubmitEsql(Database& db, const std::string& query,
                        const EsqlOptions& options = {});
 

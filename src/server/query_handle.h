@@ -56,7 +56,8 @@ struct QueryRunStats {
   /// every phase fell back to private threads).
   bool used_shared_pool = false;
   /// Peak tuple units charged against the query's memory quota across all
-  /// phases (0 when the query declared no budget or retained no state).
+  /// phases: every join build and group-by state, budgeted or not (0 when
+  /// the query retained no state).
   uint64_t quota_high_water_units = 0;
   /// Queries that rode the same shared-scan batch as this one, including
   /// this one. 0 = the query ran solo (no shared-work path involved).

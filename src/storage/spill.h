@@ -43,8 +43,8 @@ struct SpillCounters {
 /// the disk space when the handle closes.
 ///
 /// Not internally synchronized: callers serialize access per file (the
-/// spilling operators append under their instance lock and drain from the
-/// sequential OnFinish).
+/// spilling operators append under their instance lock and drain each
+/// instance's files from one thread at a time).
 class SpillFile {
  public:
   /// Opens a fresh unlinked temporary file. `counters` (optional) receives

@@ -191,44 +191,6 @@ TEST(SortLogicTest, StableOnEqualKeys) {
   EXPECT_EQ(rows[1].second.at(1).AsInt(), 200);
 }
 
-std::unique_ptr<Relation> InnerRelation() {
-  auto r = std::make_unique<Relation>(
-      "inner", SkewSchema(), 0, Partitioner(PartitionKind::kModulo, 2));
-  for (int64_t k : {0, 2, 4, 1}) {
-    EXPECT_TRUE(r->Insert(Tuple({Value(k), Value(k)})).ok());
-  }
-  return r;
-}
-
-TEST(SemiJoinTest, EmitsProbeOnMatch) {
-  auto inner = InnerRelation();
-  PipelinedSemiJoinLogic semi(inner.get(), 0, 0, /*anti=*/false);
-  ASSERT_TRUE(semi.Prepare(2).ok());
-  CapturingEmitter out;
-  semi.OnData(0, Row(2, 99), &out);   // 2 is in fragment 0.
-  semi.OnData(0, Row(6, 99), &out);   // 6 is not.
-  semi.OnData(1, Row(1, 99), &out);   // 1 is in fragment 1.
-  auto rows = out.take();
-  ASSERT_EQ(rows.size(), 2u);
-  // Probe tuples pass through unchanged (no inner columns).
-  EXPECT_EQ(rows[0].second.at(0).AsInt(), 2);
-  EXPECT_EQ(rows[0].second.at(1).AsInt(), 99);
-  EXPECT_EQ(rows[1].second.at(0).AsInt(), 1);
-}
-
-TEST(SemiJoinTest, AntiJoinInverts) {
-  auto inner = InnerRelation();
-  PipelinedSemiJoinLogic anti(inner.get(), 0, 0, /*anti=*/true);
-  ASSERT_TRUE(anti.Prepare(2).ok());
-  EXPECT_EQ(anti.name(), "anti-join");
-  CapturingEmitter out;
-  anti.OnData(0, Row(2, 0), &out);  // Match -> suppressed.
-  anti.OnData(0, Row(6, 0), &out);  // No match -> emitted.
-  auto rows = out.take();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].second.at(0).AsInt(), 6);
-}
-
 TEST(BlockingInPlanTest, GroupByThroughExecutor) {
   // End-to-end: scan -> repartition-by-key -> group-by -> store on the real
   // engine, exercising the OnFinish flush between Join and downstream

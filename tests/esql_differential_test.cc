@@ -239,9 +239,10 @@ TEST_P(EsqlDifferentialTest, Projection) {
 }
 
 TEST_P(EsqlDifferentialTest, BudgetedExecutionMatchesUnbudgeted) {
-  // The declared memory budget routes joins through the spilling hybrid
-  // hash join and flips group-by into its two-phase spill mode; results
-  // must be identical to the unconstrained in-memory plan at any budget.
+  // Under a declared memory budget the joins' refused build charges spill
+  // (hybrid hash) and group-by flips into its two-phase spill mode;
+  // results must be identical to the unconstrained in-memory plan at any
+  // budget.
   const std::vector<std::string> queries = {
       "SELECT w, COUNT(*), SUM(x), MIN(v), MAX(v) FROM r JOIN s "
       "ON r.k = s.k GROUP BY w",

@@ -47,6 +47,34 @@ QueryBody Blocker(Latch* started, Latch* release) {
   };
 }
 
+/// A body scanning `rel` through `predicate` (filter -> store) on
+/// `threads` total threads — with a slow or blocking predicate, the tool
+/// for holding pool workers while other queries queue.
+QueryBody ScanBody(Relation* rel, TuplePredicate predicate, size_t threads) {
+  return [rel, predicate, threads](QueryEnv& env) -> Result<QueryResult> {
+    auto result = std::make_unique<Relation>(
+        "res", rel->schema(), rel->partition_column(),
+        Partitioner(rel->partitioner().kind(), rel->degree()));
+    Plan plan;
+    const size_t filter = plan.AddNode(
+        "filter", ActivationMode::kTriggered, rel->degree(),
+        std::make_unique<FilterLogic>(rel, predicate, 1.0));
+    const size_t store =
+        plan.AddNode("store", ActivationMode::kPipelined, rel->degree(),
+                     std::make_unique<StoreLogic>(result.get()));
+    DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(filter, store));
+    ScheduleOptions schedule;
+    schedule.total_threads = threads;
+    schedule.processors = threads;
+    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
+                          env.Run(plan, CostModel{}, schedule));
+    QueryResult out;
+    out.result = std::move(result);
+    out.execution = std::move(phase.execution);
+    return out;
+  };
+}
+
 TEST(WorkerPoolTest, RunsDispatchedTasks) {
   WorkerPool pool(2);
   EXPECT_EQ(pool.num_threads(), 2u);
@@ -455,41 +483,6 @@ TEST(DatabaseSubmitTest, CancelMidPipelineDrainsAndReportsPartialWork) {
   MetricsSnapshot snap = db.metrics().Snapshot();
   EXPECT_GE(snap.counters["runtime.queries_cancelled"], 1u);
   EXPECT_GT(snap.counters["engine.units_cancelled"], 0u);
-}
-
-TEST(DatabaseSubmitTest, DirectPathBypassesTheRuntime) {
-  Database db(2);
-  WisconsinOptions opt;
-  opt.cardinality = 500;
-  opt.degree = 4;
-  ASSERT_TRUE(db.CreateWisconsin("t", opt).ok());
-  QueryOptions options;
-  options.schedule.total_threads = 2;
-  options.schedule.processors = 2;
-  options.use_shared_runtime = false;
-  auto r = RunSelect(db, "t", MatchAll(), 1.0, options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  MetricsSnapshot snap = db.metrics().Snapshot();
-  EXPECT_EQ(snap.counters["runtime.queries_submitted"], 0u);
-  EXPECT_EQ(snap.counters["engine.queries"], 1u);
-}
-
-TEST(DatabaseSubmitTest, DirectPathHonorsPreCancelledToken) {
-  Database db(2);
-  WisconsinOptions opt;
-  opt.cardinality = 500;
-  opt.degree = 4;
-  ASSERT_TRUE(db.CreateWisconsin("t", opt).ok());
-  QueryOptions options;
-  options.schedule.total_threads = 2;
-  options.schedule.processors = 2;
-  options.use_shared_runtime = false;
-  CancelToken token;
-  token.Cancel();
-  options.cancel = token;
-  auto r = RunSelect(db, "t", MatchAll(), 1.0, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
 TEST(DatabaseSubmitTest, SubmitEsqlReportsRepartitionPhases) {
@@ -1112,6 +1105,63 @@ TEST(AdmissionTest, CpuFitWaiterIsPackedPastABlockedWiderOne) {
   ctrl.Shutdown();
 }
 
+TEST(AdmissionTest, EsqlCpuFitWaiterIsPackedPastABlockedWiderOne) {
+  // The packing case above, end to end through SubmitEsql: an ESQL query
+  // declares its thread share to admission exactly like a facade query.
+  Database db(2);
+  WisconsinOptions opt;
+  opt.cardinality = 20'000;
+  opt.degree = 4;
+  ASSERT_TRUE(db.CreateWisconsin("t", opt).ok());
+  Relation* rel = db.relation("t").value();
+
+  QueryRuntimeOptions ropt;
+  ropt.pool_threads = 4;
+  ropt.max_concurrent_queries = 2;
+  ASSERT_TRUE(db.StartRuntime(ropt).ok());
+
+  // Driver 1 runs a scan that holds 2 of the 4 pool threads until released.
+  Latch holder_started, holder_release;
+  TuplePredicate hold = [&holder_started, &holder_release](const Tuple&) {
+    holder_started.Set();
+    holder_release.Await();
+    return true;
+  };
+  QuerySpec holder;
+  holder.body = ScanBody(rel, hold, 2);
+  QueryHandle holder_handle = db.Submit(std::move(holder));
+  holder_started.Await();
+
+  // Driver 2 parks, so both ESQL queries queue together behind it.
+  Latch blocker_started, blocker_release;
+  QuerySpec blocker;
+  blocker.body = Blocker(&blocker_started, &blocker_release);
+  QueryHandle blocker_handle = db.Submit(std::move(blocker));
+  blocker_started.Await();
+
+  EsqlOptions wide;
+  wide.schedule.total_threads = 4;  // More than the 2 free threads.
+  wide.schedule.processors = 4;
+  wide.share_work = false;
+  EsqlOptions narrow = wide;
+  narrow.schedule.total_threads = 2;  // Deliverable right now.
+  narrow.schedule.processors = 2;
+  QueryHandle wide_handle = SubmitEsql(db, "SELECT * FROM t", wide);
+  QueryHandle narrow_handle = SubmitEsql(db, "SELECT * FROM t", narrow);
+
+  // FIFO would hand driver 2 the wide query first; joint packing prefers
+  // the narrow one, so the wide query waits out the narrow one's run.
+  blocker_release.Set();
+  ASSERT_TRUE(narrow_handle.Take().ok());
+  ASSERT_TRUE(wide_handle.Take().ok());
+  EXPECT_LT(narrow_handle.stats().admission_wait_seconds,
+            wide_handle.stats().admission_wait_seconds);
+
+  holder_release.Set();
+  ASSERT_TRUE(blocker_handle.Take().ok());
+  ASSERT_TRUE(holder_handle.Take().ok());
+}
+
 TEST(AdmissionTest, WiderThanPoolHintIsAlwaysCpuFit) {
   AdmissionConfig config;
   config.max_queued = 16;
@@ -1200,28 +1250,7 @@ TEST(AdaptiveRuntimeTest, ClampedQueryIsGrantedWorkersWhenTheCohortDrains) {
     return true;
   };
   QuerySpec longq;
-  longq.body = [rel, slow](QueryEnv& env) -> Result<QueryResult> {
-    auto result = std::make_unique<Relation>(
-        "res", rel->schema(), rel->partition_column(),
-        Partitioner(rel->partitioner().kind(), rel->degree()));
-    Plan plan;
-    const size_t filter = plan.AddNode(
-        "filter", ActivationMode::kTriggered, rel->degree(),
-        std::make_unique<FilterLogic>(rel, slow, 1.0));
-    const size_t store =
-        plan.AddNode("store", ActivationMode::kPipelined, rel->degree(),
-                     std::make_unique<StoreLogic>(result.get()));
-    DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(filter, store));
-    ScheduleOptions schedule;
-    schedule.total_threads = 4;
-    schedule.processors = 4;
-    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
-                          env.Run(plan, CostModel{}, schedule));
-    QueryResult out;
-    out.result = std::move(result);
-    out.execution = std::move(phase.execution);
-    return out;
-  };
+  longq.body = ScanBody(rel, slow, 4);
   QueryHandle long_handle = db.Submit(std::move(longq));
   long_started.Await();
 
@@ -1266,28 +1295,7 @@ TEST(AdaptiveRuntimeTest, PressureParksALongQueryAndShortsGetThrough) {
     return true;
   };
   QuerySpec longq;
-  longq.body = [rel, slow](QueryEnv& env) -> Result<QueryResult> {
-    auto result = std::make_unique<Relation>(
-        "res", rel->schema(), rel->partition_column(),
-        Partitioner(rel->partitioner().kind(), rel->degree()));
-    Plan plan;
-    const size_t filter = plan.AddNode(
-        "filter", ActivationMode::kTriggered, rel->degree(),
-        std::make_unique<FilterLogic>(rel, slow, 1.0));
-    const size_t store =
-        plan.AddNode("store", ActivationMode::kPipelined, rel->degree(),
-                     std::make_unique<StoreLogic>(result.get()));
-    DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(filter, store));
-    ScheduleOptions schedule;
-    schedule.total_threads = 4;
-    schedule.processors = 4;
-    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
-                          env.Run(plan, CostModel{}, schedule));
-    QueryResult out;
-    out.result = std::move(result);
-    out.execution = std::move(phase.execution);
-    return out;
-  };
+  longq.body = ScanBody(rel, slow, 4);
   QueryHandle long_handle = db.Submit(std::move(longq));
   long_started.Await();
 

@@ -1,14 +1,18 @@
-// Differential tests of the memory-bounded operators: the spilling hybrid
-// hash join and the spilling group-by must produce results identical to
-// their unconstrained in-memory paths under any budget, including budgets
-// small enough to force recursive repartitioning and the block nested-loop
-// fallback. Also pins the cancellation contract: a torn-down logic returns
-// its quota charges and leaks no spill-file handles.
+// Differential tests of the memory-bounded operators: both paper join
+// nodes (the triggered IdealJoin and the pipelined AssocJoin) and the
+// spilling group-by must produce exactly a naive oracle's rows under any
+// budget, including budgets small enough to force recursive repartitioning
+// and the block nested-loop fallback. Also pins the cancellation contract:
+// a torn-down logic returns its quota charges and leaks no spill-file
+// handles, and every entry point (facade and ESQL) enforces a declared
+// budget.
 
 #include "engine/spill_join.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,6 +25,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "dbs3/database.h"
+#include "dbs3/query.h"
 #include "engine/blocking_operators.h"
 #include "engine/operators.h"
 #include "esql/planner.h"
@@ -49,17 +54,22 @@ class CapturingEmitter : public Emitter {
   std::vector<Tuple> emitted_;
 };
 
+/// Degree-1 relation of two int columns (key first).
+std::unique_ptr<Relation> MakeRelation(const std::string& name,
+                                       const std::vector<Tuple>& rows) {
+  auto rel = std::make_unique<Relation>(
+      name, Schema({{"k", ValueType::kInt64}, {"payload", ValueType::kInt64}}),
+      0, Partitioner(PartitionKind::kModulo, 1));
+  for (const Tuple& t : rows) EXPECT_TRUE(rel->Insert(t).ok());
+  return rel;
+}
+
 /// Degree-1 build relation with rows (key, 1000 + i).
 std::unique_ptr<Relation> MakeInner(const std::vector<int64_t>& keys) {
-  auto rel = std::make_unique<Relation>(
-      "inner",
-      Schema({{"k", ValueType::kInt64}, {"payload", ValueType::kInt64}}), 0,
-      Partitioner(PartitionKind::kModulo, 1));
+  std::vector<Tuple> rows;
   int64_t i = 0;
-  for (int64_t k : keys) {
-    EXPECT_TRUE(rel->Insert(Tuple({Value(k), Value(1000 + i++)})).ok());
-  }
-  return rel;
+  for (int64_t k : keys) rows.push_back(Tuple({Value(k), Value(1000 + i++)}));
+  return MakeRelation("inner", rows);
 }
 
 std::vector<Tuple> MakeProbes(const std::vector<int64_t>& keys) {
@@ -72,85 +82,144 @@ std::vector<Tuple> MakeProbes(const std::vector<int64_t>& keys) {
   return probes;
 }
 
-/// Drives one logic through the executor's calling convention and returns
-/// its sorted output. `quota` may be null (no accounting).
-std::vector<Tuple> RunJoin(OperatorLogic& logic,
-                           const std::vector<Tuple>& probes,
-                           MemoryQuota* quota,
-                           MetricsRegistry* metrics = nullptr) {
-  ExecResources resources;
-  resources.quota = quota;
-  resources.metrics = metrics;
-  logic.BindExecution(resources);
-  EXPECT_TRUE(logic.Prepare(1).ok());
-  CapturingEmitter out;
-  for (const Tuple& p : probes) logic.OnData(0, Tuple(p), &out);
-  logic.OnFinish(0, &out);
-  EXPECT_TRUE(logic.error().ok()) << logic.error().ToString();
-  return out.take_sorted();
+/// The oracle: every probe concatenated with every inner row sharing its
+/// key, sorted.
+std::vector<Tuple> NaiveJoin(const Relation& inner,
+                             const std::vector<Tuple>& probes) {
+  std::multimap<Value, const Tuple*> by_key;
+  for (const Tuple& t : inner.fragment(0).tuples) by_key.emplace(t.at(0), &t);
+  std::vector<Tuple> out;
+  for (const Tuple& p : probes) {
+    auto [lo, hi] = by_key.equal_range(p.at(0));
+    for (auto it = lo; it != hi; ++it) out.push_back(p.Concat(*it->second));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-class SpillJoinDifferentialTest : public ::testing::Test {
- protected:
-  /// The unconstrained in-memory reference (the logic the planner uses
-  /// when no budget is declared).
-  std::vector<Tuple> Reference(const Relation* inner,
-                               const std::vector<Tuple>& probes) {
-    PipelinedJoinLogic reference(inner, 0, 0, JoinAlgorithm::kHash);
-    return RunJoin(reference, probes, nullptr);
+/// The two paper join nodes, both under test.
+enum class JoinNode { kAssocJoin, kIdealJoin };
+
+const char* NodeName(JoinNode node) {
+  return node == JoinNode::kAssocJoin ? "AssocJoin" : "IdealJoin";
+}
+
+/// One join of `probes` against `inner` through `node`: the AssocJoin
+/// receives the probes as data activations, the IdealJoin reads them as its
+/// co-partitioned outer fragment.
+class JoinUnderTest {
+ public:
+  JoinUnderTest(JoinNode node, const Relation* inner,
+                const std::vector<Tuple>& probes)
+      : node_(node),
+        probes_(probes),
+        outer_(MakeRelation("outer", probes)) {
+    if (node == JoinNode::kAssocJoin) {
+      logic_ = std::make_unique<PipelinedJoinLogic>(inner, 0, 0,
+                                                    JoinAlgorithm::kHash);
+    } else {
+      logic_ = std::make_unique<TriggeredJoinLogic>(outer_.get(), 0, inner, 0,
+                                                    JoinAlgorithm::kHash);
+    }
   }
+
+  /// Binds `quota`/`metrics`/`cancel` and delivers every probe; no
+  /// OnFinish, so the teardown test can stop here.
+  void Probe(MemoryQuota* quota, MetricsRegistry* metrics,
+             CancelToken cancel = CancelToken::None()) {
+    ExecResources resources;
+    resources.quota = quota;
+    resources.metrics = metrics;
+    resources.cancel = cancel;
+    logic_->BindExecution(resources);
+    ASSERT_TRUE(logic_->Prepare(1).ok());
+    if (node_ == JoinNode::kAssocJoin) {
+      for (const Tuple& p : probes_) logic_->OnData(0, Tuple(p), &out_);
+    } else {
+      logic_->OnTrigger(0, &out_);
+    }
+  }
+
+  /// Probe + OnFinish; returns the sorted output.
+  std::vector<Tuple> Run(MemoryQuota* quota,
+                         MetricsRegistry* metrics = nullptr) {
+    Probe(quota, metrics);
+    logic_->OnFinish(0, &out_);
+    EXPECT_TRUE(logic_->error().ok()) << logic_->error().ToString();
+    return out_.take_sorted();
+  }
+
+ private:
+  JoinNode node_;
+  const std::vector<Tuple>& probes_;
+  std::unique_ptr<Relation> outer_;
+  std::unique_ptr<OperatorLogic> logic_;
+  CapturingEmitter out_;
 };
 
-TEST_F(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
+constexpr JoinNode kJoinNodes[] = {JoinNode::kAssocJoin, JoinNode::kIdealJoin};
+
+TEST(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
   Rng rng(7);
   std::vector<int64_t> build_keys, probe_keys;
   for (int i = 0; i < 300; ++i) build_keys.push_back(rng.Range(0, 60));
   for (int i = 0; i < 500; ++i) probe_keys.push_back(rng.Range(0, 80));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
-  const std::vector<Tuple> expected = Reference(inner.get(), probes);
+  const std::vector<Tuple> expected = NaiveJoin(*inner, probes);
   ASSERT_FALSE(expected.empty());
 
-  MemoryQuota quota(0);  // Unlimited: tracks but never spills.
-  SpillingHashJoinLogic join(inner.get(), 0, 0);
-  EXPECT_EQ(RunJoin(join, probes, &quota), expected);
-  EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
-  EXPECT_EQ(quota.high_water(), build_keys.size());  // Whole build charged.
+  for (JoinNode node : kJoinNodes) {
+    SCOPED_TRACE(NodeName(node));
+    MemoryQuota quota(0);  // Unlimited: tracks but never spills.
+    MetricsRegistry metrics;
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
+              expected);
+    EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
+    EXPECT_EQ(quota.high_water(), build_keys.size());  // One whole charge.
+    EXPECT_EQ(metrics.Snapshot().counters["spill.bytes_written"], 0u);
+    // No quota at all: nothing charged, same rows.
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(nullptr),
+              expected);
+  }
 }
 
-TEST_F(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
+TEST(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
   Rng rng(11);
   std::vector<int64_t> build_keys, probe_keys;
   for (int i = 0; i < 400; ++i) build_keys.push_back(rng.Range(0, 100));
   for (int i = 0; i < 600; ++i) probe_keys.push_back(rng.Range(0, 120));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
-  const std::vector<Tuple> expected = Reference(inner.get(), probes);
+  const std::vector<Tuple> expected = NaiveJoin(*inner, probes);
   ASSERT_FALSE(expected.empty());
 
   const int64_t live_before = SpillFile::live_files();
-  for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{32},
-                          uint64_t{1'000'000}}) {
-    MemoryQuota quota(budget);
-    MetricsRegistry metrics;
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    EXPECT_EQ(RunJoin(join, probes, &quota, &metrics), expected)
-        << "budget=" << budget;
-    EXPECT_EQ(quota.used(), 0u) << "budget=" << budget;
-    // Forced-progress overshoot is bounded to O(1) units per instance.
-    EXPECT_LE(quota.high_water(), budget + 2) << "budget=" << budget;
-    MetricsSnapshot snap = metrics.Snapshot();
-    if (budget < build_keys.size()) {
-      EXPECT_GT(snap.counters["spill.bytes_written"], 0u)
-          << "budget=" << budget;
-    } else {
-      EXPECT_EQ(snap.counters["spill.bytes_written"], 0u);
+  for (JoinNode node : kJoinNodes) {
+    for (uint64_t budget : {uint64_t{1}, uint64_t{4}, uint64_t{32},
+                            uint64_t{1'000'000}}) {
+      SCOPED_TRACE(std::string(NodeName(node)) +
+                   " budget=" + std::to_string(budget));
+      MemoryQuota quota(budget);
+      MetricsRegistry metrics;
+      EXPECT_EQ(
+          JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
+          expected);
+      EXPECT_EQ(quota.used(), 0u);
+      // Forced-progress overshoot is bounded to O(1) units per instance.
+      EXPECT_LE(quota.high_water(), budget + 2);
+      MetricsSnapshot snap = metrics.Snapshot();
+      if (budget < build_keys.size()) {
+        EXPECT_GT(snap.counters["spill.bytes_written"], 0u);
+      } else {
+        EXPECT_EQ(snap.counters["spill.bytes_written"], 0u);
+      }
     }
   }
   EXPECT_EQ(SpillFile::live_files(), live_before);
 }
 
-TEST_F(SpillJoinDifferentialTest, HotKeySkewFallsBackToNestedLoop) {
+TEST(SpillJoinDifferentialTest, HotKeySkewFallsBackToNestedLoop) {
   // Every build row shares one key: no rehash can ever split the spilled
   // partition, so the join must detect the non-split and finish through
   // the block nested-loop pass instead of recursing forever.
@@ -159,17 +228,20 @@ TEST_F(SpillJoinDifferentialTest, HotKeySkewFallsBackToNestedLoop) {
   probe_keys.push_back(8);  // One non-matching probe.
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
-  const std::vector<Tuple> expected = Reference(inner.get(), probes);
+  const std::vector<Tuple> expected = NaiveJoin(*inner, probes);
   ASSERT_EQ(expected.size(), 200u * 50u);
 
-  MemoryQuota quota(2);
-  SpillingHashJoinLogic join(inner.get(), 0, 0);
-  EXPECT_EQ(RunJoin(join, probes, &quota), expected);
-  EXPECT_EQ(quota.used(), 0u);
-  EXPECT_LE(quota.high_water(), 2u + 2u);
+  for (JoinNode node : kJoinNodes) {
+    SCOPED_TRACE(NodeName(node));
+    MemoryQuota quota(2);
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota),
+              expected);
+    EXPECT_EQ(quota.used(), 0u);
+    EXPECT_LE(quota.high_water(), 2u + 2u);
+  }
 }
 
-TEST_F(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
+TEST(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
   // Zipf-ish frequencies: key k appears ~N/(k+1) times on both sides —
   // a few very hot keys with a long tail, the paper's skew regime.
   std::vector<int64_t> build_keys, probe_keys;
@@ -181,42 +253,49 @@ TEST_F(SpillJoinDifferentialTest, ZipfSkewAcrossBudgets) {
   }
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
-  const std::vector<Tuple> expected = Reference(inner.get(), probes);
+  const std::vector<Tuple> expected = NaiveJoin(*inner, probes);
   ASSERT_FALSE(expected.empty());
 
-  for (uint64_t budget : {uint64_t{3}, uint64_t{17}, uint64_t{64}}) {
-    MemoryQuota quota(budget);
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    EXPECT_EQ(RunJoin(join, probes, &quota), expected)
-        << "budget=" << budget;
-    EXPECT_EQ(quota.used(), 0u);
+  for (JoinNode node : kJoinNodes) {
+    for (uint64_t budget : {uint64_t{3}, uint64_t{17}, uint64_t{64}}) {
+      SCOPED_TRACE(std::string(NodeName(node)) +
+                   " budget=" + std::to_string(budget));
+      MemoryQuota quota(budget);
+      EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota),
+                expected);
+      EXPECT_EQ(quota.used(), 0u);
+    }
   }
 }
 
-TEST_F(SpillJoinDifferentialTest, LowFanoutForcesDeepRecursion) {
-  // Fanout 2 with a 500-row build and budget 4 recurses several levels
-  // before partitions fit; results must still be exact.
+TEST(SpillJoinDifferentialTest, SmallBudgetForcesDeepRecursion) {
+  // A 500-row build under a 4-unit budget: each of the 8 level-0
+  // partitions (~60 rows) overflows its reload, and so do most of its
+  // level-1 sub-partitions (~8 rows), so the flush recurses at least two
+  // levels deep before partitions fit. Results must still be exact.
   Rng rng(23);
   std::vector<int64_t> build_keys, probe_keys;
   for (int i = 0; i < 500; ++i) build_keys.push_back(rng.Range(0, 250));
   for (int i = 0; i < 400; ++i) probe_keys.push_back(rng.Range(0, 250));
   auto inner = MakeInner(build_keys);
   const std::vector<Tuple> probes = MakeProbes(probe_keys);
-  const std::vector<Tuple> expected = Reference(inner.get(), probes);
+  const std::vector<Tuple> expected = NaiveJoin(*inner, probes);
 
-  SpillJoinOptions options;
-  options.fanout = 2;
-  options.max_recursion = 3;
-  MemoryQuota quota(4);
-  MetricsRegistry metrics;
-  SpillingHashJoinLogic join(inner.get(), 0, 0, options);
-  EXPECT_EQ(RunJoin(join, probes, &quota, &metrics), expected);
-  EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
-  EXPECT_EQ(quota.used(), 0u);
+  for (JoinNode node : kJoinNodes) {
+    SCOPED_TRACE(NodeName(node));
+    MemoryQuota quota(4);
+    MetricsRegistry metrics;
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
+              expected);
+    // One repartition per overflowing partition per level: more than the
+    // 8 level-0 partitions can account for means a second level ran.
+    EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 8u);
+    EXPECT_EQ(quota.used(), 0u);
+  }
 }
 
-TEST_F(SpillJoinDifferentialTest,
-       TeardownWithoutFinishReleasesQuotaAndFiles) {
+TEST(SpillJoinDifferentialTest,
+     TeardownWithoutFinishReleasesQuotaAndFiles) {
   // A cancelled run skips OnFinish; destruction alone must return every
   // charged unit and close every spill file (they are unlinked from
   // birth, so closing is the whole cleanup).
@@ -232,17 +311,23 @@ TEST_F(SpillJoinDifferentialTest,
   // (and hold charges) while at least one spills (and opens files).
   MemoryQuota quota(280);
   {
-    SpillingHashJoinLogic join(inner.get(), 0, 0);
-    ExecResources resources;
-    resources.quota = &quota;
-    join.BindExecution(resources);
-    ASSERT_TRUE(join.Prepare(1).ok());
-    CapturingEmitter out;
+    JoinUnderTest join(JoinNode::kAssocJoin, inner.get(), probes);
     // Build happens on first data; deferred probes open probe files.
-    for (const Tuple& p : probes) join.OnData(0, Tuple(p), &out);
+    join.Probe(&quota, nullptr);
     EXPECT_GT(SpillFile::live_files(), live_before);  // Mid-spill state.
     EXPECT_GT(quota.used(), 0u);
     // No OnFinish: the dtor is the cancel path.
+  }
+  EXPECT_EQ(quota.used(), 0u);
+  EXPECT_EQ(SpillFile::live_files(), live_before);
+
+  // The IdealJoin flushes inside OnTrigger; a cancelled one abandons its
+  // deferred probes there and must still leave nothing behind.
+  {
+    CancelToken cancel;
+    cancel.Cancel();
+    JoinUnderTest join(JoinNode::kIdealJoin, inner.get(), probes);
+    join.Probe(&quota, nullptr, cancel);
   }
   EXPECT_EQ(quota.used(), 0u);
   EXPECT_EQ(SpillFile::live_files(), live_before);
@@ -393,6 +478,15 @@ TEST(SpillJoinEndToEndTest, BudgetedEsqlMatchesUnbudgetedAndBoundsMemory) {
   EXPECT_GT(snap.series["runtime.quota_high_water_units"].samples, 0u);
 }
 
+/// Rows of a finished query, sorted; the empty set on failure.
+std::vector<Tuple> SortedRows(Result<QueryResult>& taken) {
+  EXPECT_TRUE(taken.ok()) << taken.status().ToString();
+  if (!taken.ok()) return {};
+  std::vector<Tuple> rows = taken.value().result->Scan();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 TEST(SpillJoinEndToEndTest, BudgetedSubmitReportsBoundedHighWater) {
   Database db(2);
   auto a = std::make_unique<Relation>(
@@ -411,14 +505,25 @@ TEST(SpillJoinEndToEndTest, BudgetedSubmitReportsBoundedHighWater) {
   ASSERT_TRUE(db.AddRelation(std::move(b)).ok());
 
   const int64_t live_before = SpillFile::live_files();
+  const std::string query = "SELECT * FROM A JOIN B ON A.k = B.k";
   EsqlOptions options;
   options.schedule.total_threads = 2;
   options.schedule.processors = 2;
+  Result<QueryResult> unbudgeted_run = SubmitEsql(db, query, options).Take();
+  const std::vector<Tuple> unbudgeted = SortedRows(unbudgeted_run);
+  ASSERT_FALSE(unbudgeted.empty());
+
   options.memory_units = 16;
-  QueryHandle handle =
-      SubmitEsql(db, "SELECT * FROM A JOIN B ON A.k = B.k", options);
+  QueryHandle handle = SubmitEsql(db, query, options);
   auto taken = handle.Take();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(SortedRows(taken), unbudgeted);
+  ASSERT_TRUE(taken.ok());
+  // A budget does not change the plan: the co-partitioned pair stays an
+  // IdealJoin, whose triggered instances spill on their own.
+  EXPECT_NE(taken.value().detail.find("IdealJoin(A, B)"), std::string::npos)
+      << taken.value().detail;
+  EXPECT_GT(taken.value().execution.metrics.counters["spill.bytes_written"],
+            0u);
 
   const QueryRunStats stats = handle.stats();
   EXPECT_GT(stats.quota_high_water_units, 0u);
@@ -429,6 +534,64 @@ TEST(SpillJoinEndToEndTest, BudgetedSubmitReportsBoundedHighWater) {
 
   // ESQL's sort-free plans finish with no residual quota: every phase's
   // spill files are gone once the query completes.
+  EXPECT_EQ(SpillFile::live_files(), live_before);
+}
+
+TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsSpillAndMatchUnbudgeted) {
+  // The facade builds the same two join nodes the ESQL planner does, so a
+  // declared budget binds them too: each inner fragment (~250 rows) is
+  // refused against 16 units, and the join degrades to spilling.
+  Database db(2);
+  WisconsinOptions w1;
+  w1.cardinality = 2'000;
+  w1.degree = 4;
+  ASSERT_TRUE(db.CreateWisconsin("W1", w1).ok());
+  WisconsinOptions w2 = w1;
+  w2.cardinality = 1'000;
+  w2.seed = w1.seed + 1;
+  ASSERT_TRUE(db.CreateWisconsin("W2", w2).ok());
+  const size_t twenty =
+      db.relation("W1").value()->schema().IndexOf("twenty").value();
+
+  using Submit = std::function<QueryHandle(const QueryOptions&)>;
+  const std::vector<std::pair<std::string, Submit>> joins = {
+      {"AssocJoin",
+       [&db](const QueryOptions& o) {
+         return SubmitAssocJoin(db, "W1", "unique2", "W2", "unique1", o);
+       }},
+      {"FilterJoin",
+       [&db, twenty](const QueryOptions& o) {
+         return SubmitFilterJoin(db, "W1", ColumnBetween(twenty, 0, 9), 0.5,
+                                 "unique2", "W2", "unique1", o);
+       }},
+      {"IdealJoin",
+       [&db](const QueryOptions& o) {
+         // Both hash-partitioned on unique1 at degree 4: co-partitioned.
+         return SubmitIdealJoin(db, "W1", "unique1", "W2", "unique1", o);
+       }},
+  };
+  const int64_t live_before = SpillFile::live_files();
+  for (const auto& [name, submit] : joins) {
+    SCOPED_TRACE(name);
+    QueryOptions options;
+    options.schedule.total_threads = 4;
+    options.schedule.processors = 4;
+    Result<QueryResult> unbudgeted_run = submit(options).Take();
+    const std::vector<Tuple> unbudgeted = SortedRows(unbudgeted_run);
+    ASSERT_FALSE(unbudgeted.empty());
+
+    options.memory_units = 16;
+    QueryHandle handle = submit(options);
+    Result<QueryResult> taken = handle.Take();
+    EXPECT_EQ(SortedRows(taken), unbudgeted);
+    ASSERT_TRUE(taken.ok());
+    const QueryRunStats stats = handle.stats();
+    EXPECT_GT(stats.quota_high_water_units, 0u);
+    // The slack covers the bounded per-instance forced-progress overshoot.
+    EXPECT_LE(stats.quota_high_water_units, options.memory_units + 16);
+    EXPECT_GT(taken.value().execution.metrics.counters["spill.bytes_written"],
+              0u);
+  }
   EXPECT_EQ(SpillFile::live_files(), live_before);
 }
 

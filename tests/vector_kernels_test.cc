@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
-#include "engine/blocking_operators.h"
 #include "engine/vector/kernels.h"
 #include "engine/vector/pred.h"
 #include "storage/temp_index.h"
@@ -550,49 +549,6 @@ TEST_F(VectorDifferentialTest, TempIndexJoinOnZipfPair) {
     opt.algorithm = JoinAlgorithm::kTempIndex;
     return RunIdealJoin(db_, "Z", "key", "W", "key", opt);
   });
-}
-
-// ------------------------------------------ Differential: semi/anti join --
-
-// Drives PipelinedSemiJoinLogic's chunked entry point directly: the
-// vectorized existence probe must match the row path tuple for tuple, for
-// both semi and anti joins, at every chunk size.
-TEST(SemiJoinDifferentialTest, BatchedExistenceMatchesRowPath) {
-  Rng rng(21);
-  auto inner = std::make_unique<Relation>(
-      "inner", Schema({{"k", ValueType::kInt64}}), 0,
-      Partitioner(PartitionKind::kModulo, 2));
-  for (int i = 0; i < 150; ++i) {
-    ASSERT_TRUE(inner->Insert(Tuple({Value(rng.Range(0, 40))})).ok());
-  }
-  std::vector<Tuple> probes;
-  for (int i = 0; i < 256; ++i) {
-    probes.push_back(Tuple({Value(rng.Range(0, 60)), Value(rng.Range(0, 5))}));
-  }
-  struct Collector : Emitter {
-    void Emit(size_t, Tuple tuple) override {
-      rows.push_back(std::move(tuple));
-    }
-    std::vector<Tuple> rows;
-  };
-  for (bool anti : {false, true}) {
-    for (size_t chunk_size : {1, 4, 16, 64}) {
-      Collector vec_out;
-      Collector row_out;
-      for (bool vectorize : {true, false}) {
-        PipelinedSemiJoinLogic semi(inner.get(), 0, 0, anti, vectorize);
-        ASSERT_TRUE(semi.Prepare(2).ok());
-        Collector& out = vectorize ? vec_out : row_out;
-        std::vector<Tuple> copy = probes;  // OnDataBatch may move from.
-        for (size_t base = 0; base < copy.size(); base += chunk_size) {
-          const size_t n = std::min(chunk_size, copy.size() - base);
-          semi.OnDataBatch(base % 2, std::span<Tuple>(&copy[base], n), &out);
-        }
-      }
-      EXPECT_EQ(vec_out.rows, row_out.rows)
-          << "anti=" << anti << " chunk_size=" << chunk_size;
-    }
-  }
 }
 
 }  // namespace

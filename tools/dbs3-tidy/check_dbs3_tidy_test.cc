@@ -1,10 +1,9 @@
 // check_dbs3_tidy: fixture-driven regression tests for the dbs3-tidy
-// checks (portable engine). Every `*_violation.cc` fixture seeds findings
-// annotated in place with `// DBS3-TIDY: <check-name>`; its `*_clean.cc`
-// twin rebuilds the same shapes conformingly and must stay silent. The
-// annotations are the contract shared with the clang-tidy plugin (see
-// plugin/run_fixture_tests.py), so a check whose behavior drifts fails
-// here before it reaches CI.
+// checks. Every `*_violation.cc` fixture seeds findings annotated in place
+// with `// DBS3-TIDY: <check-name>`; its `*_clean.cc` twin rebuilds the
+// same shapes conformingly and must stay silent. The annotations are the
+// checks' contract, so a check whose behavior drifts fails here before it
+// reaches CI.
 
 #include <fstream>
 #include <map>

@@ -3,8 +3,7 @@
 
 // Minimal stand-ins for the engine types the dbs3-tidy fixtures exercise.
 // Just enough surface that every fixture compiles as plain C++17 with no
-// engine headers — the clang-tidy plugin runs the same fixtures through a
-// real frontend, and checks match on *names* (Emit, PopBatch, TryCharge,
+// engine headers — the checks match on *names* (Emit, PopBatch, TryCharge,
 // GUARDED_BY, ...), so behavioral fidelity is irrelevant here.
 
 #include <cstddef>

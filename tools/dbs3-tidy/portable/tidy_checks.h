@@ -7,14 +7,12 @@
 
 #include "tidy_source.h"
 
-// The five DBS3 invariant checks, portable edition.
+// The five DBS3 invariant checks.
 //
-// Same check names, same semantics, same fixtures as the clang-tidy plugin
-// under ../plugin/ — this implementation trades AST fidelity for zero
-// dependencies so `check_dbs3_tidy` (and the full src/ sweep) run in any
-// environment with a C++ compiler. Where the two engines could disagree the
-// fixtures pin the common contract; the plugin may additionally catch
-// shapes the token heuristics cannot see.
+// One dependency-free engine over a token stream: it trades AST fidelity
+// for running in any environment with a C++ compiler, so `check_dbs3_tidy`
+// and the full src/ sweep gate every build. The fixtures under ../fixtures/
+// pin each check's contract.
 //
 //  dbs3-no-lock-across-emit     No dbs3::Mutex / MutexLock held across
 //                               Emit/Push* — bounded ActivationQueues block

@@ -10,12 +10,11 @@
 // Tokenized view of one C++ source file, the input of the portable
 // dbs3-tidy checks (tools/dbs3-tidy/portable/tidy_checks.h).
 //
-// This is deliberately NOT a C++ parser: the portable engine exists so the
-// engine's invariants are enforceable in environments without clang-tidy
-// dev headers (the plugin under ../plugin/ is the full-fidelity
-// implementation). The lexer strips comments and literals exactly, records
-// NOLINT suppressions, and matches bracket pairs; the checks work on that
-// token stream with scope heuristics tuned to this codebase's style.
+// This is deliberately NOT a C++ parser: the engine's invariants stay
+// enforceable anywhere a C++ compiler runs, with no clang-tidy dev headers.
+// The lexer strips comments and literals exactly, records NOLINT
+// suppressions, and matches bracket pairs; the checks work on that token
+// stream with scope heuristics tuned to this codebase's style.
 
 namespace dbs3_tidy {
 
