@@ -337,8 +337,8 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
   }
   if (live.empty()) return;
   if (live.size() == 1) {
-    // Everyone else shed: the member's own solo body is the identical (and
-    // cheaper) path — no tagging, no router.
+    // Everyone else shed: the member's own solo body stores the same
+    // rows.
     PendingQuery* solo = live[0];
     solo->run(std::chrono::duration<double>(now - solo->enqueued_at).count());
     return;
@@ -357,15 +357,16 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
     cancels.push_back(m->cancel);
   }
 
+  const auto batch_stats = [&](const PendingQuery* m) {
+    QueryRunStats stats;
+    stats.admission_wait_seconds =
+        std::chrono::duration<double>(now - m->enqueued_at).count();
+    stats.shared_batch_queries = live.size();
+    stats.batch_window_wait_seconds = window_wait_seconds;
+    return stats;
+  };
   const auto fail_all = [&](const Status& error) {
-    for (PendingQuery* m : live) {
-      QueryRunStats stats;
-      stats.admission_wait_seconds =
-          std::chrono::duration<double>(now - m->enqueued_at).count();
-      stats.shared_batch_queries = live.size();
-      stats.batch_window_wait_seconds = window_wait_seconds;
-      m->finish(error, stats);
-    }
+    for (PendingQuery* m : live) m->finish(error, batch_stats(m));
   };
 
   Result<SharedBatchPlan> built = BuildSharedBatchPlan(specs, cancels);
@@ -392,16 +393,30 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
 
   // Same worker-pool contract as QueryEnv::Run: whole-plan all-or-nothing
   // reservation, private threads when the plan outsizes the pool. The
-  // engine-level token stays unfired — member cancellation is per-tuple
-  // drain inside the shared operators, not an execution abort.
+  // reservation waits on behalf of whichever member is still live, so a
+  // cancelled lead hands the wait to the next member instead of pushing
+  // the batch onto private threads beside a saturated pool. The
+  // engine-level token stays unfired — member cancellation is the scan's
+  // per-tile check, not an execution abort.
   ExecOptions exec;
   exec.chunk_pool = &chunk_pool_;
   MemoryQuota quota(0);
   exec.quota = &quota;
   bool reserved = false;
   if (total_threads <= pool_.num_threads()) {
-    reserved = ReserveWorkers(total_threads, live[0]->cancel);
-    if (reserved) exec.workers = &pool_;
+    for (const PendingQuery* m : live) {
+      reserved = ReserveWorkers(total_threads, m->cancel);
+      if (reserved) break;
+    }
+    if (!reserved) {
+      // Every member was cancelled while waiting: nothing left to run.
+      for (PendingQuery* m : live) {
+        m->finish(m->cancel.ToStatus(), batch_stats(m));
+      }
+      live_.fetch_sub(1);
+      return;
+    }
+    exec.workers = &pool_;
   }
   Executor executor;
   Result<ExecutionResult> run = executor.Run(batch.plan, exec);
@@ -412,11 +427,6 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
     return;
   }
   const ExecutionResult execution = std::move(run).value();
-
-  // The per-query conservation audit is only meaningful after a clean
-  // drain (an aborted execution legitimately strands in-flight chunks).
-  const Status audit =
-      execution.completion.ok() ? batch.ledger->Audit() : Status::OK();
 
   double total_busy = 0.0;
   for (const OperationStats& op : execution.op_stats) {
@@ -433,22 +443,17 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
 
   for (size_t i = 0; i < live.size(); ++i) {
     PendingQuery* m = live[i];
-    QueryRunStats stats;
-    stats.admission_wait_seconds =
-        std::chrono::duration<double>(now - m->enqueued_at).count();
-    stats.shared_batch_queries = live.size();
-    stats.batch_window_wait_seconds = window_wait_seconds;
+    QueryRunStats stats = batch_stats(m);
     stats.execution_seconds = execution.seconds;
     stats.phases = 1;
     stats.used_shared_pool = reserved;
-    stats.units_processed = batch.ledger->routed(i);
-    stats.units_cancelled = batch.ledger->dropped_cancelled(i);
+    // Rows are stored by the scan itself, so nothing is ever in flight
+    // to drop: a member's work is what its sink holds.
+    stats.units_processed = batch.sinks[i]->cardinality();
     // The pass was shared; attribute an even share of the busy time.
     stats.busy_seconds = total_busy / static_cast<double>(live.size());
 
-    if (!audit.ok()) {
-      m->finish(audit, stats);
-    } else if (m->cancel.ShouldStop()) {
+    if (m->cancel.ShouldStop()) {
       m->finish(m->cancel.ToStatus(), stats);
     } else if (!execution.completion.ok()) {
       m->finish(execution.completion, stats);

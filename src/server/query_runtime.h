@@ -215,7 +215,7 @@ class QueryRuntime {
   /// sheds members whose token/deadline fired while queued, degenerates to
   /// the member's own solo body when only one survives, and otherwise runs
   /// the single multi-query plan and completes every member's handle from
-  /// its routed sink. The caller releases each member's admission memory.
+  /// its sink. The caller releases each member's admission memory.
   void RunSharedBatch(PendingQuery* lead, std::vector<PendingQuery>* followers,
                       double window_wait_seconds);
 

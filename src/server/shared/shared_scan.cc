@@ -1,6 +1,7 @@
 #include "server/shared/shared_scan.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "engine/vector/column_batch.h"
@@ -19,32 +20,29 @@ constexpr size_t kSharedScanTile = 1024;
 /// threshold as the single-query kernels).
 constexpr size_t kSharedMinBatchRows = 4;
 
-}  // namespace
-
-Status SharedBatchLedger::Audit() const {
-  for (size_t m = 0; m < size_; ++m) {
-    const uint64_t e = emitted(m);
-    const uint64_t r = routed(m);
-    const uint64_t d = dropped_cancelled(m);
-    if (e != r + d) {
-      return Status::Internal(
-          "shared-batch ledger unbalanced for member " + std::to_string(m) +
-          ": emitted " + std::to_string(e) + " != routed " +
-          std::to_string(r) + " + dropped " + std::to_string(d));
+/// Appends the `kept` rows of `tile` that `sel` selects to fragment
+/// `instance` of `member`'s sink: a copy of the row for SELECT *, the
+/// projected columns otherwise — one allocation per stored row either way.
+void StoreSelected(const SharedScanMember& member, size_t instance,
+                   const Tuple* tile, const uint32_t* sel, size_t kept) {
+  for (size_t i = 0; i < kept; ++i) {
+    const Tuple& row = tile[sel[i]];
+    if (member.projection.empty()) {
+      member.result->AppendToFragment(instance, row);
+    } else {
+      Tuple stored;
+      stored.AssignSelect(row, member.projection);
+      member.result->AppendToFragment(instance, std::move(stored));
     }
   }
-  return Status::OK();
 }
 
-// ------------------------------------------------------------- SharedScan
+}  // namespace
 
 SharedScanLogic::SharedScanLogic(const Relation* input,
                                  std::vector<SharedScanMember> members,
-                                 bool vectorize, SharedBatchLedger* ledger)
-    : input_(input),
-      members_(std::move(members)),
-      vectorize_(vectorize),
-      ledger_(ledger) {}
+                                 bool vectorize)
+    : input_(input), members_(std::move(members)), vectorize_(vectorize) {}
 
 Status SharedScanLogic::Prepare(size_t num_instances) {
   if (num_instances > input_->degree()) {
@@ -53,32 +51,22 @@ Status SharedScanLogic::Prepare(size_t num_instances) {
         " instances but relation '" + input_->name() + "' has only " +
         std::to_string(input_->degree()) + " fragments");
   }
-  if (members_.size() != ledger_->size()) {
-    return Status::InvalidArgument("shared scan member/ledger size mismatch");
-  }
-  tags_.clear();
-  tags_.reserve(members_.size());
-  for (size_t m = 0; m < members_.size(); ++m) {
-    tags_.emplace_back(
-        std::vector<Value>{Value(static_cast<int64_t>(m))});
+  for (const SharedScanMember& member : members_) {
+    if (member.result == nullptr) {
+      return Status::InvalidArgument("shared scan member has no result sink");
+    }
+    if (num_instances > member.result->degree()) {
+      return Status::InvalidArgument(
+          "shared scan has " + std::to_string(num_instances) +
+          " instances but sink '" + member.result->name() + "' has only " +
+          std::to_string(member.result->degree()) + " fragments");
+    }
   }
   return Status::OK();
 }
 
-void SharedScanLogic::EmitTagged(size_t instance, std::span<const Tuple> rows,
-                                 size_t base, size_t member,
-                                 const uint32_t* sel, size_t kept,
-                                 Emitter* out) {
-  const Tuple& tag = tags_[member];
-  for (size_t i = 0; i < kept; ++i) {
-    // [member_id, row...] into a recycled chunk slot; the router strips the
-    // tag again. Zero allocations in steady state.
-    out->EmitConcat(instance, tag, rows[base + sel[i]]);
-  }
-  ledger_->CountEmitted(member, kept);
-}
-
 void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
+  (void)out;  // Rows go straight to the members' sinks.
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
   const size_t num_members = members_.size();
   Arena& arena = ThreadLocalKernelArena();
@@ -115,7 +103,7 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
           if (keep(rows[tile + i])) sel[kept++] = static_cast<uint32_t>(i);
         }
       }
-      EmitTagged(instance, rows, tile, m, sel, kept, out);
+      StoreSelected(member, instance, rows.data() + tile, sel, kept);
     }
     if (!any_live) return;  // Every member cancelled: the pass is moot.
   }
@@ -144,65 +132,6 @@ NodeEstimate SharedScanLogic::Estimate(const CostModel& cost_model,
                                   std::max(1.0, members * 0.5));
   }
   return e;
-}
-
-// ----------------------------------------------------------- ResultRouter
-
-SharedResultRouterLogic::SharedResultRouterLogic(
-    std::vector<SharedRouterSink> sinks, SharedBatchLedger* ledger)
-    : sinks_(std::move(sinks)), ledger_(ledger) {}
-
-Status SharedResultRouterLogic::Prepare(size_t num_instances) {
-  if (sinks_.size() != ledger_->size()) {
-    return Status::InvalidArgument("shared router sink/ledger size mismatch");
-  }
-  for (const SharedRouterSink& sink : sinks_) {
-    if (sink.result == nullptr) {
-      return Status::InvalidArgument("shared router sink has no result");
-    }
-    if (num_instances > sink.result->degree()) {
-      return Status::InvalidArgument(
-          "shared router has " + std::to_string(num_instances) +
-          " instances but sink '" + sink.result->name() + "' has only " +
-          std::to_string(sink.result->degree()) + " fragments");
-    }
-  }
-  fragment_mu_.clear();
-  for (size_t i = 0; i < num_instances; ++i) {
-    fragment_mu_.push_back(
-        std::make_unique<Mutex>("SharedResultRouterLogic::fragment_mu"));
-  }
-  return Status::OK();
-}
-
-void SharedResultRouterLogic::RouteOne(size_t instance, const Tuple& tuple) {
-  const size_t member = static_cast<size_t>(tuple.at(0).AsInt());
-  SharedRouterSink& sink = sinks_[member];
-  if (sink.cancel.ShouldStop()) {
-    // Cancelled member: its tagged tuples drain here instead of its sink —
-    // the per-query cancelled bucket of the conservation ledger.
-    ledger_->CountDroppedCancelled(member, 1);
-    return;
-  }
-  Tuple stored;
-  stored.AssignSelect(tuple, sink.columns);
-  sink.result->AppendToFragment(instance, std::move(stored));
-  ledger_->CountRouted(member, 1);
-}
-
-void SharedResultRouterLogic::OnData(size_t instance, Tuple tuple,
-                                     Emitter* out) {
-  (void)out;
-  MutexLock lock(fragment_mu_[instance].get());
-  RouteOne(instance, tuple);
-}
-
-void SharedResultRouterLogic::OnDataBatch(size_t instance,
-                                          std::span<Tuple> tuples,
-                                          Emitter* out) {
-  (void)out;
-  MutexLock lock(fragment_mu_[instance].get());
-  for (const Tuple& t : tuples) RouteOne(instance, t);
 }
 
 }  // namespace dbs3

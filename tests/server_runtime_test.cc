@@ -541,6 +541,36 @@ std::vector<Tuple> SortedRows(const Relation& rel) {
   return rows;
 }
 
+/// A query whose shared spec is built by hand in share class 42, so specs
+/// the planner would keep apart (a projection beside whole-row members)
+/// still fold into one batch. Its solo body fails: an OK result proves the
+/// query rode a batch. Two workers let the fragments' passes overlap.
+QuerySpec HandBuiltSharedQuery(const Relation* rel, Predicate predicate,
+                               std::vector<size_t> projection = {},
+                               bool vectorize = false) {
+  auto shared = std::make_shared<SharedScanSpec>();
+  shared->relation = rel;
+  shared->predicate = std::move(predicate);
+  if (projection.empty()) {
+    shared->result_schema = rel->schema();
+  } else {
+    std::vector<Column> columns;
+    for (size_t c : projection) columns.push_back(rel->schema().column(c));
+    shared->result_schema = Schema(std::move(columns));
+  }
+  shared->projection = std::move(projection);
+  shared->vectorize = vectorize;
+  shared->schedule.total_threads = 2;
+  shared->schedule.processors = 2;
+  shared->share_class = 42;
+  QuerySpec spec;
+  spec.shared = std::move(shared);
+  spec.body = [](QueryEnv&) -> Result<QueryResult> {
+    return Status::Internal("expected the batch path, got a solo run");
+  };
+  return spec;
+}
+
 TEST(SharedScanTest, DeadlineExpiringInTheWindowShedsNotRides) {
   Database db(2);
   WisconsinOptions opt;
@@ -612,29 +642,14 @@ TEST(SharedScanTest, CancellingOneMemberMidBatchLeavesTheOthersIntact) {
     release.Await();
     return true;
   };
-  const auto make_spec = [&](Predicate predicate) {
-    auto shared = std::make_shared<SharedScanSpec>();
-    shared->relation = rel;
-    shared->predicate = std::move(predicate);
-    shared->result_schema = rel->schema();
-    shared->vectorize = false;
-    shared->share_class = 42;  // Hand-assigned: the two are compatible.
-    QuerySpec spec;
-    spec.shared = std::move(shared);
-    spec.body = [](QueryEnv&) -> Result<QueryResult> {
-      return Status::Internal("expected the batch path, got a solo run");
-    };
-    return spec;
-  };
-
   // Park the driver so both members are queued when the batch forms.
   Latch b_started, b_release;
   QuerySpec blocker;
   blocker.body = Blocker(&b_started, &b_release);
   QueryHandle blocking = db.Submit(std::move(blocker));
   b_started.Await();
-  QueryHandle q1 = db.Submit(make_spec(Predicate(parked)));
-  QueryHandle q2 = db.Submit(make_spec(MatchAll()));
+  QueryHandle q1 = db.Submit(HandBuiltSharedQuery(rel, Predicate(parked)));
+  QueryHandle q2 = db.Submit(HandBuiltSharedQuery(rel, MatchAll()));
   b_release.Set();
   ASSERT_TRUE(blocking.Take().ok());
 
@@ -642,9 +657,9 @@ TEST(SharedScanTest, CancellingOneMemberMidBatchLeavesTheOthersIntact) {
   q2.Cancel();
   release.Set();
 
-  // q2 is gone, q1 is whole: one member's cancel drops only its tagged
-  // tuples. q1's OK outcome implies the per-query conservation ledger
-  // audited clean (an unbalanced ledger fails every member).
+  // q2 is gone, q1 is whole: one member's cancel stops only its share of
+  // the pass, and the rows q2 stored before its token fired are discarded
+  // with its Cancelled result.
   auto q2_taken = q2.Take();
   ASSERT_FALSE(q2_taken.ok());
   EXPECT_EQ(q2_taken.status().code(), StatusCode::kCancelled);
@@ -715,6 +730,172 @@ TEST(SharedScanTest, IncompatibleQueryIsNeverFoldedIntoABatch) {
   std::sort(qc_expected.begin(), qc_expected.end());
   EXPECT_EQ(SortedRows(*qb_taken.value().result), qb_expected);
   EXPECT_EQ(SortedRows(*qc_taken.value().result), qc_expected);
+}
+
+/// Fragment f of `rel`, sorted: the unit shared and solo results are
+/// compared in (the engine orders rows only within a fragment).
+std::vector<Tuple> SortedFragment(const Relation& rel, size_t f) {
+  std::vector<Tuple> rows = rel.fragment(f).tuples;
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
+  for (const bool vectorize : {true, false}) {
+    SCOPED_TRACE(vectorize ? "vectorized" : "row path");
+    Database db(2);
+    WisconsinOptions opt;
+    opt.cardinality = 5'000;  // Two fragments of three 1024-row tiles.
+    opt.degree = 2;
+    ASSERT_TRUE(db.CreateWisconsin("w", opt).ok());
+    QueryRuntimeOptions ropt;
+    ropt.max_concurrent_queries = 1;
+    ropt.shared_batch_max_queries = 8;
+    ASSERT_TRUE(db.StartRuntime(ropt).ok());
+    Relation* rel = db.relation("w").value();
+
+    // The ESQL members carry the spec the planner builds for their text:
+    // the lowered PredExpr, the projection and the result schema.
+    struct EsqlMember {
+      const char* text;
+      Predicate predicate;
+      std::vector<size_t> projection;
+    };
+    const std::vector<EsqlMember> esql = {
+        {"SELECT * FROM w WHERE unique1 = 1234", PredExpr::IntEquals(0, 1234),
+         {}},
+        {"SELECT * FROM w WHERE unique1 >= 1000 AND unique1 < 3000",
+         PredExpr::And({PredExpr::IntGreaterEq(0, 1000),
+                        PredExpr::IntLess(0, 3000)}),
+         {}},
+        {"SELECT unique2, unique1 FROM w WHERE unique1 < 2500",
+         PredExpr::IntLess(0, 2500),
+         {1, 0}},
+    };
+    const TuplePredicate row_form = [](const Tuple& t) {
+      return t.at(0).AsInt() % 7 == 3;
+    };
+
+    Latch started, release;
+    QuerySpec blocker;
+    blocker.body = Blocker(&started, &release);
+    QueryHandle blocking = db.Submit(std::move(blocker));
+    started.Await();
+    std::vector<QueryHandle> handles;
+    for (const EsqlMember& m : esql) {
+      handles.push_back(db.Submit(
+          HandBuiltSharedQuery(rel, m.predicate, m.projection, vectorize)));
+    }
+    handles.push_back(db.Submit(
+        HandBuiltSharedQuery(rel, Predicate(row_form), {}, vectorize)));
+    release.Set();
+    ASSERT_TRUE(blocking.Take().ok());
+
+    std::vector<QueryResult> results;
+    for (QueryHandle& h : handles) {
+      auto taken = h.Take();
+      ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+      EXPECT_EQ(h.stats().shared_batch_queries, handles.size());
+      results.push_back(std::move(taken).value());
+    }
+
+    // One node, one control activation per fragment, no data activations.
+    const ExecutionResult& batch = results.front().execution;
+    ASSERT_EQ(batch.op_stats.size(), 1u);
+    EXPECT_EQ(batch.op_stats[0].activations, rel->degree());
+
+    for (size_t i = 0; i < esql.size(); ++i) {
+      SCOPED_TRACE(esql[i].text);
+      EsqlOptions solo;
+      solo.share_work = false;
+      solo.vectorize = vectorize;
+      auto expected = ExecuteEsql(db, esql[i].text, solo);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      const Relation& shared = *results[i].result;
+      const Relation& reference = *expected.value().result;
+      EXPECT_EQ(shared.schema(), reference.schema());
+      ASSERT_EQ(shared.degree(), reference.degree());
+      for (size_t f = 0; f < shared.degree(); ++f) {
+        EXPECT_EQ(SortedFragment(shared, f), SortedFragment(reference, f))
+            << "fragment " << f;
+      }
+      EXPECT_EQ(handles[i].stats().units_processed, reference.cardinality());
+    }
+    EXPECT_GT(results[1].result->cardinality(), 0u);
+
+    const Relation& filtered = *results.back().result;
+    ASSERT_EQ(filtered.degree(), rel->degree());
+    for (size_t f = 0; f < rel->degree(); ++f) {
+      std::vector<Tuple> expected;
+      for (const Tuple& t : rel->fragment(f).tuples) {
+        if (row_form(t)) expected.push_back(t);
+      }
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(SortedFragment(filtered, f), expected) << "fragment " << f;
+    }
+  }
+}
+
+TEST(SharedScanTest, CancelledLeadHandsTheSlotReservationToALiveMember) {
+  Database db(2);
+  WisconsinOptions opt;
+  opt.cardinality = 2'000;
+  opt.degree = 2;
+  ASSERT_TRUE(db.CreateWisconsin("w", opt).ok());
+  QueryRuntimeOptions ropt;
+  ropt.pool_threads = 2;
+  ropt.max_concurrent_queries = 2;
+  ropt.shared_batch_max_queries = 2;            // The follower closes it.
+  ropt.shared_batch_window_us = 10'000'000;
+  ASSERT_TRUE(db.StartRuntime(ropt).ok());
+  Relation* rel = db.relation("w").value();
+
+  // A parked filter -> store scan holds both pool slots.
+  Latch started, release;
+  TuplePredicate parked = [&started, &release](const Tuple&) {
+    started.Set();
+    release.Await();
+    return true;
+  };
+  QuerySpec blocker;
+  blocker.body = ScanBody(rel, parked, /*threads=*/2);
+  QueryHandle blocking = db.Submit(std::move(blocker));
+  started.Await();
+
+  EsqlOptions options;
+  QueryHandle lead =
+      SubmitEsql(db, "SELECT * FROM w WHERE unique1 < 100", options);
+  QueryHandle follower =
+      SubmitEsql(db, "SELECT * FROM w WHERE unique1 < 300", options);
+
+  // The batch counts as one live query beside the blocker from the moment
+  // it has shed dead members; it then waits for a pool slot.
+  while (db.runtime().live_queries() < 2) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  std::this_thread::sleep_for(milliseconds(20));
+  lead.Cancel();
+
+  // The follower keeps waiting for the pool instead of running on private
+  // threads beside it.
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(follower.done());
+  release.Set();
+  ASSERT_TRUE(blocking.Take().ok());
+
+  auto lead_taken = lead.Take();
+  ASSERT_FALSE(lead_taken.ok());
+  EXPECT_EQ(lead_taken.status().code(), StatusCode::kCancelled);
+  auto follower_taken = follower.Take();
+  ASSERT_TRUE(follower_taken.ok()) << follower_taken.status().ToString();
+  EXPECT_TRUE(follower.stats().used_shared_pool);
+  EXPECT_EQ(follower.stats().shared_batch_queries, 2u);
+  std::vector<Tuple> expected;
+  for (const Tuple& t : rel->Scan()) {
+    if (t.at(0).AsInt() < 300) expected.push_back(t);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(SortedRows(*follower_taken.value().result), expected);
 }
 
 // ---------------------------------------------------------------------

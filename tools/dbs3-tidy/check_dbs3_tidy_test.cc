@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -88,6 +89,11 @@ struct CheckCase {
   std::string name;    // Check name, for test labeling.
   std::string prefix;  // Fixture file prefix.
 };
+
+// gtest writes the printed parameter into each discovered ctest name. The
+// default printer dumps the struct's bytes, which start with a heap
+// pointer and so change from build to build; the check name does not.
+void PrintTo(const CheckCase& c, std::ostream* os) { *os << c.name; }
 
 class Dbs3TidyFixtureTest : public ::testing::TestWithParam<CheckCase> {};
 
