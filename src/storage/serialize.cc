@@ -71,29 +71,39 @@ Result<uint64_t> ReadU64(std::FILE* f, const std::string& path) {
   return v;
 }
 
-Result<std::string> ReadString(std::FILE* f, const std::string& path) {
+/// Reads a length-prefixed string. The length comes from the file, so it is
+/// checked against the bytes the file has left before anything is
+/// allocated for it.
+Result<std::string> ReadString(std::FILE* f, uint64_t file_size,
+                               const std::string& path) {
   DBS3_ASSIGN_OR_RETURN(const uint64_t n, ReadU64(f, path));
-  if (n > (1ull << 32)) {
-    return Status::OutOfRange("implausible string length in '" + path + "'");
+  const long pos = std::ftell(f);
+  if (pos < 0 || n > file_size - static_cast<uint64_t>(pos)) {
+    return Status::OutOfRange("string length exceeds the bytes left in '" +
+                              path + "'");
   }
   std::string s(n, '\0');
   DBS3_RETURN_IF_ERROR(ReadBytes(f, s.data(), n, path));
   return s;
 }
 
-Result<Value> ReadValue(std::FILE* f, const std::string& path) {
+/// Reads one value of a column typed `type`; a value whose tag disagrees
+/// with its column is malformed input.
+Result<Value> ReadValue(std::FILE* f, ValueType type, uint64_t file_size,
+                        const std::string& path) {
   uint8_t tag = 0;
   DBS3_RETURN_IF_ERROR(ReadBytes(f, &tag, 1, path));
+  if (tag != (type == ValueType::kInt64 ? 0 : 1)) {
+    return Status::OutOfRange("value tag does not match its column type in '" +
+                              path + "'");
+  }
   if (tag == 0) {
     int64_t x = 0;
     DBS3_RETURN_IF_ERROR(ReadBytes(f, &x, sizeof(x), path));
     return Value(x);
   }
-  if (tag == 1) {
-    DBS3_ASSIGN_OR_RETURN(std::string s, ReadString(f, path));
-    return Value(std::move(s));
-  }
-  return Status::OutOfRange("bad value tag in '" + path + "'");
+  DBS3_ASSIGN_OR_RETURN(std::string s, ReadString(f, file_size, path));
+  return Value(std::move(s));
 }
 
 }  // namespace
@@ -139,6 +149,14 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
     return Status::NotFound("cannot open relation file '" + path + "'");
   }
   std::FILE* f = file.get();
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return Status::Internal("cannot seek in relation file '" + path + "'");
+  }
+  const long file_size = std::ftell(f);
+  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    return Status::Internal("cannot size relation file '" + path + "'");
+  }
+  const uint64_t size = static_cast<uint64_t>(file_size);
   uint32_t magic = 0, version = 0;
   DBS3_RETURN_IF_ERROR(ReadBytes(f, &magic, sizeof(magic), path));
   if (magic != kMagic) {
@@ -152,7 +170,7 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
         " in '" + path + "' (this build reads version " +
         std::to_string(kVersion) + ")");
   }
-  DBS3_ASSIGN_OR_RETURN(std::string name, ReadString(f, path));
+  DBS3_ASSIGN_OR_RETURN(std::string name, ReadString(f, size, path));
   DBS3_ASSIGN_OR_RETURN(const uint64_t num_columns, ReadU64(f, path));
   if (num_columns == 0 || num_columns > 4096) {
     return Status::OutOfRange("implausible column count in '" + path + "'");
@@ -160,9 +178,12 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
   std::vector<Column> columns;
   for (uint64_t c = 0; c < num_columns; ++c) {
     Column col;
-    DBS3_ASSIGN_OR_RETURN(col.name, ReadString(f, path));
+    DBS3_ASSIGN_OR_RETURN(col.name, ReadString(f, size, path));
     uint8_t type = 0;
     DBS3_RETURN_IF_ERROR(ReadBytes(f, &type, 1, path));
+    if (type > 1) {
+      return Status::OutOfRange("bad column type in '" + path + "'");
+    }
     col.type = type == 0 ? ValueType::kInt64 : ValueType::kString;
     columns.push_back(std::move(col));
   }
@@ -173,6 +194,9 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
   }
   uint8_t kind = 0;
   DBS3_RETURN_IF_ERROR(ReadBytes(f, &kind, 1, path));
+  if (kind > 1) {
+    return Status::OutOfRange("bad partitioning kind in '" + path + "'");
+  }
   DBS3_ASSIGN_OR_RETURN(const uint64_t degree, ReadU64(f, path));
   if (degree == 0 || degree > (1ull << 24)) {
     return Status::OutOfRange("implausible degree in '" + path + "'");
@@ -181,13 +205,15 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
       std::move(name), Schema(std::move(columns)), partition_column,
       Partitioner(kind == 0 ? PartitionKind::kHash : PartitionKind::kModulo,
                   degree));
+  const Schema& schema = relation->schema();
   for (uint64_t i = 0; i < degree; ++i) {
     DBS3_ASSIGN_OR_RETURN(const uint64_t tuples, ReadU64(f, path));
     for (uint64_t t = 0; t < tuples; ++t) {
       std::vector<Value> values;
       values.reserve(num_columns);
       for (uint64_t c = 0; c < num_columns; ++c) {
-        DBS3_ASSIGN_OR_RETURN(Value v, ReadValue(f, path));
+        DBS3_ASSIGN_OR_RETURN(Value v,
+                              ReadValue(f, schema.column(c).type, size, path));
         values.push_back(std::move(v));
       }
       relation->AppendToFragment(i, Tuple(std::move(values)));

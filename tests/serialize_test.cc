@@ -16,6 +16,38 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+/// Overwrites `n` bytes of the file at `path`, starting at `offset`.
+void PatchFile(const std::string& path, long offset, const void* data,
+               size_t n) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(data, 1, n, f), n);
+  std::fclose(f);
+}
+
+long FileSize(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return -1;
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  return size;
+}
+
+/// A one-column, one-fragment relation named "r" whose column is "c".
+/// Its file starts with magic and version (4 bytes each), the name (u64
+/// length + 1 byte), the column count (u64) and the column's name (u64
+/// length + 1 byte); then come the column's type byte, the partition column
+/// (u64) and the partitioning kind byte.
+constexpr long kTypeByteOffset = 4 + 4 + (8 + 1) + 8 + (8 + 1);
+constexpr long kKindByteOffset = kTypeByteOffset + 1 + 8;
+
+Relation OneColumnRelation(ValueType type) {
+  return Relation("r", Schema({{"c", type}}), 0,
+                  Partitioner(PartitionKind::kHash, 1));
+}
+
 TEST(SerializeTest, RoundTripsIntRelation) {
   SkewSpec spec;
   spec.a_cardinality = 1'000;
@@ -86,11 +118,8 @@ TEST(SerializeTest, TruncatedFileRejected) {
   const std::string path = TempPath("truncated.dbs3");
   ASSERT_TRUE(WriteRelation(*db.value().a, path).ok());
   // Truncate to half.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
+  const long size = FileSize(path);
+  ASSERT_GT(size, 0);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   auto r = ReadRelation(path);
   ASSERT_FALSE(r.ok());
@@ -130,6 +159,63 @@ TEST(SerializeTest, EmptyRelationRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value()->cardinality(), 0u);
   EXPECT_EQ(loaded.value()->degree(), 5u);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, UnknownColumnTypeRejected) {
+  Relation rel = OneColumnRelation(ValueType::kInt64);
+  ASSERT_TRUE(rel.Insert(Tuple({Value(int64_t{5})})).ok());
+  const std::string path = TempPath("bad_type.dbs3");
+  ASSERT_TRUE(WriteRelation(rel, path).ok());
+  const uint8_t type = 7;
+  PatchFile(path, kTypeByteOffset, &type, 1);
+  auto r = ReadRelation(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, UnknownPartitionKindRejected) {
+  Relation rel = OneColumnRelation(ValueType::kInt64);
+  ASSERT_TRUE(rel.Insert(Tuple({Value(int64_t{5})})).ok());
+  const std::string path = TempPath("bad_kind.dbs3");
+  ASSERT_TRUE(WriteRelation(rel, path).ok());
+  const uint8_t kind = 7;
+  PatchFile(path, kKindByteOffset, &kind, 1);
+  auto r = ReadRelation(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, ValueOfTheWrongTypeRejected) {
+  // Insert checks only arity, so an int64 column can hold a string cell in
+  // memory; the file must not carry it back in.
+  Relation rel = OneColumnRelation(ValueType::kInt64);
+  ASSERT_TRUE(rel.Insert(Tuple({Value(int64_t{5})})).ok());
+  ASSERT_TRUE(rel.Insert(Tuple({Value(std::string("not an int"))})).ok());
+  const std::string path = TempPath("wrong_type.dbs3");
+  ASSERT_TRUE(WriteRelation(rel, path).ok());
+  auto r = ReadRelation(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, StringLongerThanTheFileRejected) {
+  Relation rel = OneColumnRelation(ValueType::kString);
+  ASSERT_TRUE(rel.Insert(Tuple({Value(std::string("abc"))})).ok());
+  const std::string path = TempPath("long_string.dbs3");
+  ASSERT_TRUE(WriteRelation(rel, path).ok());
+  // The file ends with the only value: its u64 length, then "abc".
+  const uint64_t length = uint64_t{1} << 31;
+  PatchFile(path, FileSize(path) - 3 - 8, &length, sizeof(length));
+  auto r = ReadRelation(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  // Rejected by the length check, before any allocation for the string.
+  EXPECT_NE(r.status().message().find("bytes left"), std::string::npos)
+      << r.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+
+#include "common/hash.h"
+#include "common/rng.h"
 #include "storage/tuple.h"
 #include "storage/value.h"
 
@@ -43,6 +53,180 @@ TEST(ValueTest, HashConsistentWithEquality) {
 TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(int64_t{-12}).ToString(), "-12");
   EXPECT_EQ(Value(std::string("abc")).ToString(), "abc");
+}
+
+// Reference model: a variant over the same two payloads has exactly the
+// semantics Value promises (type by alternative, ints ordered before
+// strings, payload equality and order), so Value must agree with it after
+// every operation.
+using ValueModel = std::variant<int64_t, std::string>;
+
+uint64_t ModelHash(const ValueModel& m) {
+  if (m.index() == 0) {
+    return HashInt64(static_cast<uint64_t>(std::get<int64_t>(m)));
+  }
+  return HashBytes(std::get<std::string>(m));
+}
+
+void ExpectMatchesModel(const Value& v, const ValueModel& m) {
+  ASSERT_EQ(v.is_int(), m.index() == 0);
+  EXPECT_EQ(v.type(), m.index() == 0 ? ValueType::kInt64 : ValueType::kString);
+  if (v.is_int()) {
+    EXPECT_EQ(v.AsInt(), std::get<int64_t>(m));
+    ASSERT_NE(v.TryInt(), nullptr);
+    EXPECT_EQ(*v.TryInt(), std::get<int64_t>(m));
+  } else {
+    EXPECT_EQ(v.AsString(), std::get<std::string>(m));
+    EXPECT_EQ(v.TryInt(), nullptr);
+  }
+  EXPECT_EQ(v.Hash(), ModelHash(m));
+}
+
+std::string RandomString(Rng& rng, int64_t min_len, int64_t max_len) {
+  // A two-letter alphabet makes equal and prefix-related strings common.
+  std::string s(static_cast<size_t>(rng.Range(min_len, max_len)), 'a');
+  for (char& c : s) c = static_cast<char>('a' + rng.Below(2));
+  return s;
+}
+
+int64_t RandomInt(Rng& rng) {
+  switch (rng.Below(8)) {
+    case 0:
+      return std::numeric_limits<int64_t>::min();
+    case 1:
+      return std::numeric_limits<int64_t>::max();
+    default:
+      return rng.Range(-3, 3);
+  }
+}
+
+TEST(ValueTest, MatchesVariantModelUnderRandomOperations) {
+  constexpr size_t kSlots = 4;
+  constexpr int kOps = 20'000;
+  Rng rng(16);
+  // Slots are optionals so that each constructor can run in place of a
+  // destroyed value.
+  std::array<std::optional<Value>, kSlots> values;
+  std::array<ValueModel, kSlots> models;
+  for (size_t i = 0; i < kSlots; ++i) {
+    values[i].emplace();
+    models[i] = int64_t{0};
+  }
+  for (int op = 0; op < kOps; ++op) {
+    const size_t i = rng.Below(kSlots);
+    // A second slot distinct from i (self-assignment is its own operation).
+    const size_t j = (i + 1 + rng.Below(kSlots - 1)) % kSlots;
+    const uint64_t kind = rng.Below(9);
+    switch (kind) {
+      case 0: {
+        const int64_t x = RandomInt(rng);
+        values[i].emplace(x);
+        models[i] = x;
+        break;
+      }
+      case 1:
+      case 2: {
+        // Short strings fit a std::string's inline buffer; long ones do not.
+        std::string s = kind == 1 ? RandomString(rng, 0, 15)
+                                  : RandomString(rng, 16, 40);
+        models[i] = s;
+        values[i].emplace(std::move(s));
+        break;
+      }
+      case 3:  // Copy-construct.
+        values[i].emplace(*values[j]);
+        models[i] = models[j];
+        break;
+      case 4:  // Copy-assign.
+        *values[i] = *values[j];
+        models[i] = models[j];
+        break;
+      case 5:  // Move-construct; the source becomes the default Value.
+        values[i].emplace(std::move(*values[j]));
+        models[i] = std::exchange(models[j], int64_t{0});
+        break;
+      case 6:  // Move-assign; the source becomes the default Value.
+        *values[i] = std::move(*values[j]);
+        models[i] = std::exchange(models[j], int64_t{0});
+        break;
+      case 7: {  // Self copy-assign: unchanged.
+        Value& self = *values[i];
+        *values[i] = self;
+        break;
+      }
+      case 8: {  // Self move-assign: unchanged.
+        Value& self = *values[i];
+        *values[i] = std::move(self);
+        break;
+      }
+    }
+    for (size_t a = 0; a < kSlots; ++a) {
+      ExpectMatchesModel(*values[a], models[a]);
+      for (size_t b = 0; b < kSlots; ++b) {
+        EXPECT_EQ(*values[a] == *values[b], models[a] == models[b]);
+        EXPECT_EQ(*values[a] != *values[b], models[a] != models[b]);
+        EXPECT_EQ(*values[a] < *values[b], models[a] < models[b]);
+      }
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "diverged from the model at operation " << op << " (kind "
+             << kind << ", slots " << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(ValueTest, MovesAreNoexcept) {
+  // std::vector<Value> moves its elements on growth only when these hold.
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<Value>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<Value>);
+}
+
+TEST(ValueTest, EveryIntStringTransition) {
+  const std::array<ValueModel, 3> kinds = {
+      ValueModel(int64_t{-7}), ValueModel(std::string("short")),
+      ValueModel(std::string("a string too long for the inline buffer"))};
+  auto make = [](const ValueModel& m) {
+    return m.index() == 0 ? Value(std::get<int64_t>(m))
+                          : Value(std::get<std::string>(m));
+  };
+  const ValueModel moved_from = int64_t{0};
+  for (const ValueModel& target : kinds) {
+    for (const ValueModel& source : kinds) {
+      SCOPED_TRACE(make(target).ToString() + " <- " + make(source).ToString());
+      {
+        Value dst = make(target);
+        const Value src = make(source);
+        dst = src;
+        ExpectMatchesModel(dst, source);
+        ExpectMatchesModel(src, source);
+      }
+      {
+        Value dst = make(target);
+        Value src = make(source);
+        dst = std::move(src);
+        ExpectMatchesModel(dst, source);
+        ExpectMatchesModel(src, moved_from);
+      }
+    }
+    SCOPED_TRACE(make(target).ToString());
+    const Value original = make(target);
+    const Value copy(original);
+    ExpectMatchesModel(copy, target);
+    ExpectMatchesModel(original, target);
+    Value src = make(target);
+    const Value moved(std::move(src));
+    ExpectMatchesModel(moved, target);
+    ExpectMatchesModel(src, moved_from);
+  }
+}
+
+TEST(ValueTest, StringCopyAssignReusesTheTargetBuffer) {
+  Value target(std::string(64, 'x'));
+  const Value source(std::string(40, 'y'));
+  const char* buffer = target.AsString().data();
+  target = source;
+  EXPECT_EQ(target.AsString(), source.AsString());
+  EXPECT_EQ(target.AsString().data(), buffer);
 }
 
 TEST(TupleTest, AppendAndAccess) {
