@@ -4,6 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <memory>
+#include <string>
+
 #include "dbs3/database.h"
 #include "dbs3/query.h"
 #include "engine/activation_queue.h"
@@ -104,6 +108,56 @@ BENCHMARK(BM_IdealJoinEndToEnd)
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kTempIndex), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 4})
+    ->Unit(benchmark::kMillisecond);
+
+// The AssocJoin on both sides of the probe-side key filter's rule (probe rows
+// >= inner rows). Args: probe rows, inner rows, and the percentage of probe
+// rows with a partner; 20K is W2's size in perfbench's join_mix. `shipped`
+// counts the rows the probe scan sent through the repartition.
+void BM_AssocJoinEndToEnd(benchmark::State& state) {
+  const int64_t probe_rows = state.range(0);
+  const int64_t inner_rows = state.range(1);
+  const int64_t match_pct = state.range(2);
+  Database db(4);
+  auto make = [](const std::string& name, size_t partition_column) {
+    return std::make_unique<Relation>(
+        name, Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}),
+        partition_column, Partitioner(PartitionKind::kHash, 16));
+  };
+  auto probe = make("P", 1);
+  auto inner = make("I", 0);
+  for (int64_t k = 0; k < inner_rows; ++k) {
+    if (!inner->Insert(Tuple({Value(k), Value(k)})).ok()) std::abort();
+  }
+  // Keys spread over inner_rows * 100 / match_pct values: match_pct% land
+  // inside the inner's key range.
+  const int64_t span = inner_rows * 100 / match_pct;
+  for (int64_t i = 0; i < probe_rows; ++i) {
+    const int64_t key = (i * 7'919) % span;
+    if (!probe->Insert(Tuple({Value(key), Value(i)})).ok()) std::abort();
+  }
+  if (!db.AddRelation(std::move(probe)).ok()) std::abort();
+  if (!db.AddRelation(std::move(inner)).ok()) std::abort();
+  QueryOptions options;
+  options.schedule.total_threads = 4;
+  options.schedule.processors = 4;
+  options.schedule.chunk_size = 64;
+  uint64_t shipped = 0;
+  for (auto _ : state) {
+    auto r = RunAssocJoin(db, "P", "k", "I", "k", options);
+    if (!r.ok()) std::abort();
+    shipped = r.value().execution.op_stats[0].emitted;
+    benchmark::DoNotOptimize(r.value().result->cardinality());
+  }
+  state.SetLabel(probe_rows >= inner_rows ? "admitted" : "declined");
+  state.counters["shipped"] = static_cast<double>(shipped);
+}
+BENCHMARK(BM_AssocJoinEndToEnd)
+    ->Args({200'000, 20'000, 10})
+    ->Args({200'000, 20'000, 100})
+    ->Args({20'000, 200'000, 100})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Interference ablation on real threads: the same pipelined drain with and

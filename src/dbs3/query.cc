@@ -3,6 +3,7 @@
 #include <functional>
 #include <utility>
 
+#include "engine/vector/key_filter.h"
 #include "server/query_runtime.h"
 
 namespace dbs3 {
@@ -127,9 +128,20 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
       Schema::Concat(probe->schema(), inner_rel->schema()), probe_col,
       Partitioner(inner_rel->partitioner().kind(), degree));
 
-  const size_t transmit = planned.plan.AddNode(
-      "transmit", ActivationMode::kTriggered, probe->degree(),
-      std::make_unique<TransmitLogic>(probe));
+  // The paper's transmit ships every probe row. When the probe has at least
+  // as many rows as the inner, it scans through a filter over the inner's
+  // join keys instead, so rows without a partner never reach the join.
+  std::unique_ptr<OperatorLogic> scan;
+  if (std::optional<PredExpr> key_filter =
+          ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)) {
+    scan = std::make_unique<FilterLogic>(probe, std::move(*key_filter), 1.0,
+                                         options.vectorize);
+  } else {
+    scan = std::make_unique<TransmitLogic>(probe);
+  }
+  const size_t transmit =
+      planned.plan.AddNode("transmit", ActivationMode::kTriggered,
+                           probe->degree(), std::move(scan));
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
@@ -161,6 +173,10 @@ Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
     return Status::FailedPrecondition(
         "FilterJoin needs '" + inner + "' partitioned on '" + inner_column +
         "'");
+  }
+  if (std::optional<PredExpr> key_filter =
+          ProbeKeyFilter(*filtered_rel, probe_col, *inner_rel, inner_col)) {
+    predicate = AndExpr(std::move(predicate), std::move(*key_filter));
   }
   const size_t degree = inner_rel->degree();
   PlannedQuery planned;

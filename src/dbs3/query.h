@@ -78,7 +78,9 @@ Result<QueryResult> RunIdealJoin(Database& db, const std::string& outer,
 
 /// Runs the AssocJoin plan (Figure 11): `probe_rel` is redistributed on its
 /// join column by a Transmit and pipelined into a join against `inner`
-/// (which must be partitioned on its join column).
+/// (which must be partitioned on its join column). When `probe_rel` has at
+/// least as many rows as `inner`, the transmit tests each row against a
+/// filter over `inner`'s join keys and ships only rows that may match.
 Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
                                  const std::string& probe_column,
                                  const std::string& inner,
@@ -87,7 +89,8 @@ Result<QueryResult> RunAssocJoin(Database& db, const std::string& probe_rel,
 
 /// Runs the filter-join pipeline of Figure 1: filter `filtered` with
 /// `predicate` (estimated `selectivity`), repartition the survivors on the
-/// join column, join against `inner`, materialize.
+/// join column, join against `inner`, materialize. Under RunAssocJoin's
+/// rule the filter also tests the join column against `inner`'s keys.
 Result<QueryResult> RunFilterJoin(Database& db, const std::string& filtered,
                                   Predicate predicate,
                                   double selectivity,

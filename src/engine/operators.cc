@@ -105,6 +105,25 @@ Predicate ColumnBetween(size_t column, int64_t lo, int64_t hi) {
 
 Predicate MatchAll() { return PredExpr::All(); }
 
+Predicate AndExpr(Predicate predicate, PredExpr expr) {
+  if (!predicate.expr.has_value()) {
+    return Predicate([row = std::move(predicate.row),
+                      expr = std::move(expr)](const Tuple& t) {
+      return row(t) && expr.EvalRow(t);
+    });
+  }
+  PredExpr& lhs = *predicate.expr;
+  if (lhs.kind == PredExpr::Kind::kAll) return expr;
+  std::vector<PredExpr> children;
+  if (lhs.kind == PredExpr::Kind::kAnd) {
+    children = std::move(lhs.children);
+  } else {
+    children.push_back(std::move(lhs));
+  }
+  children.push_back(std::move(expr));
+  return PredExpr::And(std::move(children));
+}
+
 const char* JoinAlgorithmName(JoinAlgorithm a) {
   switch (a) {
     case JoinAlgorithm::kNestedLoop:

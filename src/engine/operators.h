@@ -61,6 +61,11 @@ Predicate ColumnBetween(size_t column, int64_t lo, int64_t hi);
 /// Matches every tuple.
 Predicate MatchAll();
 
+/// `predicate && expr`, with `predicate` tested first. Vectorizable when
+/// `predicate` is (one PredExpr conjunction; MatchAll yields `expr` alone);
+/// a row-form conjunction otherwise.
+Predicate AndExpr(Predicate predicate, PredExpr expr);
+
 /// Triggered selection: the control activation for instance i scans fragment
 /// i of the input relation and emits every tuple matching the predicate
 /// (the `filter` of Figure 1/2).

@@ -1,5 +1,8 @@
 #include "engine/vector/pred.h"
 
+#include "common/hash.h"
+#include "engine/vector/key_filter.h"
+
 namespace dbs3 {
 
 bool PredExpr::EvalValue(const Value& v) const {
@@ -20,6 +23,8 @@ bool PredExpr::EvalValue(const Value& v) const {
       return !v.is_int() && v.AsString() == literal;
     case Kind::kStringNotEquals:
       return v.is_int() || v.AsString() != literal;
+    case Kind::kKeyFilter:
+      return key_filter->MayContain(v.Hash());
     case Kind::kAnd:
       break;  // Not a leaf; fall through to the assert-equivalent below.
   }
@@ -55,6 +60,8 @@ std::string PredExpr::ToString() const {
       return "c" + std::to_string(column) + " == '" + literal + "'";
     case Kind::kStringNotEquals:
       return "c" + std::to_string(column) + " != '" + literal + "'";
+    case Kind::kKeyFilter:
+      return "c" + std::to_string(column) + " in keyfilter";
     case Kind::kAnd: {
       std::string out = "(";
       for (size_t i = 0; i < children.size(); ++i) {
@@ -69,11 +76,24 @@ std::string PredExpr::ToString() const {
 
 namespace {
 
-/// Leaf kernel over all rows: the int-range form streams the column array
-/// with a branchless select; everything else tests per row via Values().
+/// Leaf kernel over all rows: the int forms stream the column array with a
+/// branchless select (the key filter hashes each int with HashInt64, which
+/// is Value::Hash on ints); everything else tests per row via Values().
 size_t LeafAll(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel_out) {
   const size_t n = batch.num_rows();
   size_t k = 0;
+  if (pred.kind == PredExpr::Kind::kKeyFilter) {
+    const int64_t* v = batch.Ints(pred.column);
+    if (v != nullptr) {
+      const KeyFilter& keys = *pred.key_filter;
+      for (size_t i = 0; i < n; ++i) {
+        sel_out[k] = static_cast<uint32_t>(i);
+        k += static_cast<size_t>(
+            keys.MayContain(HashInt64(static_cast<uint64_t>(v[i]))));
+      }
+      return k;
+    }
+  }
   if (pred.kind == PredExpr::Kind::kIntRange) {
     const int64_t* v = batch.Ints(pred.column);
     if (v != nullptr) {
@@ -107,6 +127,19 @@ size_t LeafAll(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel_out) {
 size_t LeafFilter(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel,
                   size_t count) {
   size_t k = 0;
+  if (pred.kind == PredExpr::Kind::kKeyFilter) {
+    const int64_t* v = batch.Ints(pred.column);
+    if (v != nullptr) {
+      const KeyFilter& keys = *pred.key_filter;
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = sel[i];
+        sel[k] = row;
+        k += static_cast<size_t>(
+            keys.MayContain(HashInt64(static_cast<uint64_t>(v[row]))));
+      }
+      return k;
+    }
+  }
   if (pred.kind == PredExpr::Kind::kIntRange) {
     const int64_t* v = batch.Ints(pred.column);
     if (v != nullptr) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,9 +15,12 @@
 
 namespace dbs3 {
 
+class KeyFilter;
+
 /// A small predicate IR for the comparison forms the planner and the
 /// ColumnEquals/ColumnBetween helpers produce: integer range tests, string
-/// equality, and conjunctions, over typed columns.
+/// equality, and conjunctions, over typed columns — plus the key-filter
+/// leaf the planner ANDs into an AssocJoin's probe scan (key_filter.h).
 ///
 /// The IR exists so the batch filter kernel can evaluate a chunk with one
 /// type-specialized, branch-light loop per leaf instead of one
@@ -28,7 +32,10 @@ namespace dbs3 {
 /// only integer values, kStringEquals only equal strings, and the negated
 /// forms match everything else. The planner guarantees equivalence with
 /// its row predicates by lowering a comparison only when the column's
-/// declared schema type matches the literal (see LowerableFor).
+/// declared schema type matches the literal (see LowerComparison in
+/// esql/planner.cc). The key-filter leaf matches any value, of either type,
+/// whose `Value::Hash` the filter may hold: it never drops a value equal to
+/// an inserted key.
 struct PredExpr {
   enum class Kind : uint8_t {
     kAll,              ///< Matches every tuple.
@@ -37,6 +44,7 @@ struct PredExpr {
     kIntNotEquals,     ///< Value is not the integer `lo` (non-ints match).
     kStringEquals,     ///< Value is the string `literal`.
     kStringNotEquals,  ///< Value is not the string `literal`.
+    kKeyFilter,        ///< Value's hash may be in `key_filter`.
     kAnd,              ///< Every child matches.
   };
 
@@ -45,6 +53,8 @@ struct PredExpr {
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
   std::string literal;
+  /// Immutable and shared by every copy of the leaf (kKeyFilter only).
+  std::shared_ptr<const KeyFilter> key_filter;
   std::vector<PredExpr> children;
 
   static PredExpr All() { return PredExpr{}; }
@@ -98,6 +108,16 @@ struct PredExpr {
     e.kind = Kind::kStringNotEquals;
     e.column = column;
     e.literal = std::move(s);
+    return e;
+  }
+  /// Values whose hash `filter` may hold: no false negatives, so ANDing it
+  /// into a join's probe side drops only rows without a partner.
+  static PredExpr InKeyFilter(uint32_t column,
+                              std::shared_ptr<const KeyFilter> filter) {
+    PredExpr e;
+    e.kind = Kind::kKeyFilter;
+    e.column = column;
+    e.key_filter = std::move(filter);
     return e;
   }
   /// Conjunction. Single-child conjunctions collapse to the child.

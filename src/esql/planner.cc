@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "engine/blocking_operators.h"
+#include "engine/vector/key_filter.h"
 #include "esql/parser.h"
 #include "server/query_runtime.h"
 #include "server/shared/shared_query.h"
@@ -377,15 +378,60 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       std::swap(probe_col, inner_col);
     }
 
+    // Repartitions an inner that is not partitioned on its join attribute
+    // or carries pushdown predicates (subquery boundary); returns the
+    // relation the join probes.
+    auto resolve_inner = [&](size_t rel_index,
+                             size_t join_col) -> Result<Relation*> {
+      Relation* inner = rels[rel_index];
+      if (inner->partition_column() == join_col &&
+          rel_preds[rel_index].empty()) {
+        return inner;
+      }
+      DBS3_ASSIGN_OR_RETURN(
+          auto inner_pred,
+          CombinePredicates(BindingsOf(*inner), inner->schema(),
+                            rel_preds[rel_index]));
+      DBS3_ASSIGN_OR_RETURN(
+          std::unique_ptr<Relation> temp,
+          MaterializeRepartition(*inner, join_col,
+                                 std::move(inner_pred.first),
+                                 inner_pred.second, options, env,
+                                 &state->phase_execs));
+      state->description =
+          "repartition(" + inner->name() + ") ; " + state->description;
+      inner = temp.get();
+      state->temps.push_back(std::move(temp));
+      rel_preds[rel_index].clear();
+      return inner;
+    };
+    // The first join's inner is resolved before the probe scan, so a key
+    // filter covers exactly the relation that join probes.
+    DBS3_ASSIGN_OR_RETURN(Relation* const first_inner,
+                          resolve_inner(inner_idx, inner_col));
+
     // Start the pipeline with the probe-side scan (pushdown predicates
-    // applied in the scan — the FilterLogic generalization of Transmit).
+    // applied in the scan — the FilterLogic generalization of Transmit),
+    // ANDed with a filter over the first inner's join keys when the probe
+    // has at least as many rows.
     Relation* probe = rels[probe_idx];
     DBS3_ASSIGN_OR_RETURN(
         auto probe_pred,
         CombinePredicates(BindingsOf(*probe), probe->schema(),
                           rel_preds[probe_idx]));
+    const std::string scan = "scan(" + probe->name() + ")";
+    std::string scan_description = scan;
+    std::optional<PredExpr> key_filter =
+        ProbeKeyFilter(*probe, probe_col, *first_inner, inner_col);
+    if (key_filter.has_value()) {
+      probe_pred.first =
+          AndExpr(std::move(probe_pred.first), std::move(*key_filter));
+      scan_description = "scan(" + probe->name() + ", keyfilter(" +
+                         first_inner->name() + "." +
+                         first_inner->schema().column(inner_col).name + "))";
+    }
     state->tail = static_cast<int>(state->plan.AddNode(
-        "scan(" + probe->name() + ")", ActivationMode::kTriggered,
+        scan, ActivationMode::kTriggered,
         probe->degree(),
         std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
                                       probe_pred.second,
@@ -393,7 +439,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     state->instances = probe->degree();
     state->schema = probe->schema();
     state->bindings = BindingsOf(*probe);
-    state->description = "scan(" + probe->name() + ")";
+    state->description += scan_description;
     rel_preds[probe_idx].clear();
 
     // Make the first join clause reference the resolved inner.
@@ -411,7 +457,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     }
 
     for (size_t step = 0; step < chain.size(); ++step) {
-      Relation* inner = rels[chain[step]];
+      Relation* inner = step == 0 ? first_inner : rels[chain[step]];
       size_t this_probe_col, this_inner_col;
       if (step == 0) {
         this_probe_col = probe_cols[0];
@@ -451,28 +497,8 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         }
         this_probe_col = a.first ? a.second : b.second;
         this_inner_col = a.first ? b.second : a.second;
-      }
-
-      // Repartition the inner when it is not partitioned on its join
-      // attribute or carries pushdown predicates (subquery boundary).
-      const size_t rel_index = chain[step];
-      if (inner->partition_column() != this_inner_col ||
-          !rel_preds[rel_index].empty()) {
-        DBS3_ASSIGN_OR_RETURN(
-            auto inner_pred,
-            CombinePredicates(BindingsOf(*inner), inner->schema(),
-                              rel_preds[rel_index]));
-        DBS3_ASSIGN_OR_RETURN(
-            std::unique_ptr<Relation> temp,
-            MaterializeRepartition(*inner, this_inner_col,
-                                   std::move(inner_pred.first),
-                                   inner_pred.second, options, env,
-                                   &state->phase_execs));
-        state->description =
-            "repartition(" + inner->name() + ") ; " + state->description;
-        inner = temp.get();
-        state->temps.push_back(std::move(temp));
-        rel_preds[rel_index].clear();
+        DBS3_ASSIGN_OR_RETURN(inner,
+                              resolve_inner(chain[step], this_inner_col));
       }
 
       const size_t join = state->plan.AddNode(

@@ -45,6 +45,15 @@ Status Relation::Insert(Tuple tuple) {
         " does not match schema " + schema_.ToString() + " of relation '" +
         name_ + "'");
   }
+  for (size_t c = 0; c < tuple.size(); ++c) {
+    const ValueType type = schema_.column(c).type;
+    if (tuple.at(c).type() != type) {
+      return Status::InvalidArgument(
+          "column '" + schema_.column(c).name + "' of relation '" + name_ +
+          "' is " + ValueTypeName(type) + " but the value is " +
+          ValueTypeName(tuple.at(c).type()));
+    }
+  }
   const size_t f = partitioner_.FragmentOf(tuple.at(partition_column_));
   fragments_[f].tuples.push_back(std::move(tuple));
   return Status::OK();

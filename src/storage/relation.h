@@ -54,10 +54,12 @@ class Relation {
   std::vector<uint64_t> FragmentCardinalities() const;
 
   /// Routes `tuple` to its fragment via the partitioning function.
-  /// Fails if the tuple arity does not match the schema.
+  /// Fails with InvalidArgument if the tuple's arity does not match the
+  /// schema or a value's type differs from its column's declared type.
   Status Insert(Tuple tuple);
 
-  /// Appends directly to fragment `f`, bypassing the partitioning function.
+  /// Appends directly to fragment `f`, bypassing the partitioning function
+  /// and every check: callers guarantee the arity and the column types.
   /// Used by generators that construct a wanted placement (and by Store,
   /// whose input was already routed by a Transmit). Requires f < degree().
   void AppendToFragment(size_t f, Tuple tuple);

@@ -42,6 +42,30 @@ TEST(RelationTest, InsertRejectsArityMismatch) {
   EXPECT_NE(s.message().find("R"), std::string::npos);
 }
 
+TEST(RelationTest, InsertRejectsStringIntoIntColumn) {
+  Relation r("R", TwoCols(), 0, Partitioner(PartitionKind::kModulo, 2));
+  ASSERT_TRUE(r.Insert(Tuple({Value(int64_t{1}), Value(int64_t{2})})).ok());
+  const Status s =
+      r.Insert(Tuple({Value(int64_t{3}), Value(std::string("four"))}));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("val"), std::string::npos) << s.ToString();
+  EXPECT_EQ(r.cardinality(), 1u);
+}
+
+TEST(RelationTest, InsertRejectsIntIntoStringColumn) {
+  Relation r("R",
+             Schema({{"key", ValueType::kInt64}, {"name", ValueType::kString}}),
+             0, Partitioner(PartitionKind::kModulo, 2));
+  ASSERT_TRUE(
+      r.Insert(Tuple({Value(int64_t{1}), Value(std::string("one"))})).ok());
+  const Status s = r.Insert(Tuple({Value(int64_t{2}), Value(int64_t{2})}));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("name"), std::string::npos) << s.ToString();
+  EXPECT_EQ(r.cardinality(), 1u);
+}
+
 TEST(RelationTest, AppendToFragmentBypassesRouting) {
   Relation r("R", TwoCols(), 0, Partitioner(PartitionKind::kModulo, 4));
   r.AppendToFragment(3, Tuple({Value(int64_t{0}), Value(int64_t{0})}));

@@ -93,4 +93,16 @@ class PoolStagedSharedEmit {
   std::vector<Tuple> chunk_pool_;
 };
 
+// The triggered scan done right: survivors are emitted straight from the
+// fragment into recycled chunk slots, with nothing staged.
+class EmitInPlaceTriggeredScan {
+ public:
+  void OnTrigger(size_t instance, Emitter* out) {
+    for (const Tuple& t : rows_) out->Emit(instance, t);
+  }
+
+ private:
+  std::vector<Tuple> rows_;
+};
+
 }  // namespace dbs3

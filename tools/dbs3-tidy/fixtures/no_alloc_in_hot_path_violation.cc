@@ -81,4 +81,21 @@ class StagingBufferInSharedEmit {
   std::vector<Tuple> staged_;
 };
 
+// A triggered scan that stages its fragment's survivors in a growing
+// buffer before emitting them, instead of emitting straight from the
+// fragment.
+class StagingBufferInTriggeredScan {
+ public:
+  void OnTrigger(size_t instance, Emitter* out) {
+    for (const Tuple& t : rows_) {
+      staged_.push_back(t);  // DBS3-TIDY: dbs3-no-alloc-in-hot-path
+    }
+    for (const Tuple& t : staged_) out->Emit(instance, t);
+  }
+
+ private:
+  std::vector<Tuple> rows_;
+  std::vector<Tuple> staged_;
+};
+
 }  // namespace dbs3
