@@ -1,5 +1,7 @@
 // Allocation profile of the engine data path. Replaces global operator
-// new/delete with counting hooks and measures (a) heap allocations per
+// new/delete with counting hooks and adds the row slices row_block hands
+// out (row storage no longer reaches operator new), so an "allocation" is
+// a heap allocation or a row's value storage. Measures (a) allocations per
 // result tuple on a steady-state pipelined join — the chunk pool and the
 // assign-in-place emitters are what keep this flat — and (b) the probe
 // kernels: TempIndex::Probe (iterator range, zero allocations) against the
@@ -25,6 +27,7 @@
 #include "engine/vector/column_batch.h"
 #include "engine/vector/kernels.h"
 #include "engine/vector/pred.h"
+#include "storage/row_block.h"
 #include "storage/temp_index.h"
 
 namespace {
@@ -77,10 +80,24 @@ namespace {
 
 constexpr int kReps = 5;
 
+/// Heap allocations plus row slices so far. Slices are exact for every row
+/// made before the read: the measured query's rows all are, after Take().
+uint64_t AllocationsSoFar() {
+  return g_allocations.load(std::memory_order_relaxed) +
+         row_block::SlicesAllocated();
+}
+
+double PerTuple(uint64_t count, uint64_t tuples) {
+  return tuples > 0 ? static_cast<double>(count) / static_cast<double>(tuples)
+                    : 0.0;
+}
+
 struct PipelinePoint {
   double wall_seconds = 0.0;       // Best of kReps.
   uint64_t result_tuples = 0;
   uint64_t allocations = 0;        // Fewest of kReps (steady-state floor).
+  uint64_t heap_allocations = 0;   // The two parts of that rep's count.
+  uint64_t row_slices = 0;
   double allocations_per_tuple = 0.0;
   uint64_t pool_allocated = 0;     // Chunk-pool stats of the best-alloc rep.
   uint64_t pool_reused = 0;
@@ -89,8 +106,8 @@ struct PipelinePoint {
 
 /// Steady-state pipelined join through the shared runtime: the warm-up
 /// runs fill the runtime's chunk pool and spawn its threads, then each
-/// measured rep counts every heap allocation end to end (plan build,
-/// scheduling, execution, result materialization).
+/// measured rep counts every heap allocation and row slice end to end
+/// (plan build, scheduling, execution, result materialization).
 PipelinePoint MeasurePipeline(Database& db) {
   QueryOptions options;
   options.schedule.total_threads = 4;
@@ -104,24 +121,26 @@ PipelinePoint MeasurePipeline(Database& db) {
   point.wall_seconds = 1e30;
   point.allocations = ~uint64_t{0};
   for (int rep = 0; rep < kReps; ++rep) {
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const uint64_t heap_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t slices_before = row_block::SlicesAllocated();
     QueryResult r = UnwrapOrDie(
         RunAssocJoin(db, "B", "key", "A", "key", options), "AssocJoin");
-    const uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - before;
+    const uint64_t heap =
+        g_allocations.load(std::memory_order_relaxed) - heap_before;
+    const uint64_t slices = row_block::SlicesAllocated() - slices_before;
     point.wall_seconds = std::min(point.wall_seconds, r.execution.seconds);
     point.result_tuples = r.result->cardinality();
-    if (allocs < point.allocations) {
-      point.allocations = allocs;
+    if (heap + slices < point.allocations) {
+      point.allocations = heap + slices;
+      point.heap_allocations = heap;
+      point.row_slices = slices;
       point.pool_allocated = r.execution.chunk_pool.allocated;
       point.pool_reused = r.execution.chunk_pool.reused;
     }
   }
   point.allocations_per_tuple =
-      point.result_tuples > 0
-          ? static_cast<double>(point.allocations) /
-                static_cast<double>(point.result_tuples)
-          : 0.0;
+      PerTuple(point.allocations, point.result_tuples);
   const uint64_t acquired = point.pool_allocated + point.pool_reused;
   point.pool_reuse_fraction =
       acquired > 0 ? static_cast<double>(point.pool_reused) /
@@ -151,7 +170,7 @@ ProbePoint MeasureProbes(const Fragment& fragment) {
   uint64_t probe_sum = 0, lookup_sum = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     uint64_t matches = 0, sum = 0;
-    uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    uint64_t before = AllocationsSoFar();
     auto start = std::chrono::steady_clock::now();
     for (int64_t key = 0; key < kKeys; ++key) {
       const Value probe_key(key);
@@ -165,14 +184,13 @@ ProbePoint MeasureProbes(const Fragment& fragment) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count());
-    point.probe_allocations =
-        g_allocations.load(std::memory_order_relaxed) - before;
+    point.probe_allocations = AllocationsSoFar() - before;
     point.matches = matches;
     probe_sum = sum;
 
     matches = 0;
     sum = 0;
-    before = g_allocations.load(std::memory_order_relaxed);
+    before = AllocationsSoFar();
     start = std::chrono::steady_clock::now();
     for (int64_t key = 0; key < kKeys; ++key) {
       for (uint32_t i : index.Lookup(Value(key))) {
@@ -185,8 +203,7 @@ ProbePoint MeasureProbes(const Fragment& fragment) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count());
-    point.lookup_allocations =
-        g_allocations.load(std::memory_order_relaxed) - before;
+    point.lookup_allocations = AllocationsSoFar() - before;
     lookup_sum = sum;
     if (matches != point.matches || probe_sum != lookup_sum) {
       std::fprintf(stderr, "probe/lookup disagree: %llu vs %llu matches\n",
@@ -238,10 +255,9 @@ KernelAllocs MeasureKernelAllocations(const Fragment& fragment) {
   const auto measure = [&](auto&& chunk_body) {
     uint64_t best = ~uint64_t{0};
     for (int rep = 0; rep < kReps + 1; ++rep) {
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      const uint64_t before = AllocationsSoFar();
       sweep(chunk_body);
-      const uint64_t allocs =
-          g_allocations.load(std::memory_order_relaxed) - before;
+      const uint64_t allocs = AllocationsSoFar() - before;
       if (rep > 0) best = std::min(best, allocs);  // Rep 0 warms the arena.
     }
     return best;
@@ -282,12 +298,16 @@ void WriteJson(const PipelinePoint& pipeline, const ProbePoint& probe,
                kReps);
   std::fprintf(f,
                "  \"pipeline\": {\"wall_seconds\": %.6f, \"allocations\": "
-               "%llu, \"allocations_per_tuple\": %.3f, \"pool_allocated\": "
+               "%llu, \"allocations_per_tuple\": %.3f, "
+               "\"heap_allocations_per_tuple\": %.3f, "
+               "\"row_slices_per_tuple\": %.3f, \"pool_allocated\": "
                "%llu, \"pool_reused\": %llu, \"pool_reuse_fraction\": "
                "%.4f},\n",
                pipeline.wall_seconds,
                static_cast<unsigned long long>(pipeline.allocations),
                pipeline.allocations_per_tuple,
+               PerTuple(pipeline.heap_allocations, pipeline.result_tuples),
+               PerTuple(pipeline.row_slices, pipeline.result_tuples),
                static_cast<unsigned long long>(pipeline.pool_allocated),
                static_cast<unsigned long long>(pipeline.pool_reused),
                pipeline.pool_reuse_fraction);
@@ -330,11 +350,14 @@ int Main() {
 
   const PipelinePoint pipeline = MeasurePipeline(db);
   std::printf("pipeline: wall %.2f ms, %llu allocations for %llu result "
-              "tuples (%.2f/tuple), pool reuse %.1f%%\n",
+              "tuples (%.2f/tuple: %.2f heap + %.2f row slices), pool reuse "
+              "%.1f%%\n",
               pipeline.wall_seconds * 1e3,
               static_cast<unsigned long long>(pipeline.allocations),
               static_cast<unsigned long long>(pipeline.result_tuples),
               pipeline.allocations_per_tuple,
+              PerTuple(pipeline.heap_allocations, pipeline.result_tuples),
+              PerTuple(pipeline.row_slices, pipeline.result_tuples),
               pipeline.pool_reuse_fraction * 100.0);
 
   // 64K tuples, 16 matches per key: chains long enough that the per-probe

@@ -139,7 +139,7 @@ Tuple GroupByLogic::EncodePartial(const Value& key,
                                   const GroupState& group) const {
   // [key, count, (accumulator, seen)*] — mergeable by MergePartial, which
   // makes re-aggregation associative across any spill/split order.
-  std::vector<Value> values;
+  RowValues values;
   values.reserve(2 + 2 * aggregates_.size());
   values.push_back(key);
   values.emplace_back(group.count);
@@ -185,7 +185,7 @@ void GroupByLogic::MergePartial(const Tuple& row, GroupState* group) const {
 
 void GroupByLogic::EmitGroup(size_t instance, const Value& key,
                              const GroupState& group, Emitter* out) const {
-  std::vector<Value> values;
+  RowValues values;
   values.reserve(1 + aggregates_.size());
   values.push_back(key);
   for (size_t a = 0; a < aggregates_.size(); ++a) {

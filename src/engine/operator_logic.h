@@ -69,7 +69,7 @@ class Emitter {
   /// counterpart of EmitConcat's zero-allocation path.
   virtual void EmitSelect(size_t producer_instance, const Tuple& src,
                           std::span<const size_t> columns) {
-    std::vector<Value> values;
+    RowValues values;
     values.reserve(columns.size());
     for (size_t c : columns) values.push_back(src.at(c));
     Emit(producer_instance, Tuple(std::move(values)));

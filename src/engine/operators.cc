@@ -68,15 +68,17 @@ void BatchProbeJoin(const TempIndex& index, std::span<const Tuple> probe,
 /// or more, the row loop below that), the partitioned build when it was
 /// refused. Probe() walks the index's preallocated chains and EmitConcat
 /// writes into a recycled output slot, so the resident path allocates
-/// nothing.
-void ProbeBuild(HashJoinBuild& build, size_t instance,
+/// nothing. Returns true when the build was refused.
+bool ProbeBuild(HashJoinBuild& build, size_t instance,
                 std::span<const Tuple> probes, size_t probe_column,
                 const std::vector<Tuple>& inner, bool vectorize,
                 Emitter* out) {
   const TempIndex* index = build.Build(instance);
   if (index == nullptr) {
     build.ProbePartitions(instance, probes, out);
-  } else if (vectorize && probes.size() >= kMinBatchRows) {
+    return true;
+  }
+  if (vectorize && probes.size() >= kMinBatchRows) {
     BatchProbeJoin(*index, probes, probe_column, inner, instance, out);
   } else {
     for (const Tuple& probe : probes) {
@@ -85,6 +87,7 @@ void ProbeBuild(HashJoinBuild& build, size_t instance,
       }
     }
   }
+  return false;
 }
 
 }  // namespace
@@ -421,9 +424,17 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       break;
     case JoinAlgorithm::kHash:
     case JoinAlgorithm::kTempIndex:
-      ProbeBuild(build_, instance,
-                 std::span<const Tuple>(tuples.data(), tuples.size()),
-                 probe_column_, inner.tuples, vectorize_, out);
+      if (ProbeBuild(build_, instance,
+                     std::span<const Tuple>(tuples.data(), tuples.size()),
+                     probe_column_, inner.tuples, vectorize_, out)) {
+        // A refused build has consumed these probes the way a store does:
+        // each was joined against a resident partition or encoded into a
+        // spill file, and nothing reads it again. Releasing the rows'
+        // storage sends the chunk back to the pool empty. Kept, it would
+        // sit in the pool across queries and be freed slot by slot by later
+        // ones, scattering the survivors over row blocks (DESIGN §12).
+        for (Tuple& probe : tuples) probe = Tuple();
+      }
       break;
   }
 }

@@ -1,10 +1,13 @@
 #include "engine/spill_join.h"
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/memory_quota.h"
 #include "common/metrics.h"
+#include "storage/row_block.h"
 
 namespace dbs3 {
 
@@ -105,27 +108,39 @@ void HashJoinBuild::BuildPartitions(size_t instance) {
   const Fragment& fragment = inner_->fragment(instance);
   state.parts.resize(kFanout);
   MemoryQuota* quota = resources_.quota;
-  for (const Tuple& t : fragment.tuples) {
-    const size_t p = PartitionOf(t.at(inner_column_), 0);
+  // Copy partition by partition, each in fragment order, rather than row by
+  // row: a partition's copies are then contiguous in this thread's scratch
+  // row blocks, so spilling a victim frees its blocks instead of leaving
+  // them held by the other partitions' rows (DESIGN §12).
+  std::vector<uint32_t> rows_of[kFanout];
+  for (uint32_t r = 0; r < fragment.tuples.size(); ++r) {
+    rows_of[PartitionOf(fragment.tuples[r].at(inner_column_), 0)].push_back(
+        r);
+  }
+  row_block::ScratchScope scratch;
+  for (size_t p = 0; p < kFanout; ++p) {
     Partition& part = state.parts[p];
-    if (!part.spilled && quota != nullptr) {
-      while (!part.spilled && !quota->TryCharge(1)) {
-        const Status spilled = SpillVictim(state, p);
-        if (!spilled.ok()) {
-          RecordError(state, spilled);
-          return;
+    for (const uint32_t r : rows_of[p]) {
+      const Tuple& t = fragment.tuples[r];
+      if (!part.spilled && quota != nullptr) {
+        while (!part.spilled && !quota->TryCharge(1)) {
+          const Status spilled = SpillVictim(state, p);
+          if (!spilled.ok()) {
+            RecordError(state, spilled);
+            return;
+          }
         }
       }
-    }
-    if (part.spilled) {
-      const Status appended = part.build_file->Append(t);
-      if (!appended.ok()) {
-        RecordError(state, appended);
-        return;
+      if (part.spilled) {
+        const Status appended = part.build_file->Append(t);
+        if (!appended.ok()) {
+          RecordError(state, appended);
+          return;
+        }
+      } else {
+        part.build.tuples.push_back(t);
+        if (quota != nullptr) ++part.charged;
       }
-    } else {
-      part.build.tuples.push_back(t);
-      if (quota != nullptr) ++part.charged;
     }
   }
   // Index what stayed resident. Partitions are append-complete here, so the

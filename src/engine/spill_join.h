@@ -28,10 +28,11 @@ namespace dbs3 {
 /// still tracks the working set; nothing is charged without a quota), the
 /// instance indexes the fragment in place — one TempIndex, the resident
 /// path. Refused, the fragment is hash-partitioned into kFanout partitions
-/// instead, each retained tuple charged one unit; when a charge fails the
-/// largest in-memory partition is spilled (tuples streamed to an unlinked
-/// temp file, units released) and the build continues — the dynamic part:
-/// how many partitions stay memory-resident is decided by the data.
+/// instead, copied one partition after another, each retained tuple
+/// charged one unit; when a charge fails the largest in-memory partition is
+/// spilled (tuples streamed to an unlinked temp file, units and row blocks
+/// released) and the build continues — the dynamic part: how many
+/// partitions stay memory-resident is decided by the data.
 ///
 /// Probe (refused path): tuples route to their partition by the same hash.
 /// In-memory partitions probe and emit immediately; probes of spilled

@@ -1,6 +1,8 @@
 #include "esql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace dbs3 {
 
@@ -43,7 +45,13 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       }
       token.kind = Token::Kind::kInt;
       token.text = input.substr(i, j - i);
-      token.value = std::stoll(token.text);
+      const auto [end, ec] = std::from_chars(
+          input.data() + i, input.data() + j, token.value);
+      if (ec != std::errc() || end != input.data() + j) {
+        return Status::InvalidArgument(
+            "integer literal " + token.text + " at position " +
+            std::to_string(i) + " is out of the 64-bit range");
+      }
       i = j;
     } else if (c == '\'') {
       size_t j = i + 1;

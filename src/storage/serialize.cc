@@ -209,7 +209,7 @@ Result<std::unique_ptr<Relation>> ReadRelation(const std::string& path) {
   for (uint64_t i = 0; i < degree; ++i) {
     DBS3_ASSIGN_OR_RETURN(const uint64_t tuples, ReadU64(f, path));
     for (uint64_t t = 0; t < tuples; ++t) {
-      std::vector<Value> values;
+      RowValues values;
       values.reserve(num_columns);
       for (uint64_t c = 0; c < num_columns; ++c) {
         DBS3_ASSIGN_OR_RETURN(Value v,

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "storage/row_block.h"
+
 namespace dbs3 {
 
 namespace {
@@ -70,7 +72,6 @@ Result<std::unique_ptr<SpillFile>> SpillFile::Create(SpillCounters* counters) {
 
 SpillFile::SpillFile(std::FILE* file, SpillCounters* counters)
     : file_(file), counters_(counters) {
-  buffer_.reserve(kSpillChunkTuples);
   g_live_files.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -86,38 +87,36 @@ int64_t SpillFile::live_files() {
 }
 
 Status SpillFile::Append(const Tuple& tuple) {
-  buffer_.push_back(tuple);
+  // Room for the frame's count, which FlushBuffer fills in.
+  if (frame_tuples_ == 0) frame_.assign(sizeof(uint32_t), '\0');
+  const uint32_t arity = static_cast<uint32_t>(tuple.size());
+  const char* a = reinterpret_cast<const char*>(&arity);
+  frame_.insert(frame_.end(), a, a + sizeof(arity));
+  for (const Value& v : tuple.values()) EncodeValue(v, &frame_);
+  ++frame_tuples_;
   ++tuples_;
   if (counters_ != nullptr) {
     counters_->tuples_written.fetch_add(1, std::memory_order_relaxed);
   }
-  if (buffer_.size() >= kSpillChunkTuples) return FlushBuffer();
+  if (frame_tuples_ >= kSpillChunkTuples) return FlushBuffer();
   return Status::OK();
 }
 
 Status SpillFile::FlushBuffer() {
-  if (buffer_.empty()) return Status::OK();
+  if (frame_tuples_ == 0) return Status::OK();
   // One frame: count, then the encoded tuples, written with a single
   // fwrite so a frame is all-or-nothing from this process's view.
-  std::vector<char> frame;
-  const uint32_t count = static_cast<uint32_t>(buffer_.size());
-  const char* p = reinterpret_cast<const char*>(&count);
-  frame.insert(frame.end(), p, p + sizeof(count));
-  for (const Tuple& t : buffer_) {
-    const uint32_t arity = static_cast<uint32_t>(t.size());
-    const char* a = reinterpret_cast<const char*>(&arity);
-    frame.insert(frame.end(), a, a + sizeof(arity));
-    for (size_t i = 0; i < t.size(); ++i) EncodeValue(t.at(i), &frame);
-  }
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  std::memcpy(frame_.data(), &frame_tuples_, sizeof(frame_tuples_));
+  if (std::fwrite(frame_.data(), 1, frame_.size(), file_) != frame_.size()) {
     return ShortWrite();
   }
-  bytes_written_ += frame.size();
+  bytes_written_ += frame_.size();
   if (counters_ != nullptr) {
-    counters_->bytes_written.fetch_add(frame.size(),
+    counters_->bytes_written.fetch_add(frame_.size(),
                                        std::memory_order_relaxed);
   }
-  buffer_.clear();
+  frame_.clear();
+  frame_tuples_ = 0;
   return Status::OK();
 }
 
@@ -130,26 +129,31 @@ Status SpillFile::Rewind() {
 }
 
 Result<bool> SpillFile::ReadChunk(std::vector<Tuple>* out) {
-  out->clear();
   uint32_t count = 0;
   const size_t got = std::fread(&count, 1, sizeof(count), file_);
-  if (got == 0) return false;  // Clean end of file.
+  if (got == 0) {  // Clean end of file.
+    out->clear();
+    return false;
+  }
   if (got != sizeof(count)) return Truncated();
   uint64_t bytes = sizeof(count);
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
+  // Spilled rows are an operator's working state and die before the rows
+  // the same thread stores as results; carved apart from those, they never
+  // keep a result's block alive, or a result theirs.
+  row_block::ScratchScope scratch;
+  out->resize(count);
+  for (Tuple& t : *out) {
     uint32_t arity = 0;
     DBS3_RETURN_IF_ERROR(ReadExact(file_, &arity, sizeof(arity)));
     bytes += sizeof(arity);
-    std::vector<Value> values;
-    values.reserve(arity);
+    t.Clear();
+    t.Reserve(arity);
     for (uint32_t c = 0; c < arity; ++c) {
       DBS3_ASSIGN_OR_RETURN(Value v, DecodeValue(file_));
       bytes += 1 + (v.is_int() ? sizeof(int64_t)
                                : sizeof(uint32_t) + v.AsString().size());
-      values.push_back(std::move(v));
+      t.Append(std::move(v));
     }
-    out->push_back(Tuple(std::move(values)));
   }
   if (counters_ != nullptr) {
     counters_->bytes_read.fetch_add(bytes, std::memory_order_relaxed);

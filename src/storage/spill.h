@@ -14,9 +14,9 @@
 namespace dbs3 {
 
 /// Tuples per on-disk chunk frame — the spill counterpart of the engine's
-/// TupleChunk batching: writes buffer up to this many tuples and land as
-/// one frame, reads return one frame at a time, so the streaming passes of
-/// the spill paths touch memory in chunk-sized units.
+/// TupleChunk batching: writes encode up to this many tuples into one
+/// buffered frame, reads return one frame at a time, so the streaming
+/// passes of the spill paths touch memory in chunk-sized units.
 inline constexpr size_t kSpillChunkTuples = 256;
 
 /// Shared IO counters a group of spill files reports into (the spilling
@@ -57,16 +57,22 @@ class SpillFile {
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
 
-  /// Buffers one tuple for writing; flushes a full chunk frame to disk.
+  /// Encodes one tuple into the buffered frame; flushes a full frame to
+  /// disk. Copies no row: the frame holds bytes, not tuples.
   Status Append(const Tuple& tuple);
 
   /// Flushes the write buffer and repositions at the first chunk. Call
   /// before the first ReadChunk and before every rescan.
   Status Rewind();
 
-  /// Reads the next chunk frame into `*out` (cleared first). Returns false
-  /// at end of file, true when `*out` holds tuples. The vector is the
-  /// engine's TupleChunk wire unit (storage does not name the alias).
+  /// Reads the next chunk frame into `*out`, which ends up holding exactly
+  /// the frame's tuples. The tuples already in `*out` are overwritten in
+  /// place (Tuple::Clear, then Append), so a caller that reads chunk after
+  /// chunk into one vector takes new row storage only for rows wider than
+  /// before, and any it takes comes from the thread's scratch chain
+  /// (row_block::ScratchScope). Returns false at end of file, with `*out`
+  /// empty, and true when `*out` holds tuples. The vector is the engine's
+  /// TupleChunk wire unit (storage does not name the alias).
   Result<bool> ReadChunk(std::vector<Tuple>* out);
 
   /// Tuples appended over the file's lifetime.
@@ -86,7 +92,10 @@ class SpillFile {
 
   std::FILE* file_;
   SpillCounters* counters_;
-  std::vector<Tuple> buffer_;
+  /// The frame being written: a u32 count, patched at flush, then the
+  /// encoded tuples. Keeps its capacity across flushes.
+  std::vector<char> frame_;
+  uint32_t frame_tuples_ = 0;
   uint64_t tuples_ = 0;
   uint64_t bytes_written_ = 0;
 };

@@ -2,24 +2,40 @@
 #define DBS3_STORAGE_TUPLE_H_
 
 #include <cstddef>
+#include <initializer_list>
+#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "storage/row_block.h"
 #include "storage/value.h"
 
 namespace dbs3 {
+
+/// A row's values, in storage carved from the allocating thread's row block
+/// (storage/row_block.h) rather than one heap allocation per row.
+using RowValues = std::vector<Value, RowAllocator<Value>>;
 
 /// A row: an ordered vector of values, positionally matched to a Schema.
 ///
 /// Tuples are plain values (copyable, movable); the engine moves them through
 /// activation queues by value, which is what makes one data activation a
-/// self-contained sequential unit of work.
+/// self-contained sequential unit of work. A moved-from Tuple is empty. A
+/// Tuple may be copied, moved or destroyed on any thread, and may outlive
+/// the relation, the Database and the thread that created it.
 class Tuple {
  public:
   Tuple() = default;
-  explicit Tuple(std::vector<Value> values) : values_(std::move(values)) {}
+  /// Takes `values` and their row storage as they are.
+  explicit Tuple(RowValues values) : values_(std::move(values)) {}
+  /// Moves `values` into fresh row storage and frees the vector. For tests
+  /// and callers off the data path; the engine fills a RowValues instead.
+  explicit Tuple(std::vector<Value> values)
+      : values_(std::make_move_iterator(values.begin()),
+                std::make_move_iterator(values.end())) {}
+  explicit Tuple(std::initializer_list<Value> values) : values_(values) {}
 
   size_t size() const { return values_.size(); }
   const Value& at(size_t i) const { return values_[i]; }
@@ -27,15 +43,23 @@ class Tuple {
 
   void Append(Value v) { values_.push_back(std::move(v)); }
 
-  const std::vector<Value>& values() const { return values_; }
+  /// Drops every value but keeps the row's storage: refilling the row with
+  /// up to its capacity of values takes no new row storage.
+  void Clear() { values_.clear(); }
+
+  /// Makes room for `n` values in one piece of row storage.
+  void Reserve(size_t n) { values_.reserve(n); }
+
+  const RowValues& values() const { return values_; }
 
   /// The concatenation of this tuple and `other` (join output row).
   Tuple Concat(const Tuple& other) const {
-    std::vector<Value> out;
-    out.reserve(values_.size() + other.values_.size());
-    out.insert(out.end(), values_.begin(), values_.end());
-    out.insert(out.end(), other.values_.begin(), other.values_.end());
-    return Tuple(std::move(out));
+    Tuple out;
+    out.values_.reserve(values_.size() + other.values_.size());
+    out.values_.insert(out.values_.end(), values_.begin(), values_.end());
+    out.values_.insert(out.values_.end(), other.values_.begin(),
+                       other.values_.end());
+    return out;
   }
 
   /// Overwrites this tuple with a copy of `other`, reusing the value storage
@@ -87,8 +111,7 @@ class Tuple {
   /// over the live prefix and trimming/appending the remainder: existing
   /// Value slots (and their heap payloads) are reused instead of destroyed
   /// and reconstructed.
-  void OverwriteWith(const std::vector<Value>& a,
-                     const std::vector<Value>* b) {
+  void OverwriteWith(const RowValues& a, const RowValues* b) {
     const size_t n = a.size() + (b != nullptr ? b->size() : 0);
     if (values_.capacity() < n) values_.reserve(n);
     size_t i = 0;
@@ -107,8 +130,10 @@ class Tuple {
     if (values_.size() > n) values_.resize(n);
   }
 
-  std::vector<Value> values_;
+  RowValues values_;
 };
+
+static_assert(sizeof(Tuple) == 24, "a row is one vector of three pointers");
 
 }  // namespace dbs3
 

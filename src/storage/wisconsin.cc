@@ -71,7 +71,7 @@ Result<std::unique_ptr<Relation>> GenerateWisconsin(
                                                    "VVVV"};
   for (uint64_t u2 = 0; u2 < n; ++u2) {
     const uint64_t u1 = unique1[u2];
-    std::vector<Value> values;
+    RowValues values;
     values.reserve(schema.num_columns());
     values.emplace_back(static_cast<int64_t>(u1));
     values.emplace_back(static_cast<int64_t>(u2));

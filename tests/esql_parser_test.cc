@@ -1,5 +1,8 @@
 #include "esql/parser.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "esql/lexer.h"
@@ -31,6 +34,32 @@ TEST(LexerTest, TokenKinds) {
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("SELECT 'unterminated").ok());
   EXPECT_FALSE(Tokenize("SELECT @").ok());
+  EXPECT_FALSE(
+      Tokenize("SELECT * FROM wisc WHERE unique1 = 99999999999999999999")
+          .ok());
+}
+
+TEST(LexerTest, IntegerLiteralsSpanTheInt64Range) {
+  auto q = ParseEsql(
+      "SELECT * FROM r WHERE a >= -9223372036854775808 "
+      "AND a <= 9223372036854775807");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q.value().where.size(), 2u);
+  EXPECT_EQ(q.value().where[0].literal,
+            Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(q.value().where[1].literal,
+            Value(std::numeric_limits<int64_t>::max()));
+
+  // One past either end is a clean error naming the literal's position.
+  for (const char* text : {"SELECT * FROM r WHERE a = 9223372036854775808",
+                           "SELECT * FROM r WHERE a = -9223372036854775809"}) {
+    auto out_of_range = ParseEsql(text);
+    ASSERT_FALSE(out_of_range.ok()) << text;
+    EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out_of_range.status().message().find("position 26"),
+              std::string::npos)
+        << out_of_range.status().message();
+  }
 }
 
 TEST(ParserTest, MinimalSelect) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,7 +115,14 @@ TEST(MetricsSamplerTest, StartStopAreIdempotent) {
   sampler.Stop();  // Stop before start: no-op.
   sampler.Start();
   sampler.Start();  // Second start: no second thread.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Wait for the first sample rather than a fixed window: a loaded host
+  // (the TSan job) may not schedule the sampler thread for milliseconds.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (registry.Snapshot().series.at("p").samples == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
   sampler.Stop();
   sampler.Stop();
   const uint64_t samples = registry.Snapshot().series.at("p").samples;

@@ -525,6 +525,28 @@ TEST(DatabaseSubmitTest, SubmitEsqlSurfacesParseErrorsThroughHandle) {
   EXPECT_EQ(taken.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(DatabaseSubmitTest, SubmitEsqlSurfacesOutOfRangeLiteralThroughHandle) {
+  // The literal is lexed on the caller's thread: an out-of-range integer
+  // must come back as a Status on the handle, not escape as an exception.
+  Database db(2);
+  WisconsinOptions opt;
+  opt.cardinality = 1'000;
+  opt.degree = 2;
+  ASSERT_TRUE(db.CreateWisconsin("w", opt).ok());
+  QueryHandle bad = SubmitEsql(
+      db, "SELECT * FROM w WHERE unique1 = 99999999999999999999",
+      EsqlOptions{});
+  auto failed = bad.Take();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+
+  auto next =
+      SubmitEsql(db, "SELECT * FROM w WHERE unique1 < 10", EsqlOptions{})
+          .Take();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().result->cardinality(), 10u);
+}
+
 TEST(DatabaseTest, DatabaseIsNeitherCopyableNorMovable) {
   static_assert(!std::is_copy_constructible_v<Database>);
   static_assert(!std::is_copy_assignable_v<Database>);

@@ -5,7 +5,7 @@
 // and the block nested-loop fallback. Also pins the cancellation contract:
 // a torn-down logic returns its quota charges and leaks no spill-file
 // handles, and every entry point (facade and ESQL) enforces a declared
-// budget.
+// budget; and bounds the row blocks a spilling join keeps alive.
 
 #include "engine/spill_join.h"
 
@@ -29,6 +29,7 @@
 #include "engine/blocking_operators.h"
 #include "engine/operators.h"
 #include "esql/planner.h"
+#include "storage/row_block.h"
 #include "storage/spill.h"
 
 namespace dbs3 {
@@ -333,6 +334,117 @@ TEST(SpillJoinDifferentialTest,
   EXPECT_EQ(SpillFile::live_files(), live_before);
 }
 
+// ------------------------------------------------------------ Row memory
+
+/// Degree-1 relation of `rows` rows, `width` int columns: (i % keys, i, ...).
+std::unique_ptr<Relation> WideRelation(const std::string& name, int64_t rows,
+                                       size_t width, int64_t keys) {
+  std::vector<Column> columns;
+  for (size_t c = 0; c < width; ++c) {
+    columns.push_back({"c" + std::to_string(c), ValueType::kInt64});
+  }
+  auto rel = std::make_unique<Relation>(
+      name, Schema(std::move(columns)), 0,
+      Partitioner(PartitionKind::kModulo, 1));
+  for (int64_t i = 0; i < rows; ++i) {
+    RowValues values;
+    values.reserve(width);
+    values.emplace_back(i % keys);
+    for (size_t c = 1; c < width; ++c) values.emplace_back(i);
+    EXPECT_TRUE(rel->Insert(Tuple(std::move(values))).ok());
+  }
+  return rel;
+}
+
+/// Row blocks that `rows` live rows of `width` values fill end to end.
+int64_t BlocksFor(uint64_t rows, size_t width) {
+  const uint64_t slice = row_block::kHeaderBytes + width * sizeof(Value);
+  const uint64_t usable = row_block::kBlockBytes - 64;  // Less the count.
+  return static_cast<int64_t>((rows * slice + usable - 1) / usable);
+}
+
+/// Keeps every emitted row, as the store does: each one a fresh row carved
+/// on the emitting thread, beside whatever else that thread carves.
+class StoringEmitter : public Emitter {
+ public:
+  void Emit(size_t, Tuple tuple) override { rows.push_back(std::move(tuple)); }
+  std::vector<Tuple> rows;
+};
+
+TEST(SpillJoinRowMemoryTest, SpilledPartitionsReturnTheirRowBlocks) {
+  // A refused build copies the inner fragment into its 8 partitions and
+  // spills the largest whenever a charge fails. Each partition's copies are
+  // contiguous in the building thread's scratch row blocks, so a spilled
+  // partition frees its blocks: after the build the live blocks hold the
+  // resident rows plus at most one shared block per partition boundary and
+  // the thread's current block — not every row the build ever copied. The
+  // budget keeps about half the partitions resident.
+  constexpr int64_t kRows = 40'000;
+  constexpr size_t kWidth = 8;
+  auto inner = WideRelation("inner", kRows, kWidth, kRows);
+  MemoryQuota quota(kRows * 6 / 10);
+  HashJoinBuild build(inner.get(), 0, 0);
+  ExecResources resources;
+  resources.quota = &quota;
+  build.Bind(resources);
+  build.Reset(1);
+
+  const int64_t before = row_block::LiveBlocks();
+  ASSERT_EQ(build.Build(0), nullptr);  // Refused: partitioned and spilled.
+  ASSERT_TRUE(build.error().ok()) << build.error().ToString();
+  ASSERT_GT(quota.used(), 0u);
+  ASSERT_LT(quota.used(), static_cast<uint64_t>(kRows) / 2 + kRows / 8);
+  EXPECT_LE(row_block::LiveBlocks() - before,
+            BlocksFor(quota.used(), kWidth) + 8 + 1);
+
+  StoringEmitter out;
+  build.Finish(0, &out);
+  EXPECT_TRUE(out.rows.empty());  // Nothing probed.
+  EXPECT_EQ(quota.used(), 0u);
+  EXPECT_LE(row_block::LiveBlocks() - before, 1);
+}
+
+TEST(SpillJoinRowMemoryTest, FlushKeepsNoReadBackRowsAlive) {
+  // Every build partition spills, so every probe is deferred to a spill
+  // file and read back by the flush, which emits their matches on the same
+  // thread. One probe in ten matches, and every partition overflows its
+  // reload, so the flush repartitions into 64 small pairs. Deferring a probe copies no row, and
+  // read-back rows come from the thread's scratch row blocks, so once the
+  // build is released the live blocks hold the stored results, not the
+  // probe and build rows read back beside them.
+  constexpr int64_t kInner = 4'000;
+  constexpr int64_t kProbes = 40'000;
+  constexpr size_t kWidth = 8;
+  auto inner = WideRelation("inner", kInner, kWidth, kInner);
+  auto outer = WideRelation("outer", kProbes, kWidth, kProbes);
+  const std::vector<Tuple>& probes = outer->fragment(0).tuples;
+  MemoryQuota quota(kInner / 10);
+  MetricsRegistry metrics;
+  HashJoinBuild build(inner.get(), 0, 0);
+  ExecResources resources;
+  resources.quota = &quota;
+  resources.metrics = &metrics;
+  build.Bind(resources);
+  build.Reset(1);
+
+  StoringEmitter out;
+  out.rows.reserve(kInner);
+  const int64_t before = row_block::LiveBlocks();
+  ASSERT_EQ(build.Build(0), nullptr);
+  build.ProbePartitions(0, probes, &out);
+  build.Finish(0, &out);
+  build.PublishMetrics();
+  ASSERT_TRUE(build.error().ok()) << build.error().ToString();
+  ASSERT_EQ(out.rows.size(), static_cast<size_t>(kInner));
+  EXPECT_GT(metrics.Snapshot().counters["spill.bytes_read"], 0u);
+  EXPECT_EQ(quota.used(), 0u);
+  EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
+  // Plus the thread's current scratch block, and one for the tails of
+  // blocks too short for another row.
+  EXPECT_LE(row_block::LiveBlocks() - before,
+            BlocksFor(out.rows.size(), 2 * kWidth) + 2);
+}
+
 // --------------------------------------------------------------- GroupBy
 
 std::vector<Tuple> RunGroupBy(const std::vector<AggSpec>& aggs,
@@ -593,6 +705,41 @@ TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsSpillAndMatchUnbudgeted) {
               0u);
   }
   EXPECT_EQ(SpillFile::live_files(), live_before);
+}
+
+TEST(SpillJoinEndToEndTest, RepeatedSpillingJoinsLeaveNoRowBlocksBehind) {
+  // A spilling AssocJoin consumes its probes the way a store does, so
+  // their chunks go back to the pool empty. Were the probes' storage kept,
+  // it would sit in the pool between queries and later queries would free
+  // it slot by slot, each query leaving about 8 more live row blocks than
+  // the last at this size.
+  Database db(2);
+  WisconsinOptions w1;
+  w1.cardinality = 50'000;
+  w1.degree = 4;
+  ASSERT_TRUE(db.CreateWisconsin("W1", w1).ok());
+  WisconsinOptions w2 = w1;
+  w2.cardinality = 12'500;
+  w2.seed = w1.seed + 1;
+  ASSERT_TRUE(db.CreateWisconsin("W2", w2).ok());
+  QueryOptions options;
+  options.schedule.total_threads = 4;
+  options.schedule.processors = 4;
+  options.memory_units = 1'250;
+  auto run = [&] {
+    Result<QueryResult> taken =
+        SubmitAssocJoin(db, "W1", "unique2", "W2", "unique1", options).Take();
+    ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+    EXPECT_EQ(taken.value().result->cardinality(), 12'500u);
+    EXPECT_GT(
+        taken.value().execution.metrics.counters["spill.bytes_written"], 0u);
+  };
+  // Two queries first, so that the pools and threads exist.
+  run();
+  run();
+  const int64_t warm = row_block::LiveBlocks();
+  for (int i = 0; i < 6; ++i) run();
+  EXPECT_LE(row_block::LiveBlocks() - warm, 16);
 }
 
 TEST(SpillJoinEndToEndTest, SortOverTinyBudgetFailsWithResourceExhausted) {
