@@ -100,8 +100,7 @@ Status RunIdealJoinPrivately(Database& db, const QueryOptions& options) {
   const size_t join = plan.AddNode(
       "join", ActivationMode::kTriggered, degree,
       std::make_unique<TriggeredJoinLogic>(a, a_key, b, b_key,
-                                           options.algorithm,
-                                           options.vectorize));
+                                           options.algorithm));
   const size_t store = plan.AddNode("store", ActivationMode::kPipelined,
                                     degree,
                                     std::make_unique<StoreLogic>(&result));

@@ -23,7 +23,7 @@ double RunQuery(bool assoc, size_t degree, const SimCosts& costs) {
   spec.degree = degree;
   spec.theta = 0.0;
   spec.threads = 20;
-  spec.algorithm = JoinAlgorithm::kTempIndex;
+  spec.algorithm = JoinAlgorithm::kHash;
   // Production cache setting: with 50K probe activations the pipelined join
   // drains its queues in batches (the engine's internal activation cache).
   spec.cache_size = 8;

@@ -23,7 +23,7 @@ JoinWorkloadSpec MakeSpec(bool index, size_t degree, double theta) {
   if (index) {
     spec.a_cardinality = 500'000;
     spec.b_cardinality = 50'000;
-    spec.algorithm = JoinAlgorithm::kTempIndex;
+    spec.algorithm = JoinAlgorithm::kHash;
   } else {
     spec.a_cardinality = 100'000;
     spec.b_cardinality = 10'000;

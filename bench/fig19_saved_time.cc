@@ -23,7 +23,7 @@ double RunOne(size_t degree, double theta, const SimCosts& costs) {
   spec.theta = theta;
   spec.threads = 20;
   spec.strategy = Strategy::kLpt;
-  spec.algorithm = JoinAlgorithm::kTempIndex;
+  spec.algorithm = JoinAlgorithm::kHash;
   SimPlanSpec plan = UnwrapOrDie(BuildIdealJoinSim(spec, costs), "build");
   SimMachine machine(KsrConfig(costs));
   return UnwrapOrDie(machine.Run(plan), "run").elapsed;

@@ -136,25 +136,26 @@ int Main() {
   WriteJson(points, "BENCH_chunking.json");
   std::printf("\nwrote BENCH_chunking.json\n");
 
-  // Acceptance gate: at chunk_size >= 16 the queue traffic (acquisitions)
-  // and wall-clock must be strictly below the per-tuple mode, and the
-  // contention ratio must be no worse. On few-core machines the contended
-  // counters are single digits out of tens of thousands of acquisitions
-  // (often exactly zero), so ratios within a small noise floor of each
-  // other are indistinguishable; only a genuine contention regression
-  // fails. Acquisitions are deterministic and stay strict.
-  constexpr double kContentionNoise = 1e-3;
+  // Acceptance gate: at chunk_size 16 the wall-clock, the queue traffic
+  // (acquisitions) and the contended acquisitions must all be strictly
+  // below the per-tuple mode. Every chunk size runs the same workload, so
+  // the contended count measures contention per unit of work; the ratio
+  // contended/acquisitions is printed but not gated, because chunking cuts
+  // its denominator about 12x and the ratio can rise while contention
+  // itself falls.
   const ChunkPoint& base = points[0];
   const ChunkPoint& chunked = points[2];  // chunk_size 16
-  const bool ok =
-      chunked.queue_acquisitions < base.queue_acquisitions &&
-      ContentionRatio(chunked) <= ContentionRatio(base) + kContentionNoise &&
-      chunked.wall_seconds < base.wall_seconds;
+  const bool ok = chunked.wall_seconds < base.wall_seconds &&
+                  chunked.queue_acquisitions < base.queue_acquisitions &&
+                  chunked.queue_contended < base.queue_contended;
   std::printf("chunk=16 vs chunk=1: wall %.2f ms -> %.2f ms, acquisitions "
-              "%llu -> %llu, contention %.6f -> %.6f  [%s]\n",
+              "%llu -> %llu, contended %llu -> %llu (ratio %.6f -> %.6f)  "
+              "[%s]\n",
               base.wall_seconds * 1e3, chunked.wall_seconds * 1e3,
               static_cast<unsigned long long>(base.queue_acquisitions),
               static_cast<unsigned long long>(chunked.queue_acquisitions),
+              static_cast<unsigned long long>(base.queue_contended),
+              static_cast<unsigned long long>(chunked.queue_contended),
               ContentionRatio(base), ContentionRatio(chunked),
               ok ? "IMPROVED" : "NO IMPROVEMENT");
   return ok ? 0 : 1;

@@ -106,7 +106,6 @@ void BM_IdealJoinEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_IdealJoinEndToEnd)
     ->Args({static_cast<int>(JoinAlgorithm::kNestedLoop), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 2})
-    ->Args({static_cast<int>(JoinAlgorithm::kTempIndex), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 4})
     ->Unit(benchmark::kMillisecond);
 

@@ -143,13 +143,12 @@ std::vector<Tuple> FilterWorkload() {
   return rows;
 }
 
-/// The conjunctive row predicate exactly as esql/planner.cc builds it on
-/// the non-vectorized path (PredicateFor + CombinePredicates): one
+/// The conjunctive row predicate as esql/planner.cc built a WHERE clause
+/// before the vector layer existed (PredicateFor + CombinePredicates): one
 /// type-erased std::function per comparison doing Value-level compares
 /// (kGe is `literal < v || v == literal`, two variant dispatches), closed
 /// over by an outer combinator that loops the conjuncts. This — not a
-/// hand-inlined lambda — is what FilterLogic invoked per tuple before the
-/// vector layer existed.
+/// hand-inlined lambda — is what FilterLogic invoked per tuple then.
 std::function<bool(const Tuple&)> PlannerPredicate() {
   std::vector<std::function<bool(const Tuple&)>> conjuncts;
   conjuncts.push_back([lit = Value(int64_t{100})](const Tuple& t) {

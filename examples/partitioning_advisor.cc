@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   spec.threads = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 20;
   spec.algorithm = (argc > 5 && std::strcmp(argv[5], "nl") == 0)
                        ? JoinAlgorithm::kNestedLoop
-                       : JoinAlgorithm::kTempIndex;
+                       : JoinAlgorithm::kHash;
   spec.strategy = Strategy::kLpt;
 
   std::printf("advising degree of partitioning for IdealJoin:\n");

@@ -95,8 +95,7 @@ Result<PlannedQuery> PlanIdealJoin(Database& db, const std::string& outer,
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kTriggered, degree,
       std::make_unique<TriggeredJoinLogic>(outer_rel, outer_col, inner_rel,
-                                           inner_col, options.algorithm,
-                                           options.vectorize));
+                                           inner_col, options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -134,8 +133,7 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
   std::unique_ptr<OperatorLogic> scan;
   if (std::optional<PredExpr> key_filter =
           ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)) {
-    scan = std::make_unique<FilterLogic>(probe, std::move(*key_filter), 1.0,
-                                         options.vectorize);
+    scan = std::make_unique<FilterLogic>(probe, std::move(*key_filter), 1.0);
   } else {
     scan = std::make_unique<TransmitLogic>(probe);
   }
@@ -145,8 +143,7 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
-                                           options.algorithm,
-                                           options.vectorize));
+                                           options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -176,7 +173,7 @@ Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
   }
   if (std::optional<PredExpr> key_filter =
           ProbeKeyFilter(*filtered_rel, probe_col, *inner_rel, inner_col)) {
-    predicate = AndExpr(std::move(predicate), std::move(*key_filter));
+    predicate = PredExpr::And({std::move(predicate), std::move(*key_filter)});
   }
   const size_t degree = inner_rel->degree();
   PlannedQuery planned;
@@ -188,12 +185,11 @@ Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
   const size_t filter = planned.plan.AddNode(
       "filter", ActivationMode::kTriggered, filtered_rel->degree(),
       std::make_unique<FilterLogic>(filtered_rel, std::move(predicate),
-                                    selectivity, options.vectorize));
+                                    selectivity));
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
-                                           options.algorithm,
-                                           options.vectorize));
+                                           options.algorithm));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
@@ -217,7 +213,7 @@ Result<PlannedQuery> PlanSelect(Database& db, const std::string& input,
   const size_t filter = planned.plan.AddNode(
       "filter", ActivationMode::kTriggered, degree,
       std::make_unique<FilterLogic>(input_rel, std::move(predicate),
-                                    selectivity, options.vectorize));
+                                    selectivity));
   const size_t store = planned.plan.AddNode(
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));

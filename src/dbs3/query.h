@@ -29,12 +29,6 @@ struct QueryOptions {
   CostModel cost_model;
   /// Join algorithm for join queries.
   JoinAlgorithm algorithm = JoinAlgorithm::kHash;
-  /// Run the vectorized batch kernels (columnar predicate evaluation,
-  /// batched index probes) when a predicate is lowerable and activations
-  /// carry enough tuples. Off = always the per-row loops; results are
-  /// identical either way, and chunk_size=1 executions take the row path
-  /// automatically.
-  bool vectorize = true;
   /// Name given to the materialized result relation.
   std::string result_name = "Res";
 

@@ -142,9 +142,10 @@ enum class SortOrder { kAscending, kDescending };
 /// additionally needs range partitioning upstream).
 ///
 /// Buffered rows are charged against a bound MemoryQuota one unit apiece.
-/// Sort has no spill path (no ESQL surface reaches it today): exceeding the
-/// budget fails the query with kResourceExhausted instead of silently
-/// blowing past the declaration — fail-fast is the documented behavior.
+/// Sort has no spill path, although ESQL ORDER BY plans one per result
+/// fragment: exceeding the budget fails the query with kResourceExhausted
+/// instead of silently blowing past the declaration — fail-fast is the
+/// documented behavior.
 class SortLogic : public OperatorLogic {
  public:
   SortLogic(size_t column, SortOrder order = SortOrder::kAscending);

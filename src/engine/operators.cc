@@ -11,16 +11,6 @@ namespace dbs3 {
 
 namespace {
 
-/// Data activations with at least this many tuples take the batch kernels;
-/// smaller ones — chunk_size=1 in particular — stay on the row path, so the
-/// paper-faithful per-tuple mode never pays batch setup.
-constexpr size_t kMinBatchRows = 4;
-
-/// Triggered operators process whole fragments; the batch path tiles them
-/// so selection vectors, hash arrays, and column views stay cache-resident
-/// regardless of fragment size.
-constexpr size_t kFragmentTile = 1024;
-
 /// Batched indexed join probe: hashes the probe-key column in one pass,
 /// resolves every first match with the index's prefetching batch probe,
 /// then walks each chain emitting probe⋈match concatenations. Probe rows
@@ -71,14 +61,13 @@ void BatchProbeJoin(const TempIndex& index, std::span<const Tuple> probe,
 /// nothing. Returns true when the build was refused.
 bool ProbeBuild(HashJoinBuild& build, size_t instance,
                 std::span<const Tuple> probes, size_t probe_column,
-                const std::vector<Tuple>& inner, bool vectorize,
-                Emitter* out) {
+                const std::vector<Tuple>& inner, Emitter* out) {
   const TempIndex* index = build.Build(instance);
   if (index == nullptr) {
     build.ProbePartitions(instance, probes, out);
     return true;
   }
-  if (vectorize && probes.size() >= kMinBatchRows) {
+  if (probes.size() >= kMinBatchRows) {
     BatchProbeJoin(*index, probes, probe_column, inner, instance, out);
   } else {
     for (const Tuple& probe : probes) {
@@ -92,10 +81,6 @@ bool ProbeBuild(HashJoinBuild& build, size_t instance,
 
 }  // namespace
 
-Predicate::Predicate(PredExpr e)
-    : row([expr = e](const Tuple& t) { return expr.EvalRow(t); }),
-      expr(std::move(e)) {}
-
 Predicate ColumnEquals(size_t column, Value value) {
   const uint32_t col = static_cast<uint32_t>(column);
   if (value.is_int()) return PredExpr::IntEquals(col, value.AsInt());
@@ -108,33 +93,12 @@ Predicate ColumnBetween(size_t column, int64_t lo, int64_t hi) {
 
 Predicate MatchAll() { return PredExpr::All(); }
 
-Predicate AndExpr(Predicate predicate, PredExpr expr) {
-  if (!predicate.expr.has_value()) {
-    return Predicate([row = std::move(predicate.row),
-                      expr = std::move(expr)](const Tuple& t) {
-      return row(t) && expr.EvalRow(t);
-    });
-  }
-  PredExpr& lhs = *predicate.expr;
-  if (lhs.kind == PredExpr::Kind::kAll) return expr;
-  std::vector<PredExpr> children;
-  if (lhs.kind == PredExpr::Kind::kAnd) {
-    children = std::move(lhs.children);
-  } else {
-    children.push_back(std::move(lhs));
-  }
-  children.push_back(std::move(expr));
-  return PredExpr::And(std::move(children));
-}
-
 const char* JoinAlgorithmName(JoinAlgorithm a) {
   switch (a) {
     case JoinAlgorithm::kNestedLoop:
       return "nested-loop";
     case JoinAlgorithm::kHash:
       return "hash";
-    case JoinAlgorithm::kTempIndex:
-      return "temp-index";
   }
   return "unknown";
 }
@@ -142,11 +106,10 @@ const char* JoinAlgorithmName(JoinAlgorithm a) {
 // ---------------------------------------------------------------- Filter
 
 FilterLogic::FilterLogic(const Relation* input, Predicate predicate,
-                         double selectivity, bool vectorize)
+                         double selectivity)
     : input_(input),
       predicate_(std::move(predicate)),
-      selectivity_(selectivity),
-      vectorize_(vectorize) {}
+      selectivity_(selectivity) {}
 
 NodeEstimate FilterLogic::Estimate(const CostModel& cost_model,
                                    double input_tuples) const {
@@ -172,45 +135,26 @@ Status FilterLogic::Prepare(size_t num_instances) {
         " instances but input relation '" + input_->name() + "' has only " +
         std::to_string(input_->degree()) + " fragments");
   }
-  return Status::OK();
+  return predicate_.Validate();
 }
 
 void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
+  // One tile at a time: view the tile as columns, select its survivors,
+  // emit them. All scratch lives in the per-thread arena — zero
+  // steady-state heap traffic. Tiles run in fragment order and selections
+  // are ascending, so rows leave in fragment order.
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
-  if (vectorize_ && predicate_.expr.has_value() &&
-      rows.size() >= kMinBatchRows) {
-    // Batch kernel, one tile at a time: build the column view, evaluate the
-    // lowered predicate into a selection vector, emit the survivors. All
-    // scratch lives in the per-thread arena — zero steady-state heap
-    // traffic. Tiles run in fragment order and selections are ascending, so
-    // emission order matches the row loop exactly.
-    const PredExpr& expr = *predicate_.expr;
-    Arena& arena = ThreadLocalKernelArena();
-    for (size_t base = 0; base < rows.size(); base += kFragmentTile) {
-      const size_t count = std::min(kFragmentTile, rows.size() - base);
-      ScopedArena scope(&arena);
-      ColumnBatch batch(std::span<const Tuple>(rows.data() + base, count),
-                        &arena);
-      uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
-      const size_t kept = EvalPredAll(expr, batch, sel);
-      for (size_t i = 0; i < kept; ++i) {
-        out->EmitCopy(instance, rows[base + sel[i]]);
-      }
+  Arena& arena = ThreadLocalKernelArena();
+  for (size_t base = 0; base < rows.size(); base += kFragmentTile) {
+    const size_t count = std::min(kFragmentTile, rows.size() - base);
+    ScopedArena scope(&arena);
+    ColumnBatch batch(std::span<const Tuple>(rows.data() + base, count),
+                      &arena);
+    uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
+    const size_t kept = SelectRows(predicate_, batch, sel);
+    for (size_t i = 0; i < kept; ++i) {
+      out->EmitCopy(instance, rows[base + sel[i]]);
     }
-    return;
-  }
-  if (predicate_.expr.has_value()) {
-    // Row path over a lowered predicate: switch-dispatched evaluation, no
-    // std::function call per tuple.
-    const PredExpr& expr = *predicate_.expr;
-    for (const Tuple& t : rows) {
-      if (expr.EvalRow(t)) out->EmitCopy(instance, t);
-    }
-    return;
-  }
-  const TuplePredicate& keep = predicate_.row;
-  for (const Tuple& t : rows) {
-    if (keep(t)) out->EmitCopy(instance, t);
   }
 }
 
@@ -256,14 +200,12 @@ TriggeredJoinLogic::TriggeredJoinLogic(const Relation* outer,
                                        size_t outer_column,
                                        const Relation* inner,
                                        size_t inner_column,
-                                       JoinAlgorithm algorithm,
-                                       bool vectorize)
+                                       JoinAlgorithm algorithm)
     : outer_(outer),
       outer_column_(outer_column),
       inner_(inner),
       inner_column_(inner_column),
       algorithm_(algorithm),
-      vectorize_(vectorize),
       build_(inner, inner_column, outer_column) {}
 
 void TriggeredJoinLogic::BindExecution(const ExecResources& resources) {
@@ -328,12 +270,11 @@ void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
       }
       break;
     case JoinAlgorithm::kHash:
-    case JoinAlgorithm::kTempIndex:
       // Build on the fly over the inner fragment and probe with the outer;
       // then join what was deferred and return the instance's charges —
       // now, not at OnFinish.
       ProbeBuild(build_, instance, outer.tuples, outer_column_, inner.tuples,
-                 vectorize_, out);
+                 out);
       build_.Finish(instance, out);
       break;
   }
@@ -352,13 +293,11 @@ Status TriggeredJoinLogic::error() const { return build_.error(); }
 PipelinedJoinLogic::PipelinedJoinLogic(const Relation* inner,
                                        size_t inner_column,
                                        size_t probe_column,
-                                       JoinAlgorithm algorithm,
-                                       bool vectorize)
+                                       JoinAlgorithm algorithm)
     : inner_(inner),
       inner_column_(inner_column),
       probe_column_(probe_column),
       algorithm_(algorithm),
-      vectorize_(vectorize),
       build_(inner, inner_column, probe_column) {}
 
 void PipelinedJoinLogic::BindExecution(const ExecResources& resources) {
@@ -423,10 +362,9 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
       }
       break;
     case JoinAlgorithm::kHash:
-    case JoinAlgorithm::kTempIndex:
       if (ProbeBuild(build_, instance,
                      std::span<const Tuple>(tuples.data(), tuples.size()),
-                     probe_column_, inner.tuples, vectorize_, out)) {
+                     probe_column_, inner.tuples, out)) {
         // A refused build has consumed these probes the way a store does:
         // each was joined against a resident partition or encoded into a
         // spill file, and nothing reads it again. Releasing the rows'
@@ -492,44 +430,30 @@ void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
 // -------------------------------------------------------- PipelinedFilter
 
 PipelinedFilterLogic::PipelinedFilterLogic(Predicate predicate,
-                                           double selectivity, bool vectorize)
-    : predicate_(std::move(predicate)),
-      selectivity_(selectivity),
-      vectorize_(vectorize) {}
+                                           double selectivity)
+    : predicate_(std::move(predicate)), selectivity_(selectivity) {}
+
+Status PipelinedFilterLogic::Prepare(size_t num_instances) {
+  (void)num_instances;
+  return predicate_.Validate();
+}
 
 void PipelinedFilterLogic::OnData(size_t instance, Tuple tuple,
                                   Emitter* out) {
-  if (predicate_.row(tuple)) out->Emit(instance, std::move(tuple));
+  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
 }
 
 void PipelinedFilterLogic::OnDataBatch(size_t instance,
                                        std::span<Tuple> tuples,
                                        Emitter* out) {
-  if (predicate_.expr.has_value()) {
-    const PredExpr& expr = *predicate_.expr;
-    if (vectorize_ && tuples.size() >= kMinBatchRows) {
-      // Selection-vector kernel: evaluate the whole chunk column-wise, then
-      // move out the survivors in order (identical to the row loop's output).
-      Arena& arena = ThreadLocalKernelArena();
-      ScopedArena scope(&arena);
-      ColumnBatch batch(std::span<const Tuple>(tuples.data(), tuples.size()),
-                        &arena);
-      uint32_t* sel = arena.AllocateArrayOf<uint32_t>(tuples.size());
-      const size_t kept = EvalPredAll(expr, batch, sel);
-      for (size_t i = 0; i < kept; ++i) {
-        out->Emit(instance, std::move(tuples[sel[i]]));
-      }
-      return;
-    }
-    for (Tuple& t : tuples) {
-      if (expr.EvalRow(t)) out->Emit(instance, std::move(t));
-    }
-    return;
-  }
-  // Custom predicate: hoist the std::function binding out of the loop.
-  const TuplePredicate& keep = predicate_.row;
-  for (Tuple& t : tuples) {
-    if (keep(t)) out->Emit(instance, std::move(t));
+  Arena& arena = ThreadLocalKernelArena();
+  ScopedArena scope(&arena);
+  ColumnBatch batch(std::span<const Tuple>(tuples.data(), tuples.size()),
+                    &arena);
+  uint32_t* sel = arena.AllocateArrayOf<uint32_t>(tuples.size());
+  const size_t kept = SelectRows(predicate_, batch, sel);
+  for (size_t i = 0; i < kept; ++i) {
+    out->Emit(instance, std::move(tuples[sel[i]]));
   }
 }
 
@@ -570,64 +494,23 @@ NodeEstimate ProjectLogic::Estimate(const CostModel& cost_model,
 
 // -------------------------------------------------------------------- Map
 
-MapLogic::MapLogic(std::function<Tuple(Tuple)> fn) : fn_(std::move(fn)) {}
-
 MapLogic::MapLogic(std::function<void(const Tuple&, Tuple*)> fn)
-    : in_place_(std::move(fn)) {}
+    : fn_(std::move(fn)) {}
 
 void MapLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  if (in_place_) {
-    // The scratch row keeps its value storage across calls (AssignFrom /
-    // AssignConcat overwrite live slots), and EmitCopy assigns it into a
-    // recycled chunk slot — steady state constructs no tuples.
-    thread_local Tuple scratch;
-    in_place_(tuple, &scratch);
-    out->EmitCopy(instance, scratch);
-    return;
-  }
-  out->Emit(instance, fn_(std::move(tuple)));
+  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
 }
 
 void MapLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                            Emitter* out) {
-  if (in_place_) {
-    thread_local Tuple scratch;
-    for (const Tuple& t : tuples) {
-      in_place_(t, &scratch);
-      out->EmitCopy(instance, scratch);
-    }
-    return;
-  }
-  for (Tuple& t : tuples) out->Emit(instance, fn_(std::move(t)));
-}
-
-// -------------------------------------------------------------- Aggregate
-
-AggregateLogic::AggregateLogic(std::optional<size_t> sum_column)
-    : sum_column_(sum_column) {}
-
-void AggregateLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)instance;
-  (void)out;
-  count_.fetch_add(1, std::memory_order_relaxed);
-  if (sum_column_.has_value()) {
-    const Value& v = tuple.at(*sum_column_);
-    if (v.is_int()) sum_.fetch_add(v.AsInt(), std::memory_order_relaxed);
-  }
-}
-
-void AggregateLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                                 Emitter* out) {
-  (void)instance;
-  (void)out;
-  count_.fetch_add(tuples.size(), std::memory_order_relaxed);
-  if (!sum_column_.has_value()) return;
-  int64_t local = 0;
+  // The scratch row keeps its value storage across calls (AssignFrom /
+  // AssignConcat overwrite live slots), and EmitCopy assigns it into a
+  // recycled chunk slot — steady state constructs no tuples.
+  thread_local Tuple scratch;
   for (const Tuple& t : tuples) {
-    const Value& v = t.at(*sum_column_);
-    if (v.is_int()) local += v.AsInt();
+    fn_(t, &scratch);
+    out->EmitCopy(instance, scratch);
   }
-  sum_.fetch_add(local, std::memory_order_relaxed);
 }
 
 }  // namespace dbs3

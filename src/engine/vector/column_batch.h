@@ -11,40 +11,15 @@
 
 namespace dbs3 {
 
-/// The rows a kernel stage operates on, as indices into a ColumnBatch.
-///
-/// Kernels thread one of these through the stages of a vectorized pipeline:
-/// a predicate kernel writes the surviving row ids (always ascending), the
-/// next stage reads them, and the emit loop walks the final selection. The
-/// id array lives in the batch's arena, so building one allocates nothing
-/// once the arena is warm.
-class SelectionVector {
- public:
-  /// An empty selection with room for `capacity` ids in `arena`.
-  SelectionVector(Arena* arena, size_t capacity)
-      : ids_(arena->AllocateArrayOf<uint32_t>(capacity)), size_(0) {}
+/// Spans shorter than this are evaluated row by row: gathering their
+/// column views costs more than the batch kernels save. chunk_size = 1
+/// data activations always stay below it.
+inline constexpr size_t kMinBatchRows = 4;
 
-  /// Identity selection [0, n): every row selected, in order.
-  static SelectionVector All(Arena* arena, size_t n) {
-    SelectionVector sel(arena, n);
-    for (size_t i = 0; i < n; ++i) sel.ids_[i] = static_cast<uint32_t>(i);
-    sel.size_ = n;
-    return sel;
-  }
-
-  uint32_t* data() { return ids_; }
-  const uint32_t* data() const { return ids_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  uint32_t operator[](size_t i) const { return ids_[i]; }
-
-  /// Sets the logical size after a kernel filled data() directly.
-  void set_size(size_t n) { size_ = n; }
-
- private:
-  uint32_t* ids_;
-  size_t size_;
-};
+/// Operators that work on whole fragments (triggered scans, the IdealJoin's
+/// probe) batch them in tiles of this many rows, so column views, selection
+/// vectors and hash arrays stay cache-resident whatever the fragment size.
+inline constexpr size_t kFragmentTile = 1024;
 
 /// A column-major view over one chunk of row tuples, materialized lazily:
 /// a column's array is built on first access (one pass over the chunk) and

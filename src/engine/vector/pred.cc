@@ -25,22 +25,68 @@ bool PredExpr::EvalValue(const Value& v) const {
       return v.is_int() || v.AsString() != literal;
     case Kind::kKeyFilter:
       return key_filter->MayContain(v.Hash());
+    case Kind::kRow:
     case Kind::kAnd:
-      break;  // Not a leaf; fall through to the assert-equivalent below.
+      break;  // Need the whole tuple: EvalRow.
   }
   return false;
 }
 
 bool PredExpr::EvalRow(const Tuple& t) const {
-  if (kind == Kind::kAnd) {
-    for (const PredExpr& child : children) {
-      if (!child.EvalRow(t)) return false;
-    }
-    return true;
+  switch (kind) {
+    case Kind::kAll:
+      return true;
+    case Kind::kNone:
+      return false;
+    case Kind::kRow:
+      return (*row)(t);
+    case Kind::kAnd:
+      for (const PredExpr& child : children) {
+        if (!child.EvalRow(t)) return false;
+      }
+      return true;
+    default:
+      return EvalValue(t.at(column));
   }
-  if (kind == Kind::kAll) return true;
-  if (kind == Kind::kNone) return false;
-  return EvalValue(t.at(column));
+}
+
+PredExpr PredExpr::And(std::vector<PredExpr> children) {
+  std::vector<PredExpr> flat;
+  flat.reserve(children.size());
+  for (PredExpr& child : children) {
+    if (child.kind == Kind::kAll) continue;
+    if (child.kind == Kind::kAnd) {
+      for (PredExpr& grandchild : child.children) {
+        flat.push_back(std::move(grandchild));
+      }
+    } else {
+      flat.push_back(std::move(child));
+    }
+  }
+  if (flat.empty()) return All();
+  if (flat.size() == 1) return std::move(flat.front());
+  PredExpr e;
+  e.kind = Kind::kAnd;
+  e.children = std::move(flat);
+  return e;
+}
+
+Status PredExpr::Validate() const {
+  switch (kind) {
+    case Kind::kRow:
+      if (row == nullptr || !*row) {
+        return Status::InvalidArgument(
+            "predicate has a row test with no function");
+      }
+      return Status::OK();
+    case Kind::kAnd:
+      for (const PredExpr& child : children) {
+        DBS3_RETURN_IF_ERROR(child.Validate());
+      }
+      return Status::OK();
+    default:
+      return Status::OK();
+  }
 }
 
 std::string PredExpr::ToString() const {
@@ -62,6 +108,8 @@ std::string PredExpr::ToString() const {
       return "c" + std::to_string(column) + " != '" + literal + "'";
     case Kind::kKeyFilter:
       return "c" + std::to_string(column) + " in keyfilter";
+    case Kind::kRow:
+      return "row-test";
     case Kind::kAnd: {
       std::string out = "(";
       for (size_t i = 0; i < children.size(); ++i) {
@@ -78,10 +126,18 @@ namespace {
 
 /// Leaf kernel over all rows: the int forms stream the column array with a
 /// branchless select (the key filter hashes each int with HashInt64, which
-/// is Value::Hash on ints); everything else tests per row via Values().
+/// is Value::Hash on ints); a row leaf calls its function on each row;
+/// everything else tests per row via Values().
 size_t LeafAll(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel_out) {
   const size_t n = batch.num_rows();
   size_t k = 0;
+  if (pred.kind == PredExpr::Kind::kRow) {
+    const TuplePredicate& keep = *pred.row;
+    for (size_t i = 0; i < n; ++i) {
+      if (keep(batch.row(i))) sel_out[k++] = static_cast<uint32_t>(i);
+    }
+    return k;
+  }
   if (pred.kind == PredExpr::Kind::kKeyFilter) {
     const int64_t* v = batch.Ints(pred.column);
     if (v != nullptr) {
@@ -127,6 +183,14 @@ size_t LeafAll(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel_out) {
 size_t LeafFilter(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel,
                   size_t count) {
   size_t k = 0;
+  if (pred.kind == PredExpr::Kind::kRow) {
+    const TuplePredicate& keep = *pred.row;
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t row = sel[i];
+      if (keep(batch.row(row))) sel[k++] = row;
+    }
+    return k;
+  }
   if (pred.kind == PredExpr::Kind::kKeyFilter) {
     const int64_t* v = batch.Ints(pred.column);
     if (v != nullptr) {
@@ -173,6 +237,17 @@ size_t LeafFilter(const PredExpr& pred, ColumnBatch& batch, uint32_t* sel,
 }
 
 }  // namespace
+
+size_t SelectRows(const PredExpr& pred, ColumnBatch& batch,
+                  uint32_t* sel_out) {
+  const size_t n = batch.num_rows();
+  if (n >= kMinBatchRows) return EvalPredAll(pred, batch, sel_out);
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (pred.EvalRow(batch.row(i))) sel_out[k++] = static_cast<uint32_t>(i);
+  }
+  return k;
+}
 
 size_t EvalPredAll(const PredExpr& pred, ColumnBatch& batch,
                    uint32_t* sel_out) {

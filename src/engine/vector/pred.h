@@ -3,12 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/vector/column_batch.h"
 #include "storage/tuple.h"
 #include "storage/value.h"
@@ -17,22 +20,29 @@ namespace dbs3 {
 
 class KeyFilter;
 
-/// A small predicate IR for the comparison forms the planner and the
-/// ColumnEquals/ColumnBetween helpers produce: integer range tests, string
-/// equality, and conjunctions, over typed columns — plus the key-filter
-/// leaf the planner ANDs into an AssocJoin's probe scan (key_filter.h).
+/// A predicate over tuples as an arbitrary function: the opaque row test a
+/// PredExpr row leaf holds.
+using TuplePredicate = std::function<bool(const Tuple&)>;
+
+/// The engine's one predicate type: a small tree of leaves joined by
+/// conjunction. Typed leaves cover the comparison forms the planner and the
+/// ColumnEquals/ColumnBetween helpers produce (integer ranges, string
+/// equality); the key-filter leaf is what the planner ANDs into an
+/// AssocJoin's probe scan (key_filter.h); a row leaf (kRow) holds any other
+/// test as a TuplePredicate, and any callable over a tuple converts to one
+/// implicitly.
 ///
-/// The IR exists so the batch filter kernel can evaluate a chunk with one
-/// type-specialized, branch-light loop per leaf instead of one
-/// std::function indirect call per tuple; arbitrary predicates stay on the
-/// cold TuplePredicate path.
+/// The typed leaves let the batch kernels evaluate a span with one
+/// type-specialized, branch-light loop per leaf; the kernels call a row
+/// leaf once per row. A conjunction may mix both kinds, so the planner
+/// lowers each WHERE conjunct it can and keeps the rest as row leaves.
 ///
 /// Leaf semantics are self-contained (they do not inherit the Value
 /// total-order quirks for cross-type comparisons): an integer leaf matches
 /// only integer values, kStringEquals only equal strings, and the negated
 /// forms match everything else. The planner guarantees equivalence with
-/// its row predicates by lowering a comparison only when the column's
-/// declared schema type matches the literal (see LowerComparison in
+/// its row tests by lowering a comparison only when the column's declared
+/// schema type matches the literal (see LowerComparison in
 /// esql/planner.cc). The key-filter leaf matches any value, of either type,
 /// whose `Value::Hash` the filter may hold: it never drops a value equal to
 /// an inserted key.
@@ -45,6 +55,7 @@ struct PredExpr {
     kStringEquals,     ///< Value is the string `literal`.
     kStringNotEquals,  ///< Value is not the string `literal`.
     kKeyFilter,        ///< Value's hash may be in `key_filter`.
+    kRow,              ///< `(*row)(tuple)` holds: an opaque row test.
     kAnd,              ///< Every child matches.
   };
 
@@ -55,9 +66,25 @@ struct PredExpr {
   std::string literal;
   /// Immutable and shared by every copy of the leaf (kKeyFilter only).
   std::shared_ptr<const KeyFilter> key_filter;
+  /// Immutable and shared by every copy of the leaf (kRow only).
+  std::shared_ptr<const TuplePredicate> row;
   std::vector<PredExpr> children;
 
-  static PredExpr All() { return PredExpr{}; }
+  /// Matches every tuple: the same as All().
+  PredExpr() = default;
+
+  /// A row leaf over `fn`. Implicit, so a lambda or a TuplePredicate goes
+  /// wherever a predicate does. An empty function is refused by Validate()
+  /// (the operators' Prepare), never called.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, PredExpr> &&
+                std::is_invocable_r_v<bool, F&, const Tuple&>>>
+  PredExpr(F fn)  // NOLINT(google-explicit-constructor): implicit by design.
+      : kind(Kind::kRow),
+        row(std::make_shared<const TuplePredicate>(std::move(fn))) {}
+
+  static PredExpr All() { return PredExpr(); }
   static PredExpr None() {
     PredExpr e;
     e.kind = Kind::kNone;
@@ -120,32 +147,43 @@ struct PredExpr {
     e.key_filter = std::move(filter);
     return e;
   }
-  /// Conjunction. Single-child conjunctions collapse to the child.
-  static PredExpr And(std::vector<PredExpr> children) {
-    if (children.size() == 1) return std::move(children.front());
-    PredExpr e;
-    e.kind = Kind::kAnd;
-    e.children = std::move(children);
-    return e;
-  }
+  /// Conjunction, kept flat and in order: a conjunction child contributes
+  /// its children, kAll children drop out, no children is All(), and one
+  /// is returned as it is.
+  static PredExpr And(std::vector<PredExpr> children);
 
-  /// Evaluates this node against one value (leaves only; kAll/kNone ok).
+  /// InvalidArgument when a row leaf holds no function (an empty
+  /// TuplePredicate), which nothing could call; OK otherwise. The operators
+  /// check it in Prepare, before any worker runs the predicate.
+  Status Validate() const;
+
+  /// Evaluates this node against one value (column leaves and kAll/kNone;
+  /// false for kRow and kAnd, which need the whole tuple).
   bool EvalValue(const Value& v) const;
 
-  /// Row-path evaluation: one switch-dispatched walk per tuple, no
-  /// std::function indirection. This is what the row path of the filter
-  /// operators calls when a PredExpr is available (one virtual call into
-  /// OnDataBatch per chunk, then direct calls per tuple).
+  /// Evaluates the tree against one tuple: a switch-dispatched walk, with
+  /// one std::function call per row leaf.
   bool EvalRow(const Tuple& t) const;
 
   /// Debug rendering, e.g. "(c0 in [3, 7] && c2 == 'x')".
   std::string ToString() const;
 };
 
+/// Selects the rows of `batch` that `pred` keeps: writes their row ids,
+/// ascending, into `sel_out` (capacity >= batch.num_rows()) and returns the
+/// count. Every operator that filters rows selects them here, so this is
+/// the one place the choice between the two evaluation paths is made:
+/// EvalPredAll's column kernels for batches of kMinBatchRows rows or more,
+/// an EvalRow loop below that (no column is gathered). Both select the
+/// same rows.
+size_t SelectRows(const PredExpr& pred, ColumnBatch& batch,
+                  uint32_t* sel_out);
+
 /// Evaluates `pred` over every row of `batch`, writing the matching row
 /// ids (ascending) into `sel_out` (capacity >= batch.num_rows()). Returns
 /// the match count. Integer leaves over all-int columns run branch-free;
-/// other leaves fall back to per-row Value evaluation.
+/// other leaves fall back to per-row Value evaluation, row leaves to one
+/// call per row.
 size_t EvalPredAll(const PredExpr& pred, ColumnBatch& batch,
                    uint32_t* sel_out);
 

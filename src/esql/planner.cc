@@ -66,7 +66,9 @@ std::vector<Binding> BindingsOf(const Relation& rel) {
   return out;
 }
 
-TuplePredicate PredicateFor(size_t column, Comparison::Op op, Value literal) {
+/// A row leaf evaluating one comparison under Value's total order: the
+/// conjunct form for comparisons LowerComparison cannot type.
+PredExpr PredicateFor(size_t column, Comparison::Op op, Value literal) {
   return [column, op, literal = std::move(literal)](const Tuple& t) {
     const Value& v = t.at(column);
     switch (op) {
@@ -142,51 +144,26 @@ std::optional<PredExpr> LowerComparison(size_t column, Comparison::Op op,
 }
 
 /// AND-combines comparisons resolved against `bindings` into one predicate
-/// (MatchAll when empty) and multiplies their selectivity guesses. When
-/// every conjunct lowers to the vector IR (typed against `schema`), the
-/// result is vectorizable; otherwise the whole conjunction stays on the
-/// generic row path.
+/// (MatchAll when empty) and multiplies their selectivity guesses. Each
+/// conjunct becomes one leaf: the typed leaf LowerComparison gives (typed
+/// against `schema`), or a PredicateFor row leaf when it gives none.
 Result<std::pair<Predicate, double>> CombinePredicates(
     const std::vector<Binding>& bindings, const Schema& schema,
     const std::vector<Comparison>& comparisons) {
-  if (comparisons.empty()) {
-    return std::make_pair(MatchAll(), 1.0);
-  }
   double selectivity = 1.0;
-  std::vector<size_t> cols;
-  std::vector<PredExpr> lowered;
-  bool lowerable = true;
+  std::vector<PredExpr> conjuncts;
+  conjuncts.reserve(comparisons.size());
   for (const Comparison& cmp : comparisons) {
     DBS3_ASSIGN_OR_RETURN(const size_t col,
                           ResolveBinding(bindings, cmp.column));
-    cols.push_back(col);
     selectivity *= SelectivityGuess(cmp.op);
-    if (lowerable) {
-      std::optional<PredExpr> expr = LowerComparison(
-          col, cmp.op, cmp.literal, schema.column(col).type);
-      if (expr.has_value()) {
-        lowered.push_back(std::move(*expr));
-      } else {
-        lowerable = false;
-      }
-    }
+    std::optional<PredExpr> leaf =
+        LowerComparison(col, cmp.op, cmp.literal, schema.column(col).type);
+    conjuncts.push_back(leaf.has_value()
+                            ? std::move(*leaf)
+                            : PredicateFor(col, cmp.op, cmp.literal));
   }
-  if (lowerable) {
-    return std::make_pair(Predicate(PredExpr::And(std::move(lowered))),
-                          selectivity);
-  }
-  std::vector<TuplePredicate> preds;
-  for (size_t i = 0; i < comparisons.size(); ++i) {
-    preds.push_back(
-        PredicateFor(cols[i], comparisons[i].op, comparisons[i].literal));
-  }
-  TuplePredicate combined = [preds = std::move(preds)](const Tuple& t) {
-    for (const TuplePredicate& p : preds) {
-      if (!p(t)) return false;
-    }
-    return true;
-  };
-  return std::make_pair(Predicate(std::move(combined)), selectivity);
+  return std::make_pair(PredExpr::And(std::move(conjuncts)), selectivity);
 }
 
 /// Whether the comparison's column belongs to relation `rel` (given the
@@ -212,8 +189,7 @@ Result<std::unique_ptr<Relation>> MaterializeRepartition(
   Plan plan;
   const size_t filter = plan.AddNode(
       "repartition-scan", ActivationMode::kTriggered, rel.degree(),
-      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity,
-                                    options.vectorize));
+      std::make_unique<FilterLogic>(&rel, std::move(predicate), selectivity));
   const size_t store =
       plan.AddNode("store", ActivationMode::kPipelined, rel.degree(),
                    std::make_unique<StoreLogic>(temp.get()));
@@ -239,7 +215,7 @@ std::string OriginalName(const Relation& rel) {
 
 /// Appends a pipelined filter node for `comparisons` (no-op when empty).
 Status AppendFilter(const std::vector<Comparison>& comparisons,
-                    const EsqlOptions& options, PipelineState* state) {
+                    PipelineState* state) {
   if (comparisons.empty()) return Status::OK();
   DBS3_ASSIGN_OR_RETURN(
       auto pred,
@@ -247,8 +223,7 @@ Status AppendFilter(const std::vector<Comparison>& comparisons,
   const size_t filter = state->plan.AddNode(
       "post-filter", ActivationMode::kPipelined, state->instances,
       std::make_unique<PipelinedFilterLogic>(std::move(pred.first),
-                                             pred.second,
-                                             options.vectorize));
+                                             pred.second));
   DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
       static_cast<size_t>(state->tail), filter));
   state->tail = static_cast<int>(filter);
@@ -302,12 +277,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         "scan(" + from_rel->name() + ")", ActivationMode::kTriggered,
         from_rel->degree(),
         std::make_unique<FilterLogic>(from_rel, std::move(pred.first),
-                                      pred.second, options.vectorize)));
+                                      pred.second)));
     state->instances = from_rel->degree();
     state->schema = from_rel->schema();
     state->bindings = BindingsOf(*from_rel);
     state->description = "scan(" + from_rel->name() + ")";
-    return AppendFilter(post_preds, options, state);
+    return AppendFilter(post_preds, state);
   }
 
   // Resolve the first join's sides against the two base relations.
@@ -351,8 +326,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       state->tail = static_cast<int>(state->plan.AddNode(
           "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
           std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
-                                               right_col, options.algorithm,
-                                               options.vectorize)));
+                                               right_col, options.algorithm)));
       state->instances = rels[0]->degree();
       state->schema =
           Schema::Concat(rels[0]->schema(), rels[1]->schema());
@@ -362,7 +336,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       }
       state->description = "IdealJoin(" + rels[0]->name() + ", " +
                            rels[1]->name() + ")";
-      return AppendFilter(post_preds, options, state);
+      return AppendFilter(post_preds, state);
     }
 
     // Orient the first join: prefer the side partitioned on its join
@@ -424,8 +398,8 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     std::optional<PredExpr> key_filter =
         ProbeKeyFilter(*probe, probe_col, *first_inner, inner_col);
     if (key_filter.has_value()) {
-      probe_pred.first =
-          AndExpr(std::move(probe_pred.first), std::move(*key_filter));
+      probe_pred.first = PredExpr::And(
+          {std::move(probe_pred.first), std::move(*key_filter)});
       scan_description = "scan(" + probe->name() + ", keyfilter(" +
                          first_inner->name() + "." +
                          first_inner->schema().column(inner_col).name + "))";
@@ -434,8 +408,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
         scan, ActivationMode::kTriggered,
         probe->degree(),
         std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
-                                      probe_pred.second,
-                                      options.vectorize)));
+                                      probe_pred.second)));
     state->instances = probe->degree();
     state->schema = probe->schema();
     state->bindings = BindingsOf(*probe);
@@ -504,8 +477,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
       const size_t join = state->plan.AddNode(
           "pipelined-join", ActivationMode::kPipelined, inner->degree(),
           std::make_unique<PipelinedJoinLogic>(
-              inner, this_inner_col, this_probe_col, options.algorithm,
-              options.vectorize));
+              inner, this_inner_col, this_probe_col, options.algorithm));
       DBS3_RETURN_IF_ERROR(state->plan.ConnectByColumn(
           static_cast<size_t>(state->tail), join, this_probe_col,
           inner->partitioner()));
@@ -553,7 +525,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
   for (std::vector<Comparison>& preds : rel_preds) {
     remaining.insert(remaining.end(), preds.begin(), preds.end());
   }
-  return AppendFilter(remaining, options, state);
+  return AppendFilter(remaining, state);
 }
 
 /// Appends the aggregation stage (global or grouped).
@@ -778,11 +750,9 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
   spec->predicate = std::move(pred.first);
   spec->selectivity = pred.second;
   spec->result_name = options.result_name;
-  spec->vectorize = options.vectorize;
   spec->schedule = options.schedule;
   spec->cost_model = options.cost_model;
-  spec->share_class =
-      ComputeShareClass(*rel, spec->projection, options.vectorize);
+  spec->share_class = ComputeShareClass(*rel, spec->projection);
   return std::shared_ptr<const SharedScanSpec>(std::move(spec));
 }
 

@@ -15,9 +15,11 @@
 namespace dbs3 {
 
 /// Execution knobs of the ESQL layer: the facade's QueryOptions (schedule,
-/// cost model, join algorithm, vectorize, the multi-user knobs — see
-/// dbs3/query.h) plus work sharing. The result relation defaults to
-/// "esql_result".
+/// cost model, join algorithm, the multi-user knobs — see dbs3/query.h)
+/// plus work sharing. The result relation defaults to "esql_result".
+/// There is no switch between row and batch evaluation: each WHERE
+/// conjunct becomes one predicate leaf, and the operators pick the batch
+/// kernels or the row loop from the size of the span they filter.
 struct EsqlOptions : QueryOptions {
   EsqlOptions() { result_name = "esql_result"; }
 

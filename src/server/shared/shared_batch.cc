@@ -52,8 +52,7 @@ Result<SharedBatchPlan> BuildSharedBatchPlan(
 
   out.plan.AddNode("shared-scan(" + rel->name() + ")",
                    ActivationMode::kTriggered, degree,
-                   std::make_unique<SharedScanLogic>(rel, std::move(members),
-                                                     lead->vectorize));
+                   std::make_unique<SharedScanLogic>(rel, std::move(members)));
   out.detail = "shared-scan(" + rel->name() + ")[" +
                std::to_string(specs.size()) + " queries]";
   return out;

@@ -11,15 +11,6 @@ namespace dbs3 {
 
 namespace {
 
-/// Tile size of the shared pass, matching the single-query filter kernels:
-/// one ColumnBatch is built per tile and reused for every member's
-/// predicate — the shared-work win over N independent scans.
-constexpr size_t kSharedScanTile = 1024;
-
-/// Below this, building the column views costs more than it saves (same
-/// threshold as the single-query kernels).
-constexpr size_t kSharedMinBatchRows = 4;
-
 /// Appends the `kept` rows of `tile` that `sel` selects to fragment
 /// `instance` of `member`'s sink: a copy of the row for SELECT *, the
 /// projected columns otherwise — one allocation per stored row either way.
@@ -40,9 +31,8 @@ void StoreSelected(const SharedScanMember& member, size_t instance,
 }  // namespace
 
 SharedScanLogic::SharedScanLogic(const Relation* input,
-                                 std::vector<SharedScanMember> members,
-                                 bool vectorize)
-    : input_(input), members_(std::move(members)), vectorize_(vectorize) {}
+                                 std::vector<SharedScanMember> members)
+    : input_(input), members_(std::move(members)) {}
 
 Status SharedScanLogic::Prepare(size_t num_instances) {
   if (num_instances > input_->degree()) {
@@ -61,6 +51,7 @@ Status SharedScanLogic::Prepare(size_t num_instances) {
           " instances but sink '" + member.result->name() + "' has only " +
           std::to_string(member.result->degree()) + " fragments");
     }
+    DBS3_RETURN_IF_ERROR(member.predicate.Validate());
   }
   return Status::OK();
 }
@@ -70,11 +61,12 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
   const size_t num_members = members_.size();
   Arena& arena = ThreadLocalKernelArena();
-  for (size_t tile = 0; tile < rows.size(); tile += kSharedScanTile) {
-    const size_t count = std::min(kSharedScanTile, rows.size() - tile);
+  for (size_t tile = 0; tile < rows.size(); tile += kFragmentTile) {
+    const size_t count = std::min(kFragmentTile, rows.size() - tile);
     ScopedArena scope(&arena);
     // One column view shared by every member's predicate — the pass over
-    // the fragment's memory happens once regardless of the batch size.
+    // the fragment's memory happens once regardless of the batch size: the
+    // shared-work win over N independent scans.
     ColumnBatch batch(std::span<const Tuple>(rows.data() + tile, count),
                       &arena);
     uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
@@ -85,24 +77,7 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
       // share of the pass; the other members keep scanning.
       if (member.cancel.ShouldStop()) continue;
       any_live = true;
-      size_t kept = 0;
-      if (member.predicate.expr.has_value()) {
-        const PredExpr& expr = *member.predicate.expr;
-        if (vectorize_ && count >= kSharedMinBatchRows) {
-          kept = EvalPredAll(expr, batch, sel);
-        } else {
-          for (size_t i = 0; i < count; ++i) {
-            if (expr.EvalRow(rows[tile + i])) {
-              sel[kept++] = static_cast<uint32_t>(i);
-            }
-          }
-        }
-      } else {
-        const TuplePredicate& keep = member.predicate.row;
-        for (size_t i = 0; i < count; ++i) {
-          if (keep(rows[tile + i])) sel[kept++] = static_cast<uint32_t>(i);
-        }
-      }
+      const size_t kept = SelectRows(member.predicate, batch, sel);
       StoreSelected(member, instance, rows.data() + tile, sel, kept);
     }
     if (!any_live) return;  // Every member cancelled: the pass is moot.

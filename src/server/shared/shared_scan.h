@@ -37,16 +37,16 @@ struct SharedScanMember {
 /// selected rows go straight into fragment i of its own result sink, so a
 /// shared batch is a one-node plan with no data activations. A triggered
 /// operation runs exactly one control activation per instance, so fragment
-/// i of every sink has one writer and needs no lock. Members whose
-/// predicate lowered to the vector IR run through EvalPredAll selection
-/// vectors; row-form predicates share the same tile loop on the per-row
-/// path.
+/// i of every sink has one writer and needs no lock. Each member's rows are
+/// selected from the shared tile by SelectRows, the same routine the
+/// single-query filters use.
 class SharedScanLogic : public OperatorLogic {
  public:
   /// `input` must outlive the execution.
-  SharedScanLogic(const Relation* input, std::vector<SharedScanMember> members,
-                  bool vectorize);
+  SharedScanLogic(const Relation* input,
+                  std::vector<SharedScanMember> members);
 
+  /// Also refuses a member predicate that fails PredExpr::Validate.
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
   std::string name() const override { return "shared-scan"; }
@@ -56,7 +56,6 @@ class SharedScanLogic : public OperatorLogic {
  private:
   const Relation* input_;
   std::vector<SharedScanMember> members_;
-  bool vectorize_;
 };
 
 }  // namespace dbs3

@@ -1,8 +1,9 @@
 // Tests of the probe-side key filter: the Bloom filter itself (no false
 // negatives through every evaluation path, a bounded false-positive rate),
 // and the planner rule that ANDs it into an AssocJoin's probe scan — rows
-// identical to a naive oracle across chunk sizes, vectorize modes, spilling
-// budgets and key types, with the saving visible in the scan's stats.
+// identical to a naive oracle across chunk sizes, join algorithms, row and
+// typed predicates, spilling budgets and key types, with the saving
+// visible in the scan's stats.
 
 #include "engine/vector/key_filter.h"
 
@@ -142,32 +143,38 @@ TEST(KeyFilterTest, EmptyFilterRejectsEverything) {
   }
 }
 
-TEST(KeyFilterTest, AndExprKeepsLoweredPredicatesVectorizable) {
+TEST(KeyFilterTest, AndKeepsTheKeyFilterInOneFlatConjunction) {
   const PredExpr leaf =
       PredExpr::InKeyFilter(0, FilterOver({Value(int64_t{5})}));
   // MatchAll AND leaf is the leaf alone.
-  Predicate alone = AndExpr(MatchAll(), leaf);
-  ASSERT_TRUE(alone.expr.has_value());
-  EXPECT_EQ(alone.expr->kind, PredExpr::Kind::kKeyFilter);
-  // A lowered conjunction gains one more child.
-  Predicate lowered = AndExpr(
-      PredExpr::And({PredExpr::IntLess(0, 10), PredExpr::IntGreater(0, 0)}),
-      leaf);
-  ASSERT_TRUE(lowered.expr.has_value());
-  ASSERT_EQ(lowered.expr->kind, PredExpr::Kind::kAnd);
-  EXPECT_EQ(lowered.expr->children.size(), 3u);
-  EXPECT_TRUE(lowered.row(Tuple({Value(int64_t{5})})));
-  EXPECT_FALSE(lowered.row(Tuple({Value(int64_t{50})})));
-  // A custom row predicate stays a row-form conjunction.
-  Predicate custom = AndExpr(
-      Predicate([](const Tuple& t) { return t.at(0).AsInt() != 7; }), leaf);
-  EXPECT_FALSE(custom.vectorizable());
-  EXPECT_TRUE(custom.row(Tuple({Value(int64_t{5})})));
+  const PredExpr alone = PredExpr::And({MatchAll(), leaf});
+  EXPECT_EQ(alone.kind, PredExpr::Kind::kKeyFilter);
+  // A typed conjunction gains one more child.
+  const PredExpr typed = PredExpr::And(
+      {PredExpr::And({PredExpr::IntLess(0, 10), PredExpr::IntGreater(0, 0)}),
+       leaf});
+  ASSERT_EQ(typed.kind, PredExpr::Kind::kAnd);
+  EXPECT_EQ(typed.children.size(), 3u);
+  EXPECT_TRUE(typed.EvalRow(Tuple({Value(int64_t{5})})));
+  EXPECT_FALSE(typed.EvalRow(Tuple({Value(int64_t{50})})));
+  // A row test is one more leaf of the same conjunction, tested first.
+  const PredExpr custom = PredExpr::And(
+      {Predicate([](const Tuple& t) { return t.at(0).AsInt() != 7; }), leaf});
+  ASSERT_EQ(custom.kind, PredExpr::Kind::kAnd);
+  ASSERT_EQ(custom.children.size(), 2u);
+  EXPECT_EQ(custom.children[0].kind, PredExpr::Kind::kRow);
+  EXPECT_EQ(custom.children[1].kind, PredExpr::Kind::kKeyFilter);
+  EXPECT_TRUE(custom.EvalRow(Tuple({Value(int64_t{5})})));
+  EXPECT_FALSE(custom.EvalRow(Tuple({Value(int64_t{7})})));
 }
 
 // ------------------------------------------------------------ Plan rule --
 
-/// One plan-test configuration: key type, chunk size, vectorize, budget.
+/// One plan-test configuration: key type, chunk size, path, budget. The
+/// path is `true` for the engine's default (typed predicates, hash join
+/// with its batched probe) and `false` for a reference that runs no probe
+/// kernel: the nested-loop join, with the facade's typed predicate wrapped
+/// as an opaque row leaf.
 using PlanConfig = std::tuple<bool, size_t, bool, uint64_t>;
 
 /// P (2000 rows) and Q (100 rows) probe I (200 rows, partitioned on its
@@ -222,9 +229,19 @@ class KeyFilterPlanTest : public ::testing::TestWithParam<PlanConfig> {
     options.schedule.total_threads = 3;
     options.schedule.processors = 4;
     options.schedule.chunk_size = std::get<1>(GetParam());
-    options.vectorize = std::get<2>(GetParam());
+    options.algorithm =
+        KernelPath() ? JoinAlgorithm::kHash : JoinAlgorithm::kNestedLoop;
     options.memory_units = std::get<3>(GetParam());
     return options;
+  }
+
+  static bool KernelPath() { return std::get<2>(GetParam()); }
+
+  /// `predicate` as is on the kernel path; on the reference path, the same
+  /// test wrapped as an opaque row leaf.
+  static Predicate OnPath(const Predicate& predicate) {
+    if (KernelPath()) return predicate;
+    return [predicate](const Tuple& t) { return predicate.EvalRow(t); };
   }
 
   const Relation& Rel(const std::string& name) {
@@ -289,8 +306,10 @@ class KeyFilterPlanTest : public ::testing::TestWithParam<PlanConfig> {
     }
   }
 
+  /// Budgeted hash joins spill; a nested-loop join builds nothing and
+  /// charges nothing, so only its rows are checked.
   void ExpectSpilledIfBudgeted(const ExecutionResult& execution) {
-    if (std::get<3>(GetParam()) == 0) return;
+    if (std::get<3>(GetParam()) == 0 || !KernelPath()) return;
     auto it = execution.metrics.counters.find("spill.bytes_written");
     ASSERT_NE(it, execution.metrics.counters.end());
     EXPECT_GT(it->second, 0u);
@@ -369,10 +388,11 @@ TEST_P(KeyFilterPlanTest, FacadeAssocJoinMatchesOracle) {
 
 TEST_P(KeyFilterPlanTest, FacadeFilterJoinMatchesOracle) {
   const auto keep = [](const Tuple& t) { return t.at(1).AsInt() < kVBelow; };
-  // A lowered predicate and a custom row predicate: the filter joins the
-  // first as one PredExpr conjunction, the second as a row conjunction.
+  // A typed predicate and a custom row predicate: either way the filter
+  // ANDs the key-filter leaf after it into one conjunction.
   const std::vector<Predicate> predicates = {
-      ColumnBetween(1, std::numeric_limits<int64_t>::min(), kVBelow - 1),
+      OnPath(ColumnBetween(1, std::numeric_limits<int64_t>::min(),
+                           kVBelow - 1)),
       Predicate(keep)};
   for (const Predicate& predicate : predicates) {
     for (const std::string& probe : {std::string("P"), std::string("Q")}) {
@@ -393,15 +413,16 @@ TEST_P(KeyFilterPlanTest, FacadeFilterJoinMatchesOracle) {
 }
 
 std::string ConfigName(const ::testing::TestParamInfo<PlanConfig>& info) {
-  const auto& [strings, chunk, vectorize, budget] = info.param;
+  const auto& [strings, chunk, kernels, budget] = info.param;
   return std::string(strings ? "StringKeys" : "IntKeys") + "_Chunk" +
-         std::to_string(chunk) + (vectorize ? "_Vectorized" : "_RowPath") +
+         std::to_string(chunk) + (kernels ? "_Vectorized" : "_RowPath") +
          (budget == 0 ? "_Unbudgeted" : "_Spilling");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, KeyFilterPlanTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(size_t{1}, 64),
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(size_t{1}, 4, 16, 64),
                        ::testing::Bool(), ::testing::Values(uint64_t{0}, 16)),
     ConfigName);
 

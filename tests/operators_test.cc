@@ -67,6 +67,17 @@ TEST(FilterLogicTest, RejectsMoreInstancesThanFragments) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FilterLogicTest, PrepareRefusesAnEmptyRowTest) {
+  auto r = KeyedRelation(2, {0, 1});
+  FilterLogic filter(r.get(), TuplePredicate());
+  EXPECT_EQ(filter.Prepare(2).code(), StatusCode::kInvalidArgument);
+  PipelinedFilterLogic pipelined(
+      PredExpr::And({ColumnEquals(0, Value(int64_t{1})), TuplePredicate()}));
+  EXPECT_EQ(pipelined.Prepare(2).code(), StatusCode::kInvalidArgument);
+  PipelinedFilterLogic fine([](const Tuple& t) { return t.size() == 2; });
+  EXPECT_TRUE(fine.Prepare(2).ok());
+}
+
 TEST(TransmitLogicTest, EmitsWholeFragmentTagged) {
   auto r = KeyedRelation(4, {0, 1, 2, 3, 4, 5, 6, 7});
   TransmitLogic transmit(r.get());
@@ -105,8 +116,7 @@ TEST_P(TriggeredJoinAlgoTest, JoinsCoPartitionedFragments) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, TriggeredJoinAlgoTest,
                          ::testing::Values(JoinAlgorithm::kNestedLoop,
-                                           JoinAlgorithm::kHash,
-                                           JoinAlgorithm::kTempIndex));
+                                           JoinAlgorithm::kHash));
 
 TEST(TriggeredJoinTest, RejectsMismatchedDegrees) {
   auto outer = KeyedRelation(2, {0, 1});
@@ -150,8 +160,7 @@ TEST_P(PipelinedJoinAlgoTest, ProbesAgainstInstanceFragment) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, PipelinedJoinAlgoTest,
                          ::testing::Values(JoinAlgorithm::kNestedLoop,
-                                           JoinAlgorithm::kHash,
-                                           JoinAlgorithm::kTempIndex));
+                                           JoinAlgorithm::kHash));
 
 TEST(StoreLogicTest, AppendsToInstanceFragment) {
   Relation result("Res", SkewSchema(), 0,
@@ -167,31 +176,22 @@ TEST(StoreLogicTest, AppendsToInstanceFragment) {
 }
 
 TEST(MapLogicTest, TransformsAndForwards) {
-  MapLogic map([](Tuple t) {
-    t.at(0) = Value(t.at(0).AsInt() * 10);
-    return t;
+  MapLogic map([](const Tuple& t, Tuple* out) {
+    out->AssignFrom(t);
+    out->at(0) = Value(t.at(0).AsInt() * 10);
   });
   CapturingEmitter out;
-  map.OnData(3, Tuple({Value(int64_t{4})}), &out);
+  map.OnData(3, Tuple({Value(int64_t{4}), Value(int64_t{7})}), &out);
+  std::vector<Tuple> chunk = {Tuple({Value(int64_t{1}), Value(int64_t{8})}),
+                              Tuple({Value(int64_t{2}), Value(int64_t{9})})};
+  map.OnDataBatch(1, std::span<Tuple>(chunk), &out);
   auto emitted = out.take();
-  ASSERT_EQ(emitted.size(), 1u);
+  ASSERT_EQ(emitted.size(), 3u);
   EXPECT_EQ(emitted[0].first, 3u);
-  EXPECT_EQ(emitted[0].second.at(0).AsInt(), 40);
-}
-
-TEST(AggregateLogicTest, CountsAndSums) {
-  AggregateLogic agg(/*sum_column=*/1);
-  agg.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{10})}), nullptr);
-  agg.OnData(1, Tuple({Value(int64_t{2}), Value(int64_t{-3})}), nullptr);
-  EXPECT_EQ(agg.count(), 2u);
-  EXPECT_EQ(agg.sum(), 7);
-}
-
-TEST(AggregateLogicTest, CountOnly) {
-  AggregateLogic agg;
-  agg.OnData(0, Tuple({Value(int64_t{1})}), nullptr);
-  EXPECT_EQ(agg.count(), 1u);
-  EXPECT_EQ(agg.sum(), 0);
+  EXPECT_EQ(emitted[0].second, Tuple({Value(int64_t{40}), Value(int64_t{7})}));
+  EXPECT_EQ(emitted[1].first, 1u);
+  EXPECT_EQ(emitted[1].second, Tuple({Value(int64_t{10}), Value(int64_t{8})}));
+  EXPECT_EQ(emitted[2].second, Tuple({Value(int64_t{20}), Value(int64_t{9})}));
 }
 
 TEST(EstimateTest, FilterEstimateUsesSelectivity) {
@@ -241,7 +241,6 @@ TEST(EstimateTest, StoreLinearInInput) {
 TEST(JoinAlgorithmTest, Names) {
   EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kNestedLoop), "nested-loop");
   EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kHash), "hash");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kTempIndex), "temp-index");
 }
 
 }  // namespace

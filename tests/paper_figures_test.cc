@@ -243,7 +243,7 @@ TEST(PaperFiguresTest, Fig17IndexJoinHasUsefulHighDegrees) {
     spec.b_cardinality = 20'000;
     spec.degree = degree;
     spec.threads = 20;
-    spec.algorithm = JoinAlgorithm::kTempIndex;
+    spec.algorithm = JoinAlgorithm::kHash;
     auto plan = BuildIdealJoinSim(spec, costs);
     EXPECT_TRUE(plan.ok());
     return RunPlan(plan.value(), Ksr(costs));
@@ -286,7 +286,7 @@ TEST(PaperFiguresTest, Fig19SavedTimeExceedsUnskewedTime) {
     spec.theta = theta;
     spec.threads = 20;
     spec.strategy = Strategy::kLpt;
-    spec.algorithm = JoinAlgorithm::kTempIndex;
+    spec.algorithm = JoinAlgorithm::kHash;
     auto plan = BuildIdealJoinSim(spec, costs);
     EXPECT_TRUE(plan.ok());
     return RunPlan(plan.value(), Ksr(costs));

@@ -20,6 +20,7 @@
 #include "sched/reassign.h"
 #include "server/pool_load_board.h"
 #include "server/shared/shared_query.h"
+#include "server/shared/shared_scan.h"
 #include "server/worker_pool.h"
 
 namespace dbs3 {
@@ -568,8 +569,7 @@ std::vector<Tuple> SortedRows(const Relation& rel) {
 /// still fold into one batch. Its solo body fails: an OK result proves the
 /// query rode a batch. Two workers let the fragments' passes overlap.
 QuerySpec HandBuiltSharedQuery(const Relation* rel, Predicate predicate,
-                               std::vector<size_t> projection = {},
-                               bool vectorize = false) {
+                               std::vector<size_t> projection = {}) {
   auto shared = std::make_shared<SharedScanSpec>();
   shared->relation = rel;
   shared->predicate = std::move(predicate);
@@ -581,7 +581,6 @@ QuerySpec HandBuiltSharedQuery(const Relation* rel, Predicate predicate,
     shared->result_schema = Schema(std::move(columns));
   }
   shared->projection = std::move(projection);
-  shared->vectorize = vectorize;
   shared->schedule.total_threads = 2;
   shared->schedule.processors = 2;
   shared->share_class = 42;
@@ -763,8 +762,10 @@ std::vector<Tuple> SortedFragment(const Relation& rel, size_t f) {
 }
 
 TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
-  for (const bool vectorize : {true, false}) {
-    SCOPED_TRACE(vectorize ? "vectorized" : "row path");
+  // The members' predicates as the planner types them, then each wrapped
+  // as an opaque row leaf: the reference that runs none of the kernels.
+  for (const bool opaque : {false, true}) {
+    SCOPED_TRACE(opaque ? "opaque row leaves" : "typed leaves");
     Database db(2);
     WisconsinOptions opt;
     opt.cardinality = 5'000;  // Two fragments of three 1024-row tiles.
@@ -805,11 +806,17 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
     started.Await();
     std::vector<QueryHandle> handles;
     for (const EsqlMember& m : esql) {
+      Predicate predicate = m.predicate;
+      if (opaque) {
+        predicate = [typed = m.predicate](const Tuple& t) {
+          return typed.EvalRow(t);
+        };
+      }
       handles.push_back(db.Submit(
-          HandBuiltSharedQuery(rel, m.predicate, m.projection, vectorize)));
+          HandBuiltSharedQuery(rel, std::move(predicate), m.projection)));
     }
-    handles.push_back(db.Submit(
-        HandBuiltSharedQuery(rel, Predicate(row_form), {}, vectorize)));
+    handles.push_back(
+        db.Submit(HandBuiltSharedQuery(rel, Predicate(row_form), {})));
     release.Set();
     ASSERT_TRUE(blocking.Take().ok());
 
@@ -830,7 +837,6 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
       SCOPED_TRACE(esql[i].text);
       EsqlOptions solo;
       solo.share_work = false;
-      solo.vectorize = vectorize;
       auto expected = ExecuteEsql(db, esql[i].text, solo);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       const Relation& shared = *results[i].result;
@@ -856,6 +862,72 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
       EXPECT_EQ(SortedFragment(filtered, f), expected) << "fragment " << f;
     }
   }
+}
+
+/// Fragments of 1, 2, 3 and 40 rows, schema (k, v).
+std::unique_ptr<Relation> MixedFragmentRelation() {
+  auto rel = std::make_unique<Relation>(
+      "mixed", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}),
+      0, Partitioner(PartitionKind::kModulo, 4));
+  const size_t sizes[4] = {1, 2, 3, 40};
+  for (size_t f = 0; f < 4; ++f) {
+    for (size_t i = 0; i < sizes[f]; ++i) {
+      const int64_t k = static_cast<int64_t>(f + 4 * i);
+      EXPECT_TRUE(rel->Insert(Tuple({Value(k), Value(k % 3)})).ok());
+    }
+  }
+  return rel;
+}
+
+/// A result sink shaped like `rel` (same schema and degree).
+std::unique_ptr<Relation> SinkFor(const Relation& rel) {
+  return std::make_unique<Relation>(
+      "sink", rel.schema(), 0,
+      Partitioner(PartitionKind::kModulo, rel.degree()));
+}
+
+TEST(SharedScanTest, TinyFragmentsSelectLikeOpaqueRowLeaves) {
+  // Fragments below kMinBatchRows run SelectRows' EvalRow loop, the 40-row
+  // one its kernels; a typed member and its opaque twin must store the
+  // same rows in every fragment.
+  const std::unique_ptr<Relation> rel = MixedFragmentRelation();
+  const PredExpr typed = PredExpr::And(
+      {PredExpr::IntNotEquals(1, 0), PredExpr::IntLess(0, 100)});
+  const std::unique_ptr<Relation> typed_sink = SinkFor(*rel);
+  const std::unique_ptr<Relation> opaque_sink = SinkFor(*rel);
+  std::vector<SharedScanMember> members(2);
+  members[0].predicate = typed;
+  members[0].result = typed_sink.get();
+  members[1].predicate = [typed](const Tuple& t) { return typed.EvalRow(t); };
+  members[1].result = opaque_sink.get();
+  SharedScanLogic scan(rel.get(), std::move(members));
+  ASSERT_TRUE(scan.Prepare(rel->degree()).ok());
+  for (size_t f = 0; f < rel->degree(); ++f) scan.OnTrigger(f, nullptr);
+  size_t kept = 0;
+  for (size_t f = 0; f < rel->degree(); ++f) {
+    std::vector<Tuple> expected;
+    for (const Tuple& t : rel->fragment(f).tuples) {
+      if (t.at(1).AsInt() != 0 && t.at(0).AsInt() < 100) {
+        expected.push_back(t);
+      }
+    }
+    EXPECT_EQ(typed_sink->fragment(f).tuples, expected) << "fragment " << f;
+    EXPECT_EQ(opaque_sink->fragment(f).tuples, expected) << "fragment " << f;
+    kept += expected.size();
+  }
+  EXPECT_GT(kept, 0u);
+}
+
+TEST(SharedScanTest, PrepareRefusesAMemberWithAnEmptyRowTest) {
+  const std::unique_ptr<Relation> rel = MixedFragmentRelation();
+  const std::unique_ptr<Relation> sink = SinkFor(*rel);
+  std::vector<SharedScanMember> members(2);
+  members[0].result = sink.get();  // Default predicate: keeps every row.
+  members[1].predicate = TuplePredicate();
+  members[1].result = sink.get();
+  SharedScanLogic scan(rel.get(), std::move(members));
+  EXPECT_EQ(scan.Prepare(rel->degree()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SharedScanTest, CancelledLeadHandsTheSlotReservationToALiveMember) {

@@ -121,7 +121,7 @@ TEST(WorkloadTest, ThreadSplitRespectsBudget) {
 TEST(WorkloadTest, IndexAlgorithmAddsSetupCost) {
   SimCosts costs;
   JoinWorkloadSpec spec = SmallSpec();
-  spec.algorithm = JoinAlgorithm::kTempIndex;
+  spec.algorithm = JoinAlgorithm::kHash;
   auto plan = BuildAssocJoinSim(spec, costs);
   ASSERT_TRUE(plan.ok());
   const SimOpSpec& join = plan.value().ops[1];

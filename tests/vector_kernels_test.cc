@@ -1,7 +1,8 @@
 // Tests of the vectorized batch kernels: the arena, the columnar batch
-// view, the predicate IR kernels, the batched index probe — and
-// differential checks that every vectorized operator produces exactly the
-// row path's results (tuples and stats ledgers) across chunk sizes.
+// view, the predicate kernels and SelectRows, the batched index probe —
+// and differential checks that every operator running them produces
+// exactly the results (tuples and stats ledgers) of a reference that does
+// not: the same predicate as an opaque row leaf, the nested-loop join.
 
 #include "engine/vector/column_batch.h"
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -20,8 +22,11 @@
 #include "common/rng.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
+#include "engine/executor.h"
+#include "engine/operators.h"
 #include "engine/vector/kernels.h"
 #include "engine/vector/pred.h"
+#include "esql/planner.h"
 #include "storage/temp_index.h"
 
 namespace dbs3 {
@@ -89,18 +94,6 @@ TEST(ArenaTest, OversizedRequestGetsDedicatedBlock) {
   data[0] = 'x';
   data[huge - 1] = 'y';
   EXPECT_GE(arena.reserved_bytes(), huge);
-}
-
-// ------------------------------------------------------ SelectionVector --
-
-TEST(SelectionVectorTest, AllIsIdentity) {
-  Arena arena;
-  SelectionVector sel = SelectionVector::All(&arena, 10);
-  ASSERT_EQ(sel.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(sel[i], i);
-  sel.set_size(3);
-  EXPECT_EQ(sel.size(), 3u);
-  EXPECT_FALSE(sel.empty());
 }
 
 // ---------------------------------------------------------- ColumnBatch --
@@ -176,6 +169,47 @@ TEST(PredExprTest, LeafSemanticsAreTyped) {
   EXPECT_TRUE(sne.EvalValue(Value(int64_t{0})));
 }
 
+TEST(PredExprTest, AndFlattensAndDropsMatchAll) {
+  EXPECT_EQ(PredExpr::And({}).kind, PredExpr::Kind::kAll);
+  EXPECT_EQ(PredExpr::And({PredExpr::All(), PredExpr::All()}).kind,
+            PredExpr::Kind::kAll);
+  const PredExpr nested = PredExpr::And(
+      {PredExpr::IntEquals(0, 1),
+       PredExpr::And({PredExpr::All(), PredExpr::IntEquals(1, 2),
+                      PredExpr::IntEquals(2, 3)}),
+       PredExpr::All()});
+  ASSERT_EQ(nested.kind, PredExpr::Kind::kAnd);
+  ASSERT_EQ(nested.children.size(), 3u);
+  for (uint32_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(nested.children[c].kind, PredExpr::Kind::kIntRange);
+    EXPECT_EQ(nested.children[c].column, c);  // Order kept.
+  }
+}
+
+TEST(PredExprTest, CallablesConvertToSharedRowLeaves) {
+  int calls = 0;
+  const PredExpr leaf = [&calls](const Tuple& t) {
+    ++calls;
+    return t.at(0).AsInt() > 0;
+  };
+  ASSERT_EQ(leaf.kind, PredExpr::Kind::kRow);
+  EXPECT_TRUE(leaf.Validate().ok());
+  const PredExpr copy = leaf;  // Copies share the one function.
+  EXPECT_EQ(copy.row, leaf.row);
+  EXPECT_TRUE(copy.EvalRow(Tuple({Value(int64_t{3})})));
+  EXPECT_FALSE(leaf.EvalRow(Tuple({Value(int64_t{-3})})));
+  EXPECT_EQ(calls, 2);
+  // The default predicate keeps everything; an empty function is refused.
+  EXPECT_EQ(PredExpr().kind, PredExpr::Kind::kAll);
+  EXPECT_TRUE(PredExpr().Validate().ok());
+  const PredExpr empty = TuplePredicate();
+  EXPECT_EQ(empty.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PredExpr::And({PredExpr::IntEquals(0, 1), empty})
+                .Validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 /// Reference evaluation: per-row EvalRow over the whole span.
 std::vector<uint32_t> RowPathSelection(const PredExpr& pred,
                                        const std::vector<Tuple>& rows) {
@@ -205,6 +239,11 @@ TEST(PredKernelTest, BatchSelectionMatchesRowPath) {
     conj.push_back(PredExpr::IntNotEquals(2, 100));
     preds.push_back(PredExpr::And(std::move(conj)));
   }
+  const PredExpr odd_id = [](const Tuple& t) { return t.at(2).AsInt() % 2; };
+  preds.push_back(odd_id);
+  // A row leaf between typed leaves: it filters a selection in place.
+  preds.push_back(PredExpr::And(
+      {PredExpr::IntBetween(1, 2, 8), odd_id, PredExpr::IntNotEquals(0, 0)}));
   Arena arena;
   for (const PredExpr& pred : preds) {
     ScopedArena scope(&arena);
@@ -236,6 +275,34 @@ TEST(PredKernelTest, FilterRefinesExistingSelection) {
       RowPathSelection(PredExpr::And(std::move(both)), rows);
   ASSERT_EQ(n, expect.size());
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(sel[i], expect[i]);
+}
+
+TEST(PredKernelTest, SelectRowsMatchesRowPathAtEverySpanLength) {
+  Rng rng(9);
+  std::vector<Tuple> rows = IntRows(rng, 12);
+  rows[5] = Tuple({Value(std::string("odd")), Value(int64_t{3}),
+                   Value(int64_t{5})});  // Poison column 0 -> fallback.
+  const PredExpr odd_id = [](const Tuple& t) { return t.at(2).AsInt() % 2; };
+  const std::vector<PredExpr> preds = {
+      PredExpr::All(), PredExpr::None(), PredExpr::IntBetween(0, -20, 20),
+      PredExpr::StringNotEquals(0, "odd"), odd_id,
+      PredExpr::And({PredExpr::IntBetween(1, 1, 9), odd_id})};
+  Arena arena;
+  // Spans of 0-3 rows take the EvalRow loop, 4 and more the kernels.
+  for (size_t n = 0; n <= rows.size(); ++n) {
+    const std::vector<Tuple> span(rows.begin(), rows.begin() + n);
+    for (const PredExpr& pred : preds) {
+      ScopedArena scope(&arena);
+      ColumnBatch batch(span, scope.get());
+      uint32_t* sel = scope.get()->AllocateArrayOf<uint32_t>(n);
+      const size_t kept = SelectRows(pred, batch, sel);
+      const std::vector<uint32_t> expect = RowPathSelection(pred, span);
+      ASSERT_EQ(kept, expect.size()) << pred.ToString() << " n=" << n;
+      for (size_t i = 0; i < kept; ++i) {
+        EXPECT_EQ(sel[i], expect[i]) << pred.ToString() << " n=" << n;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- Hashing --
@@ -448,8 +515,8 @@ std::vector<Tuple> SortedScan(const Relation& rel) {
   return rows;
 }
 
-/// The portion of an execution's ledger that must be identical between the
-/// vectorized and row paths: per-operation tuple units in and out.
+/// The portion of an execution's ledger that must be identical between a
+/// kernel run and its reference: per-operation tuple units in and out.
 std::vector<std::tuple<std::string, uint64_t, uint64_t>> Ledger(
     const ExecutionResult& execution) {
   std::vector<std::tuple<std::string, uint64_t, uint64_t>> out;
@@ -461,8 +528,28 @@ std::vector<std::tuple<std::string, uint64_t, uint64_t>> Ledger(
   return out;
 }
 
+/// `pred` as an opaque row leaf: the same test, evaluated row by row with
+/// none of the typed kernels.
+Predicate Opaque(const Predicate& pred) {
+  return [pred](const Tuple& t) { return pred.EvalRow(t); };
+}
+
+/// The rows of `rel` that `keep` accepts, sorted: the naive oracle.
+template <typename Keep>
+std::vector<Tuple> NaiveSelect(const Relation& rel, Keep keep) {
+  std::vector<Tuple> rows;
+  for (const Tuple& t : rel.Scan()) {
+    if (keep(t)) rows.push_back(t);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 class VectorDifferentialTest : public ::testing::Test {
  protected:
+  /// Whether a run uses the engine's default path or the reference.
+  enum class Path { kKernels, kReference };
+
   void SetUp() override {
     WisconsinOptions wopt;
     wopt.cardinality = 2'000;
@@ -478,14 +565,28 @@ class VectorDifferentialTest : public ::testing::Test {
     spec.degree = 8;
     spec.theta = 0.8;
     ASSERT_TRUE(db_.CreateSkewedPair(spec, "Z", "W").ok());
+    // Fragments of 1, 2 and 3 rows beside larger ones: one scan runs
+    // SelectRows' EvalRow loop and its kernels side by side.
+    auto small = std::make_unique<Relation>(
+        "small", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}),
+        0, Partitioner(PartitionKind::kModulo, 8));
+    const size_t sizes[8] = {1, 2, 3, 1, 2, 3, 9, 40};
+    for (size_t f = 0; f < 8; ++f) {
+      for (size_t i = 0; i < sizes[f]; ++i) {
+        const int64_t k = static_cast<int64_t>(f + 8 * i);
+        ASSERT_TRUE(small->Insert(Tuple({Value(k), Value(k % 5)})).ok());
+      }
+    }
+    ASSERT_TRUE(db_.AddRelation(std::move(small)).ok());
   }
 
-  QueryOptions Options(size_t chunk_size, bool vectorize) {
+  QueryOptions Options(size_t chunk_size, Path path) {
     QueryOptions options;
     options.schedule.total_threads = 4;
     options.schedule.processors = 4;
     options.schedule.chunk_size = chunk_size;
-    options.vectorize = vectorize;
+    options.algorithm = path == Path::kKernels ? JoinAlgorithm::kHash
+                                               : JoinAlgorithm::kNestedLoop;
     return options;
   }
 
@@ -493,21 +594,33 @@ class VectorDifferentialTest : public ::testing::Test {
     return db_.relation(rel).value()->schema().IndexOf(column).value();
   }
 
-  /// Runs `run` with the vectorized and row paths at every chunk size and
-  /// requires identical sorted results and identical tuple ledgers.
+  /// Runs `run` on the kernel path and on the reference path (hash join vs
+  /// nested loop; `run` wraps its predicate with Opaque on the reference)
+  /// at every chunk size, and requires identical sorted results and
+  /// identical tuple ledgers.
   void ExpectPathsAgree(
-      const std::function<Result<QueryResult>(const QueryOptions&)>& run) {
-    for (size_t chunk_size : {1, 4, 16, 64}) {
-      auto vec = run(Options(chunk_size, /*vectorize=*/true));
-      auto row = run(Options(chunk_size, /*vectorize=*/false));
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ASSERT_TRUE(row.ok()) << row.status().ToString();
-      EXPECT_EQ(SortedScan(*vec.value().result),
-                SortedScan(*row.value().result))
+      const std::function<Result<QueryResult>(const QueryOptions&, Path)>&
+          run,
+      std::initializer_list<size_t> chunk_sizes = {1, 4, 16, 64}) {
+    for (size_t chunk_size : chunk_sizes) {
+      auto kernels =
+          run(Options(chunk_size, Path::kKernels), Path::kKernels);
+      auto reference =
+          run(Options(chunk_size, Path::kReference), Path::kReference);
+      ASSERT_TRUE(kernels.ok()) << kernels.status().ToString();
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_EQ(SortedScan(*kernels.value().result),
+                SortedScan(*reference.value().result))
           << "chunk_size=" << chunk_size;
-      EXPECT_EQ(Ledger(vec.value().execution), Ledger(row.value().execution))
+      EXPECT_EQ(Ledger(kernels.value().execution),
+                Ledger(reference.value().execution))
           << "chunk_size=" << chunk_size;
     }
+  }
+
+  /// `pred` on the kernel path, Opaque(pred) on the reference.
+  static Predicate On(Path path, const Predicate& pred) {
+    return path == Path::kKernels ? pred : Opaque(pred);
   }
 
   Database db_{4};
@@ -515,40 +628,122 @@ class VectorDifferentialTest : public ::testing::Test {
 
 TEST_F(VectorDifferentialTest, IntFilterOnWisconsin) {
   const size_t col = Column("tenk1", "unique1");
-  ExpectPathsAgree([&](const QueryOptions& options) {
-    return RunSelect(db_, "tenk1", ColumnBetween(col, 100, 700), 0.3,
-                     options);
+  ExpectPathsAgree([&](const QueryOptions& options, Path path) {
+    return RunSelect(db_, "tenk1", On(path, ColumnBetween(col, 100, 700)),
+                     0.3, options);
   });
 }
 
 TEST_F(VectorDifferentialTest, StringFilterOnWisconsin) {
   const size_t col = Column("tenk1", "string4");
-  ExpectPathsAgree([&](const QueryOptions& options) {
-    return RunSelect(db_, "tenk1", ColumnEquals(col, Value("HHHH")), 0.25,
-                     options);
+  std::string hhhh = "HHHH";
+  hhhh.resize(52, 'x');  // string4 values are padded to 52 characters.
+  ExpectPathsAgree([&](const QueryOptions& options, Path path) {
+    return RunSelect(db_, "tenk1", On(path, ColumnEquals(col, Value(hhhh))),
+                     0.25, options);
   });
 }
 
 TEST_F(VectorDifferentialTest, HashJoinOnWisconsin) {
-  ExpectPathsAgree([&](const QueryOptions& options) {
+  ExpectPathsAgree([&](const QueryOptions& options, Path) {
     return RunIdealJoin(db_, "tenk1", "unique1", "tenk2", "unique1", options);
   });
 }
 
 TEST_F(VectorDifferentialTest, FilterJoinOnZipfPair) {
   const size_t payload = Column("Z", "payload");
-  ExpectPathsAgree([&](const QueryOptions& options) {
-    return RunFilterJoin(db_, "Z", ColumnBetween(payload, 0, 1'000'000'000),
+  ExpectPathsAgree([&](const QueryOptions& options, Path path) {
+    return RunFilterJoin(db_, "Z",
+                         On(path, ColumnBetween(payload, 0, 1'000'000'000)),
                          0.5, "key", "W", "key", options);
   });
 }
 
+// The IdealJoin builds a TempIndex per inner fragment (JoinAlgorithm::kHash)
+// on the kernel path, and joins by nested loop on the reference.
 TEST_F(VectorDifferentialTest, TempIndexJoinOnZipfPair) {
-  ExpectPathsAgree([&](const QueryOptions& options) {
-    QueryOptions opt = options;
-    opt.algorithm = JoinAlgorithm::kTempIndex;
-    return RunIdealJoin(db_, "Z", "key", "W", "key", opt);
+  ExpectPathsAgree([&](const QueryOptions& options, Path) {
+    return RunIdealJoin(db_, "Z", "key", "W", "key", options);
   });
+}
+
+TEST_F(VectorDifferentialTest, FragmentsAndChunksOfOneToThreeRows) {
+  const PredExpr typed = PredExpr::And(
+      {PredExpr::IntNotEquals(1, 2), PredExpr::IntLess(0, 50)});
+  const auto keep = [&typed](const Tuple& t) { return typed.EvalRow(t); };
+  const Relation& small = *db_.relation("small").value();
+  // The triggered scan: fragments of 1-3 rows take the EvalRow branch, the
+  // 9- and 40-row ones the kernels.
+  ExpectPathsAgree(
+      [&](const QueryOptions& options, Path path) {
+        return RunSelect(db_, "small", On(path, typed), 0.5, options);
+      },
+      {1, 2, 3, 4, 16});
+  auto scanned =
+      RunSelect(db_, "small", typed, 0.5, Options(1, Path::kKernels));
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_EQ(SortedScan(*scanned.value().result), NaiveSelect(small, keep));
+
+  // The pipelined filter: chunk sizes 1-3 hand it data activations of 1-3
+  // tuples, 4 and 16 larger ones plus the partial chunks each fragment's
+  // tail leaves.
+  for (size_t chunk_size : {1, 2, 3, 4, 16}) {
+    for (const Path path : {Path::kKernels, Path::kReference}) {
+      Relation result("res", small.schema(), 0,
+                      Partitioner(PartitionKind::kModulo, small.degree()));
+      Plan plan;
+      const size_t scan =
+          plan.AddNode("scan", ActivationMode::kTriggered, small.degree(),
+                       std::make_unique<TransmitLogic>(&small));
+      const size_t filter = plan.AddNode(
+          "filter", ActivationMode::kPipelined, small.degree(),
+          std::make_unique<PipelinedFilterLogic>(On(path, typed), 0.5));
+      const size_t store =
+          plan.AddNode("store", ActivationMode::kPipelined, small.degree(),
+                       std::make_unique<StoreLogic>(&result));
+      ASSERT_TRUE(plan.ConnectSameInstance(scan, filter).ok());
+      ASSERT_TRUE(plan.ConnectSameInstance(filter, store).ok());
+      for (size_t i = 0; i < plan.num_nodes(); ++i) {
+        plan.params(i).threads = 2;
+        plan.params(i).chunk_size = chunk_size;
+      }
+      Executor executor;
+      auto run = executor.Run(plan);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(SortedScan(result), NaiveSelect(small, keep))
+          << "chunk_size=" << chunk_size;
+    }
+  }
+}
+
+TEST_F(VectorDifferentialTest, EsqlWhereWithAnUntypedConjunct) {
+  // `string4 < 'OOOO'` has no typed leaf (no string ranges), so it runs as
+  // a row leaf between the two conjuncts that lower.
+  const Relation& tenk1 = *db_.relation("tenk1").value();
+  const size_t unique1 = Column("tenk1", "unique1");
+  const size_t string4 = Column("tenk1", "string4");
+  const size_t ten = Column("tenk1", "ten");
+  const std::vector<Tuple> expected = NaiveSelect(tenk1, [&](const Tuple& t) {
+    return t.at(unique1) < Value(int64_t{1'500}) &&
+           t.at(string4) < Value("OOOO") && !(t.at(ten) == Value(int64_t{3}));
+  });
+  ASSERT_FALSE(expected.empty());
+  const std::string query =
+      "SELECT * FROM tenk1 WHERE unique1 < 1500 AND string4 < 'OOOO' AND "
+      "ten != 3";
+  for (size_t chunk_size : {1, 4, 16, 64}) {
+    for (const bool share_work : {false, true}) {
+      EsqlOptions options;
+      options.schedule.total_threads = 4;
+      options.schedule.processors = 4;
+      options.schedule.chunk_size = chunk_size;
+      options.share_work = share_work;
+      auto r = ExecuteEsql(db_, query, options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(SortedScan(*r.value().result), expected)
+          << "chunk_size=" << chunk_size << " share_work=" << share_work;
+    }
+  }
 }
 
 }  // namespace

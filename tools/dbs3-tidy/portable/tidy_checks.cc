@@ -383,10 +383,10 @@ void CheckNoLockAcrossEmit(const ScopedSource& ss, std::vector<Diag>* out) {
 
 const std::set<std::string>& HotPathNames() {
   static const std::set<std::string> names = {
-      "OnData",      "OnDataBatch",    "OnTrigger", "Probe",
-      "ProbeKeys",   "ProbeHashed",    "EvalPredAll", "EvalPredFilter",
-      "LeafAll",     "LeafFilter",     "EvalRow",   "MayContain",
-      "HashColumn",  "EmitTagged"};
+      "OnData",      "OnDataBatch",    "OnTrigger",   "Probe",
+      "ProbeKeys",   "ProbeHashed",    "SelectRows",  "EvalPredAll",
+      "EvalPredFilter", "LeafAll",     "LeafFilter",  "EvalRow",
+      "MayContain",  "HashColumn",     "EmitTagged"};
   return names;
 }
 

@@ -19,8 +19,8 @@
 //                               under back-pressure; holding a lock there
 //                               is the engine's canonical deadlock shape.
 //  dbs3-no-alloc-in-hot-path    Kernel-surface functions (OnData,
-//                               OnDataBatch, Probe*, EvalPredAll,
-//                               EmitTagged, ...)
+//                               OnDataBatch, Probe*, SelectRows,
+//                               EvalPredAll, EmitTagged, ...)
 //                               must not reach operator new / malloc or
 //                               growing container calls except through
 //                               ChunkPool / Arena receivers.
