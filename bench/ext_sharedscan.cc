@@ -119,7 +119,7 @@ ModeResult RunMode(size_t n, bool shared) {
     const size_t unique1 =
         UnwrapOrDie(rel->schema().IndexOf("unique1"), "unique1 column");
 
-    EsqlOptions options;  // share_work on; the runtime knobs decide.
+    EsqlOptions options;  // Shareable; the runtime knobs decide.
     std::vector<QueryHandle> handles;
     handles.reserve(n);
     const auto start = std::chrono::steady_clock::now();

@@ -171,8 +171,8 @@ std::function<bool(const Tuple&)> PlannerPredicate() {
 }
 
 /// The row path as the engine ran it before the vector layer: every tuple
-/// enters the operator through a virtual per-tuple hook (the default
-/// OnDataBatch loops over OnData) which invokes the type-erased
+/// enters the operator through a virtual per-tuple hook (the per-tuple
+/// OnData the operators then had) which invokes the type-erased
 /// TuplePredicate — one virtual and one std::function indirection per
 /// tuple. The real path pays emitter dispatch and queue accounting on top,
 /// so this baseline flatters the row path if anything.
@@ -258,7 +258,7 @@ std::vector<Tuple> ProbeWorkload() {
 /// inline key cache, each chain step comparing the cached hash and then
 /// confirming by Value equality through the fragment tuple's heap-held
 /// value vector — probed one tuple at a time through a virtual per-tuple
-/// hook (the default OnDataBatch loops over OnData), hashing the key
+/// hook (the per-tuple OnData the operators then had), hashing the key
 /// through the Value variant. First-match resolution is the probe kernel's
 /// whole contract — the chain start for the join, whose subsequent match
 /// walk is identical iterator code on either

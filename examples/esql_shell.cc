@@ -2,13 +2,14 @@
 // parallel execution with the planner's physical strategy printed.
 //
 //   $ ./build/examples/esql_shell
-//   dbs3> SELECT city, COUNT(*) AS n FROM residents GROUP BY city ORDER BY n DESC
+//   dbs3> SELECT city_id, COUNT(*) AS n FROM residents GROUP BY city_id ORDER BY n DESC
 //
 // The demo database models the paper's own skew example: a residents
 // relation where 'Paris' dominates the city column (attribute value skew),
 // plus a cities relation keyed by city id.
 //
-// Pass queries as arguments to run non-interactively:
+// Pass queries as arguments to run non-interactively; the shell exits 1
+// when any of them fails:
 //   $ ./build/examples/esql_shell "SELECT COUNT(*) FROM residents"
 
 #include <cstdio>
@@ -66,13 +67,14 @@ dbs3::Status BuildDemoDatabase(dbs3::Database* db) {
   return db->AddRelation(std::move(residents));
 }
 
-void RunQuery(dbs3::Database& db, const std::string& query) {
+/// Runs one query and prints its plan and rows; false when it failed.
+bool RunQuery(dbs3::Database& db, const std::string& query) {
   dbs3::EsqlOptions options;
   options.schedule.processors = 8;
   auto result = dbs3::ExecuteEsql(db, query, options);
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
-    return;
+    return false;
   }
   const dbs3::Relation& rel = *result.value().result;
   // Header.
@@ -102,6 +104,7 @@ void RunQuery(dbs3::Database& db, const std::string& query) {
   } else {
     std::printf("(%llu rows)\n", static_cast<unsigned long long>(total));
   }
+  return true;
 }
 
 }  // namespace
@@ -115,11 +118,12 @@ int main(int argc, char** argv) {
   }
 
   if (argc > 1) {
+    int exit_code = 0;
     for (int i = 1; i < argc; ++i) {
       std::printf("dbs3> %s\n", argv[i]);
-      RunQuery(db, argv[i]);
+      if (!RunQuery(db, argv[i])) exit_code = 1;
     }
-    return 0;
+    return exit_code;
   }
 
   std::printf("DBS3 ESQL shell — demo relations: residents(id, city_id, "

@@ -130,16 +130,11 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
   // The paper's transmit ships every probe row. When the probe has at least
   // as many rows as the inner, it scans through a filter over the inner's
   // join keys instead, so rows without a partner never reach the join.
-  std::unique_ptr<OperatorLogic> scan;
-  if (std::optional<PredExpr> key_filter =
-          ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)) {
-    scan = std::make_unique<FilterLogic>(probe, std::move(*key_filter), 1.0);
-  } else {
-    scan = std::make_unique<TransmitLogic>(probe);
-  }
-  const size_t transmit =
-      planned.plan.AddNode("transmit", ActivationMode::kTriggered,
-                           probe->degree(), std::move(scan));
+  const size_t transmit = planned.plan.AddNode(
+      "transmit", ActivationMode::kTriggered, probe->degree(),
+      std::make_unique<FilterLogic>(
+          probe, ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)
+                     .value_or(MatchAll())));
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,

@@ -83,13 +83,6 @@ size_t GroupByLogic::PartitionOf(const Value& key, size_t level) const {
                              kSpillFanout);
 }
 
-void GroupByLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)out;
-  InstanceState& state = *instances_[instance];
-  MutexLock lock(&state.mu);
-  AccumulateLocked(state, tuple);
-}
-
 void GroupByLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                                Emitter* out) {
   (void)out;
@@ -448,23 +441,26 @@ Status SortLogic::error() const {
   return Status::OK();
 }
 
-void SortLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
+void SortLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                            Emitter* out) {
   (void)out;
   InstanceState& state = *instances_[instance];
   MutexLock lock(&state.mu);
-  if (!state.error.ok()) return;  // Already over budget: drop quietly.
-  if (resources_.quota != nullptr && !resources_.quota->TryCharge(1)) {
-    state.error = Status::ResourceExhausted(
-        "sort buffer exceeded the query's declared memory budget "
-        "(sort has no spill path; raise memory_units)");
-    resources_.quota->Release(state.charged);
-    state.charged = 0;
-    std::vector<Tuple>().swap(state.rows);
-    return;
+  for (Tuple& tuple : tuples) {
+    if (!state.error.ok()) return;  // Already over budget: drop quietly.
+    if (resources_.quota != nullptr && !resources_.quota->TryCharge(1)) {
+      state.error = Status::ResourceExhausted(
+          "sort buffer exceeded the query's declared memory budget "
+          "(sort has no spill path; raise memory_units)");
+      resources_.quota->Release(state.charged);
+      state.charged = 0;
+      std::vector<Tuple>().swap(state.rows);
+      return;
+    }
+    ++state.charged;
+    // NOLINTNEXTLINE(dbs3-no-alloc-in-hot-path) // sort is a blocking operator: it materializes its input by design, and the unit charged above is the budget gate for this growth
+    state.rows.push_back(std::move(tuple));
   }
-  ++state.charged;
-  // NOLINTNEXTLINE(dbs3-no-alloc-in-hot-path) // sort is a blocking operator: it materializes its input by design, and the unit charged above is the budget gate for this growth
-  state.rows.push_back(std::move(tuple));
 }
 
 void SortLogic::OnFinish(size_t instance, Emitter* out) {

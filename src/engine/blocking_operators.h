@@ -56,7 +56,6 @@ class GroupByLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   /// Chunked accumulate: takes the instance lock once per activation.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
@@ -153,7 +152,9 @@ class SortLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
+  /// Chunked buffer: takes the instance lock once per activation.
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                   Emitter* out) override;
   void OnFinish(size_t instance, Emitter* out) override;
   Status error() const override;
   std::string name() const override { return "sort"; }

@@ -13,8 +13,6 @@ namespace dbs3 {
 struct CostModel {
   /// Scanning / filtering one tuple.
   double scan_tuple = 1.0;
-  /// Transferring one tuple through an activation queue (send + receive).
-  double transfer_tuple = 2.0;
   /// Comparing one nested-loop pair.
   double nl_pair = 1.0;
   /// Inserting one tuple into an on-the-fly index / hash table.

@@ -13,6 +13,12 @@
 namespace dbs3 {
 namespace {
 
+/// Queued tuple units one worker is considered enough for when the
+/// rebalancer sizes parks (its min grant quantum): an operation's "needed"
+/// worker count is ceil(pending / kGrantQuantum), and only workers beyond
+/// that are parkable.
+constexpr size_t kGrantQuantum = 256;
+
 /// The executor's view of its own plan as a malleable job: load snapshots
 /// per operation, park requests routed to the operation with the largest
 /// worker surplus, grants dispatched into the hottest (most queued work)
@@ -20,9 +26,8 @@ namespace {
 /// rebalance tick; every Operation method used here is thread-safe.
 class PlanMalleable final : public MalleableExecution {
  public:
-  PlanMalleable(std::vector<std::unique_ptr<Operation>>* ops,
-                size_t grant_quantum)
-      : ops_(ops), quantum_(std::max<size_t>(1, grant_quantum)) {}
+  explicit PlanMalleable(std::vector<std::unique_ptr<Operation>>* ops)
+      : ops_(ops) {}
 
   std::vector<OpLoad> SampleLoad() override {
     std::vector<OpLoad> loads;
@@ -74,7 +79,7 @@ class PlanMalleable final : public MalleableExecution {
 
  private:
   /// Workers the operation could give up right now: everything beyond one
-  /// worker per `quantum_` queued units (always keeping one). A drained
+  /// worker per kGrantQuantum queued units (always keeping one). A drained
   /// operation has no surplus — its workers are exiting on their own and
   /// their slots come back through the exit path anyway.
   size_t SurplusOf(const Operation& op) const {
@@ -84,13 +89,12 @@ class PlanMalleable final : public MalleableExecution {
     const uint64_t pending =
         static_cast<uint64_t>(std::max<int64_t>(0, op.pending()));
     size_t needed =
-        static_cast<size_t>((pending + quantum_ - 1) / quantum_);
+        static_cast<size_t>((pending + kGrantQuantum - 1) / kGrantQuantum);
     needed = std::clamp<size_t>(needed, 1, active);
     return active - needed;
   }
 
   std::vector<std::unique_ptr<Operation>>* ops_;
-  size_t quantum_;
 };
 
 }  // namespace
@@ -205,7 +209,7 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
   // and exit during the start loop).
   const bool adaptive =
       options.board != nullptr && options.workers != nullptr;
-  PlanMalleable malleable(&ops, options.grant_quantum);
+  PlanMalleable malleable(&ops);
   uint64_t board_id = 0;
   if (adaptive) {
     size_t reserved = 0;

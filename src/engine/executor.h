@@ -53,10 +53,6 @@ struct ExecOptions {
   /// clamp (the grant headroom the rebalancer may restore). 0 or less than
   /// the reserved count = no headroom beyond the reservation.
   size_t desired_threads = 0;
-  /// Queued tuple units one worker is considered enough for when deciding
-  /// how many workers an operation can give up (the rebalancer's min grant
-  /// quantum).
-  size_t grant_quantum = 256;
   /// When set, receives what the rebalancer did to this execution — written
   /// even when Run returns an error after the workers joined, so the caller
   /// can settle pool-slot accounting on every path.

@@ -79,7 +79,7 @@ class Emitter {
 /// The database function of an operation (the `DBFunc` field of Figure 4):
 /// filter, join, transmit, store...
 ///
-/// Thread-safety contract: after Prepare(), OnTrigger/OnData are called
+/// Thread-safety contract: after Prepare(), OnTrigger/OnDataBatch are called
 /// concurrently by the operation's thread pool, possibly concurrently for
 /// the *same* instance (several threads may drain one queue). Implementations
 /// must synchronize any per-instance mutable state.
@@ -115,21 +115,16 @@ class OperatorLogic {
     (void)out;
   }
 
-  /// Processes one tuple of a data activation (pipelined operations).
-  virtual void OnData(size_t instance, Tuple tuple, Emitter* out) {
-    (void)instance;
-    (void)tuple;
-    (void)out;
-  }
-
-  /// Processes one *chunked* data activation: a span of tuples delivered
-  /// under a single queue acquisition. The default loops over OnData; an
-  /// operator overrides it to hoist per-activation setup (index lookup,
-  /// fragment lock, predicate bind) out of the per-tuple loop. Tuples in the
+  /// Processes one data activation (pipelined operations): the span of
+  /// tuples delivered under a single queue acquisition — one tuple at
+  /// chunk_size 1. Per-activation setup (index lookup, fragment lock,
+  /// predicate bind) is hoisted out of the per-tuple loop. Tuples in the
   /// span are owned by the caller and may be moved from.
   virtual void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                            Emitter* out) {
-    for (Tuple& t : tuples) OnData(instance, std::move(t), out);
+    (void)instance;
+    (void)tuples;
+    (void)out;
   }
 
   /// Called exactly once per instance after every activation of the

@@ -158,42 +158,6 @@ void FilterLogic::OnTrigger(size_t instance, Emitter* out) {
   }
 }
 
-// -------------------------------------------------------------- Transmit
-
-TransmitLogic::TransmitLogic(const Relation* input) : input_(input) {}
-
-NodeEstimate TransmitLogic::Estimate(const CostModel& cost_model,
-                                     double input_tuples) const {
-  (void)input_tuples;  // Triggered: no data activations.
-  NodeEstimate e;
-  const std::vector<uint64_t> cards = input_->FragmentCardinalities();
-  const double per_tuple = cost_model.scan_tuple + cost_model.transfer_tuple;
-  e.per_instance_work.reserve(cards.size());
-  for (uint64_t c : cards) {
-    const double w = static_cast<double>(c) * per_tuple;
-    e.per_instance_work.push_back(w);
-    e.total_work += w;
-  }
-  e.activations = static_cast<double>(cards.size());
-  e.output_tuples = static_cast<double>(input_->cardinality());
-  return e;
-}
-
-Status TransmitLogic::Prepare(size_t num_instances) {
-  if (num_instances > input_->degree()) {
-    return Status::InvalidArgument(
-        "transmit has " + std::to_string(num_instances) +
-        " instances but input relation '" + input_->name() + "' has only " +
-        std::to_string(input_->degree()) + " fragments");
-  }
-  return Status::OK();
-}
-
-void TransmitLogic::OnTrigger(size_t instance, Emitter* out) {
-  const Fragment& frag = input_->fragment(instance);
-  for (const Tuple& t : frag.tuples) out->EmitCopy(instance, t);
-}
-
 // -------------------------------------------------------- TriggeredJoin
 
 TriggeredJoinLogic::TriggeredJoinLogic(const Relation* outer,
@@ -342,10 +306,6 @@ Status PipelinedJoinLogic::Prepare(size_t num_instances) {
   return Status::OK();
 }
 
-void PipelinedJoinLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
-}
-
 void PipelinedJoinLogic::OnDataBatch(size_t instance,
                                      std::span<Tuple> tuples, Emitter* out) {
   // Per-activation setup hoisted out of the probe loop: the fragment
@@ -412,12 +372,6 @@ Status StoreLogic::Prepare(size_t num_instances) {
   return Status::OK();
 }
 
-void StoreLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  (void)out;
-  MutexLock lock(fragment_mu_[instance].get());
-  result_->AppendToFragment(instance, std::move(tuple));
-}
-
 void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                              Emitter* out) {
   (void)out;
@@ -427,58 +381,15 @@ void StoreLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
   }
 }
 
-// -------------------------------------------------------- PipelinedFilter
-
-PipelinedFilterLogic::PipelinedFilterLogic(Predicate predicate,
-                                           double selectivity)
-    : predicate_(std::move(predicate)), selectivity_(selectivity) {}
-
-Status PipelinedFilterLogic::Prepare(size_t num_instances) {
-  (void)num_instances;
-  return predicate_.Validate();
-}
-
-void PipelinedFilterLogic::OnData(size_t instance, Tuple tuple,
-                                  Emitter* out) {
-  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
-}
-
-void PipelinedFilterLogic::OnDataBatch(size_t instance,
-                                       std::span<Tuple> tuples,
-                                       Emitter* out) {
-  Arena& arena = ThreadLocalKernelArena();
-  ScopedArena scope(&arena);
-  ColumnBatch batch(std::span<const Tuple>(tuples.data(), tuples.size()),
-                    &arena);
-  uint32_t* sel = arena.AllocateArrayOf<uint32_t>(tuples.size());
-  const size_t kept = SelectRows(predicate_, batch, sel);
-  for (size_t i = 0; i < kept; ++i) {
-    out->Emit(instance, std::move(tuples[sel[i]]));
-  }
-}
-
-NodeEstimate PipelinedFilterLogic::Estimate(const CostModel& cost_model,
-                                            double input_tuples) const {
-  NodeEstimate e;
-  e.total_work = input_tuples * cost_model.scan_tuple;
-  e.activations = input_tuples;
-  e.output_tuples = input_tuples * selectivity_;
-  return e;
-}
-
 // ---------------------------------------------------------------- Project
 
 ProjectLogic::ProjectLogic(std::vector<size_t> columns)
     : columns_(std::move(columns)) {}
 
-void ProjectLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  // EmitSelect writes the selected columns straight into a recycled output
-  // slot; no output tuple is materialized here.
-  out->EmitSelect(instance, tuple, columns_);
-}
-
 void ProjectLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                                Emitter* out) {
+  // EmitSelect writes the selected columns straight into a recycled output
+  // slot; no output tuple is materialized here.
   const std::span<const size_t> columns(columns_);
   for (const Tuple& t : tuples) out->EmitSelect(instance, t, columns);
 }
@@ -496,10 +407,6 @@ NodeEstimate ProjectLogic::Estimate(const CostModel& cost_model,
 
 MapLogic::MapLogic(std::function<void(const Tuple&, Tuple*)> fn)
     : fn_(std::move(fn)) {}
-
-void MapLogic::OnData(size_t instance, Tuple tuple, Emitter* out) {
-  OnDataBatch(instance, std::span<Tuple>(&tuple, 1), out);
-}
 
 void MapLogic::OnDataBatch(size_t instance, std::span<Tuple> tuples,
                            Emitter* out) {

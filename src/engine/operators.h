@@ -34,7 +34,8 @@ Predicate MatchAll();
 
 /// Triggered selection: the control activation for instance i scans fragment
 /// i of the input relation and emits every tuple matching the predicate
-/// (the `filter` of Figure 1/2).
+/// (the `filter` of Figure 1/2). With MatchAll() it is the `transmit` of
+/// Figure 11: every tuple leaves, and the plan edge repartitions them.
 class FilterLogic : public OperatorLogic {
  public:
   /// `input` must outlive the execution. `selectivity` is the estimated
@@ -54,23 +55,6 @@ class FilterLogic : public OperatorLogic {
   const Relation* input_;
   Predicate predicate_;
   double selectivity_;
-};
-
-/// Triggered redistribution: the control activation for instance i scans
-/// fragment i of the input relation and emits every tuple; the plan edge
-/// repartitions them to the consumer (the `transmit` of Figure 11).
-class TransmitLogic : public OperatorLogic {
- public:
-  explicit TransmitLogic(const Relation* input);
-
-  Status Prepare(size_t num_instances) override;
-  void OnTrigger(size_t instance, Emitter* out) override;
-  std::string name() const override { return "transmit"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  const Relation* input_;
 };
 
 /// Join algorithms. The paper uses nested loop when the join algorithm has
@@ -134,7 +118,6 @@ class PipelinedJoinLogic : public OperatorLogic {
 
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   /// Chunked probe: resolves the inner fragment / temp index once per
   /// activation instead of once per tuple, and for chunks of kMinBatchRows
   /// or more hashes the whole probe-key column up front and runs the
@@ -167,7 +150,6 @@ class StoreLogic : public OperatorLogic {
   explicit StoreLogic(Relation* result);
 
   Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   /// Chunked append: takes the fragment lock once per activation.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
@@ -183,30 +165,6 @@ class StoreLogic : public OperatorLogic {
   std::vector<std::unique_ptr<Mutex>> fragment_mu_;
 };
 
-/// Pipelined filter: forwards each incoming tuple iff it matches the
-/// predicate (post-join / post-repartition selections).
-class PipelinedFilterLogic : public OperatorLogic {
- public:
-  /// `selectivity` is the scheduling estimate of the kept fraction.
-  explicit PipelinedFilterLogic(Predicate predicate,
-                                double selectivity = 1.0);
-
-  /// Refuses a predicate that fails PredExpr::Validate.
-  Status Prepare(size_t num_instances) override;
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
-  /// Chunked filter: selects the chunk's survivors with SelectRows, then
-  /// moves them out in order.
-  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
-                   Emitter* out) override;
-  std::string name() const override { return "filter"; }
-  NodeEstimate Estimate(const CostModel& cost_model,
-                        double input_tuples) const override;
-
- private:
-  Predicate predicate_;
-  double selectivity_;
-};
-
 /// Pipelined projection: emits the listed columns of each incoming tuple,
 /// in order. Emission goes through Emitter::EmitSelect, which writes the
 /// selected columns straight into a recycled output slot — no per-row
@@ -215,7 +173,6 @@ class ProjectLogic : public OperatorLogic {
  public:
   explicit ProjectLogic(std::vector<size_t> columns);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   /// Chunked projection: hoists the column-list span out of the loop.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
@@ -235,7 +192,6 @@ class MapLogic : public OperatorLogic {
   /// recycled chunk slot — no per-row construction in steady state.
   explicit MapLogic(std::function<void(const Tuple&, Tuple*)> fn);
 
-  void OnData(size_t instance, Tuple tuple, Emitter* out) override;
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
   std::string name() const override { return "map"; }

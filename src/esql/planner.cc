@@ -143,36 +143,55 @@ std::optional<PredExpr> LowerComparison(size_t column, Comparison::Op op,
   return std::nullopt;
 }
 
-/// AND-combines comparisons resolved against `bindings` into one predicate
-/// (MatchAll when empty) and multiplies their selectivity guesses. Each
-/// conjunct becomes one leaf: the typed leaf LowerComparison gives (typed
-/// against `schema`), or a PredicateFor row leaf when it gives none.
-Result<std::pair<Predicate, double>> CombinePredicates(
-    const std::vector<Binding>& bindings, const Schema& schema,
-    const std::vector<Comparison>& comparisons) {
-  double selectivity = 1.0;
-  std::vector<PredExpr> conjuncts;
-  conjuncts.reserve(comparisons.size());
-  for (const Comparison& cmp : comparisons) {
+/// One WHERE conjunct, resolved to a column of the relation it filters.
+struct Conjunct {
+  size_t column;
+  Comparison::Op op;
+  Value literal;
+};
+
+/// Resolves each WHERE conjunct once against the columns of `rels`, bound
+/// under their names in FROM order, and files it under the relation it
+/// resolves into. An unknown or ambiguous column fails here, before any
+/// phase runs.
+Result<std::vector<std::vector<Conjunct>>> ClassifyWhere(
+    const std::vector<Relation*>& rels,
+    const std::vector<Comparison>& where) {
+  std::vector<Binding> bindings;
+  std::vector<size_t> first;  // Where each relation's columns start.
+  for (const Relation* rel : rels) {
+    first.push_back(bindings.size());
+    for (Binding& b : BindingsOf(*rel)) bindings.push_back(std::move(b));
+  }
+  std::vector<std::vector<Conjunct>> out(rels.size());
+  for (const Comparison& cmp : where) {
     DBS3_ASSIGN_OR_RETURN(const size_t col,
                           ResolveBinding(bindings, cmp.column));
-    selectivity *= SelectivityGuess(cmp.op);
-    std::optional<PredExpr> leaf =
-        LowerComparison(col, cmp.op, cmp.literal, schema.column(col).type);
-    conjuncts.push_back(leaf.has_value()
-                            ? std::move(*leaf)
-                            : PredicateFor(col, cmp.op, cmp.literal));
+    size_t owner = rels.size() - 1;
+    while (first[owner] > col) --owner;
+    out[owner].push_back({col - first[owner], cmp.op, cmp.literal});
   }
-  return std::make_pair(PredExpr::And(std::move(conjuncts)), selectivity);
+  return out;
 }
 
-/// Whether the comparison's column belongs to relation `rel` (given the
-/// bare column name exists there and, if qualified, the names agree).
-bool BelongsTo(const Comparison& cmp, const Relation& rel) {
-  if (!cmp.column.relation.empty() && cmp.column.relation != rel.name()) {
-    return false;
+/// AND-combines conjuncts on `schema`'s columns into one predicate
+/// (MatchAll when empty) and multiplies their selectivity guesses. Each
+/// conjunct becomes one leaf: the typed leaf LowerComparison gives, or a
+/// PredicateFor row leaf when it gives none.
+std::pair<Predicate, double> CombinePredicates(
+    const Schema& schema, const std::vector<Conjunct>& conjuncts) {
+  double selectivity = 1.0;
+  std::vector<PredExpr> leaves;
+  leaves.reserve(conjuncts.size());
+  for (const Conjunct& c : conjuncts) {
+    selectivity *= SelectivityGuess(c.op);
+    std::optional<PredExpr> leaf = LowerComparison(
+        c.column, c.op, c.literal, schema.column(c.column).type);
+    leaves.push_back(leaf.has_value()
+                         ? std::move(*leaf)
+                         : PredicateFor(c.column, c.op, c.literal));
   }
-  return rel.schema().IndexOf(cmp.column.column).ok();
+  return std::make_pair(PredExpr::And(std::move(leaves)), selectivity);
 }
 
 /// Materializes a repartition of `rel` on `column`, hash-partitioned with
@@ -201,40 +220,19 @@ Result<std::unique_ptr<Relation>> MaterializeRepartition(
   return temp;
 }
 
-/// Strips the repartition suffix so qualified references keep working.
-std::string OriginalName(const Relation& rel) {
-  const std::string& name = rel.name();
-  constexpr const char* kSuffix = "_repart";
-  constexpr size_t kSuffixLen = 7;
-  if (name.size() > kSuffixLen &&
-      name.substr(name.size() - kSuffixLen) == kSuffix) {
-    return name.substr(0, name.size() - kSuffixLen);
-  }
-  return name;
-}
-
-/// Appends a pipelined filter node for `comparisons` (no-op when empty).
-Status AppendFilter(const std::vector<Comparison>& comparisons,
-                    PipelineState* state) {
-  if (comparisons.empty()) return Status::OK();
-  DBS3_ASSIGN_OR_RETURN(
-      auto pred,
-      CombinePredicates(state->bindings, state->schema, comparisons));
-  const size_t filter = state->plan.AddNode(
-      "post-filter", ActivationMode::kPipelined, state->instances,
-      std::make_unique<PipelinedFilterLogic>(std::move(pred.first),
-                                             pred.second));
-  DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
-      static_cast<size_t>(state->tail), filter));
-  state->tail = static_cast<int>(filter);
-  state->description += " ; filter";
-  return Status::OK();
-}
+/// One pipelined join of the chain: FROM relation `rel` joined on
+/// pipeline column `probe_col` = its column `inner_col`.
+struct JoinStep {
+  size_t rel;
+  size_t probe_col;
+  size_t inner_col;
+};
 
 /// Builds the scan/join stage of the pipeline into `state`: a left-deep
 /// chain of pipelined joins, with the paper's IdealJoin shortcut for a
 /// single co-partitioned join and repartition materializations (subquery
-/// boundaries) for misaligned inners.
+/// boundaries) for misaligned inners. Every name — join columns and WHERE
+/// columns — is resolved before the first phase runs.
 Status BuildSource(Database& db, const EsqlQuery& query,
                    const EsqlOptions& options, QueryEnv& env,
                    PipelineState* state) {
@@ -247,32 +245,9 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     rels.push_back(r);
   }
 
-  // Classify WHERE conjuncts by the unique base relation they reference;
-  // ambiguous ones run as a final post-filter (where resolution may still
-  // demand qualification).
-  std::vector<std::vector<Comparison>> rel_preds(rels.size());
-  std::vector<Comparison> post_preds;
-  for (const Comparison& cmp : query.where) {
-    int owner = -1;
-    bool ambiguous = false;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (BelongsTo(cmp, *rels[i])) {
-        if (owner >= 0) ambiguous = true;
-        owner = static_cast<int>(i);
-      }
-    }
-    if (owner < 0 || ambiguous) {
-      post_preds.push_back(cmp);
-    } else {
-      rel_preds[static_cast<size_t>(owner)].push_back(cmp);
-    }
-  }
-
   if (query.joins.empty()) {
-    DBS3_ASSIGN_OR_RETURN(auto pred,
-                          CombinePredicates(BindingsOf(*from_rel),
-                                            from_rel->schema(),
-                                            rel_preds[0]));
+    DBS3_ASSIGN_OR_RETURN(auto rel_preds, ClassifyWhere(rels, query.where));
+    auto pred = CombinePredicates(from_rel->schema(), rel_preds[0]);
     state->tail = static_cast<int>(state->plan.AddNode(
         "scan(" + from_rel->name() + ")", ActivationMode::kTriggered,
         from_rel->degree(),
@@ -282,7 +257,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     state->schema = from_rel->schema();
     state->bindings = BindingsOf(*from_rel);
     state->description = "scan(" + from_rel->name() + ")";
-    return AppendFilter(post_preds, state);
+    return Status::OK();
   }
 
   // Resolve the first join's sides against the two base relations.
@@ -300,232 +275,196 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     if (in_b) return 1;
     return Status::NotFound("unknown join column '" + ref.ToString() + "'");
   };
-  {
-    const EsqlQuery::JoinClause& jc = query.joins[0];
-    DBS3_ASSIGN_OR_RETURN(const int ls, side_of(jc.left, *rels[0], *rels[1]));
-    DBS3_ASSIGN_OR_RETURN(const int rs,
-                          side_of(jc.right, *rels[0], *rels[1]));
-    if (ls == rs) {
-      return Status::InvalidArgument(
-          "join condition must reference both relations");
-    }
-    const ColumnRef& left_ref = ls == 0 ? jc.left : jc.right;
-    const ColumnRef& right_ref = ls == 0 ? jc.right : jc.left;
-    DBS3_ASSIGN_OR_RETURN(const size_t left_col,
-                          rels[0]->schema().IndexOf(left_ref.column));
-    DBS3_ASSIGN_OR_RETURN(const size_t right_col,
-                          rels[1]->schema().IndexOf(right_ref.column));
+  const EsqlQuery::JoinClause& jc = query.joins[0];
+  DBS3_ASSIGN_OR_RETURN(const int ls, side_of(jc.left, *rels[0], *rels[1]));
+  DBS3_ASSIGN_OR_RETURN(const int rs, side_of(jc.right, *rels[0], *rels[1]));
+  if (ls == rs) {
+    return Status::InvalidArgument(
+        "join condition must reference both relations");
+  }
+  const ColumnRef& left_ref = ls == 0 ? jc.left : jc.right;
+  const ColumnRef& right_ref = ls == 0 ? jc.right : jc.left;
+  DBS3_ASSIGN_OR_RETURN(const size_t left_col,
+                        rels[0]->schema().IndexOf(left_ref.column));
+  DBS3_ASSIGN_OR_RETURN(const size_t right_col,
+                        rels[1]->schema().IndexOf(right_ref.column));
 
-    const bool copartitioned =
-        rels[0]->partitioner() == rels[1]->partitioner() &&
-        rels[0]->partition_column() == left_col &&
-        rels[1]->partition_column() == right_col && rel_preds[0].empty() &&
-        rel_preds[1].empty();
-    if (copartitioned && query.joins.size() == 1) {
-      // IdealJoin (Figure 10): one triggered instance per fragment pair.
-      state->tail = static_cast<int>(state->plan.AddNode(
-          "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
-          std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
-                                               right_col, options.algorithm)));
-      state->instances = rels[0]->degree();
-      state->schema =
-          Schema::Concat(rels[0]->schema(), rels[1]->schema());
-      state->bindings = BindingsOf(*rels[0]);
-      for (const Binding& b : BindingsOf(*rels[1])) {
-        state->bindings.push_back(b);
+  // Resolve the later join clauses: each has one side among the relations
+  // already joined (in FROM order, so their bindings are known now) and
+  // the other in the relation it adds.
+  std::vector<Binding> pipeline = BindingsOf(*rels[0]);
+  for (Binding& b : BindingsOf(*rels[1])) pipeline.push_back(std::move(b));
+  std::vector<JoinStep> later;
+  for (size_t j = 1; j < query.joins.size(); ++j) {
+    const Relation& inner = *rels[j + 1];
+    auto resolve = [&](const ColumnRef& ref)
+        -> Result<std::pair<bool, size_t>> {
+      auto in_pipe = ResolveBinding(pipeline, ref);
+      if (!in_pipe.ok() &&
+          in_pipe.status().code() == StatusCode::kInvalidArgument) {
+        return in_pipe.status();  // Ambiguous within the pipeline.
       }
-      state->description = "IdealJoin(" + rels[0]->name() + ", " +
-                           rels[1]->name() + ")";
-      return AppendFilter(post_preds, state);
-    }
-
-    // Orient the first join: prefer the side partitioned on its join
-    // attribute (and free of pushdown predicates) as the inner.
-    size_t probe_idx = 0, inner_idx = 1;
-    size_t probe_col = left_col, inner_col = right_col;
-    const bool right_inner_ok =
-        rels[1]->partition_column() == right_col && rel_preds[1].empty();
-    const bool left_inner_ok =
-        rels[0]->partition_column() == left_col && rel_preds[0].empty();
-    if (!right_inner_ok && left_inner_ok && query.joins.size() == 1) {
-      std::swap(probe_idx, inner_idx);
-      std::swap(probe_col, inner_col);
-    }
-
-    // Repartitions an inner that is not partitioned on its join attribute
-    // or carries pushdown predicates (subquery boundary); returns the
-    // relation the join probes.
-    auto resolve_inner = [&](size_t rel_index,
-                             size_t join_col) -> Result<Relation*> {
-      Relation* inner = rels[rel_index];
-      if (inner->partition_column() == join_col &&
-          rel_preds[rel_index].empty()) {
-        return inner;
+      const bool in_rel =
+          (ref.relation.empty() || ref.relation == inner.name()) &&
+          inner.schema().IndexOf(ref.column).ok();
+      if (in_pipe.ok() && in_rel) {
+        return Status::InvalidArgument("ambiguous join column '" +
+                                       ref.ToString() + "'");
       }
-      DBS3_ASSIGN_OR_RETURN(
-          auto inner_pred,
-          CombinePredicates(BindingsOf(*inner), inner->schema(),
-                            rel_preds[rel_index]));
-      DBS3_ASSIGN_OR_RETURN(
-          std::unique_ptr<Relation> temp,
-          MaterializeRepartition(*inner, join_col,
-                                 std::move(inner_pred.first),
-                                 inner_pred.second, options, env,
-                                 &state->phase_execs));
-      state->description =
-          "repartition(" + inner->name() + ") ; " + state->description;
-      inner = temp.get();
-      state->temps.push_back(std::move(temp));
-      rel_preds[rel_index].clear();
-      return inner;
+      if (in_pipe.ok()) return std::make_pair(true, in_pipe.value());
+      if (in_rel) {
+        return std::make_pair(false,
+                              inner.schema().IndexOf(ref.column).value());
+      }
+      return Status::NotFound("unknown join column '" + ref.ToString() +
+                              "'");
     };
-    // The first join's inner is resolved before the probe scan, so a key
-    // filter covers exactly the relation that join probes.
-    DBS3_ASSIGN_OR_RETURN(Relation* const first_inner,
-                          resolve_inner(inner_idx, inner_col));
-
-    // Start the pipeline with the probe-side scan (pushdown predicates
-    // applied in the scan — the FilterLogic generalization of Transmit),
-    // ANDed with a filter over the first inner's join keys when the probe
-    // has at least as many rows.
-    Relation* probe = rels[probe_idx];
-    DBS3_ASSIGN_OR_RETURN(
-        auto probe_pred,
-        CombinePredicates(BindingsOf(*probe), probe->schema(),
-                          rel_preds[probe_idx]));
-    const std::string scan = "scan(" + probe->name() + ")";
-    std::string scan_description = scan;
-    std::optional<PredExpr> key_filter =
-        ProbeKeyFilter(*probe, probe_col, *first_inner, inner_col);
-    if (key_filter.has_value()) {
-      probe_pred.first = PredExpr::And(
-          {std::move(probe_pred.first), std::move(*key_filter)});
-      scan_description = "scan(" + probe->name() + ", keyfilter(" +
-                         first_inner->name() + "." +
-                         first_inner->schema().column(inner_col).name + "))";
+    DBS3_ASSIGN_OR_RETURN(auto a, resolve(query.joins[j].left));
+    DBS3_ASSIGN_OR_RETURN(auto b, resolve(query.joins[j].right));
+    if (a.first == b.first) {
+      return Status::InvalidArgument(
+          "join condition must reference the joined relation and the "
+          "preceding pipeline");
     }
+    later.push_back({j + 1, a.first ? a.second : b.second,
+                     a.first ? b.second : a.second});
+    for (Binding& bd : BindingsOf(inner)) pipeline.push_back(std::move(bd));
+  }
+
+  DBS3_ASSIGN_OR_RETURN(auto rel_preds, ClassifyWhere(rels, query.where));
+
+  const bool copartitioned =
+      rels[0]->partitioner() == rels[1]->partitioner() &&
+      rels[0]->partition_column() == left_col &&
+      rels[1]->partition_column() == right_col && rel_preds[0].empty() &&
+      rel_preds[1].empty();
+  if (copartitioned && query.joins.size() == 1) {
+    // IdealJoin (Figure 10): one triggered instance per fragment pair.
     state->tail = static_cast<int>(state->plan.AddNode(
-        scan, ActivationMode::kTriggered,
-        probe->degree(),
-        std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
-                                      probe_pred.second)));
-    state->instances = probe->degree();
-    state->schema = probe->schema();
-    state->bindings = BindingsOf(*probe);
-    state->description += scan_description;
-    rel_preds[probe_idx].clear();
-
-    // Make the first join clause reference the resolved inner.
-    // Fall through to the generic chain below by rotating rels so the
-    // remaining chain is [inner_idx, rest...]: handled via explicit
-    // ordering vector.
-    std::vector<size_t> chain = {inner_idx};
-    for (size_t i = 2; i < rels.size(); ++i) chain.push_back(i);
-    std::vector<size_t> probe_cols = {probe_col};
-    std::vector<size_t> inner_cols = {inner_col};
-    // Resolve the remaining joins against the accumulated pipeline.
-    for (size_t j = 1; j < query.joins.size(); ++j) {
-      probe_cols.push_back(0);  // Filled below, after bindings accumulate.
-      inner_cols.push_back(0);
-    }
-
-    for (size_t step = 0; step < chain.size(); ++step) {
-      Relation* inner = step == 0 ? first_inner : rels[chain[step]];
-      size_t this_probe_col, this_inner_col;
-      if (step == 0) {
-        this_probe_col = probe_cols[0];
-        this_inner_col = inner_cols[0];
-      } else {
-        // Resolve this join clause: one side in the pipeline bindings, the
-        // other in the new relation.
-        const EsqlQuery::JoinClause& clause = query.joins[step];
-        auto resolve = [&](const ColumnRef& ref)
-            -> Result<std::pair<bool, size_t>> {
-          auto in_pipe = ResolveBinding(state->bindings, ref);
-          if (!in_pipe.ok() &&
-              in_pipe.status().code() == StatusCode::kInvalidArgument) {
-            return in_pipe.status();  // Ambiguous within the pipeline.
-          }
-          const bool in_rel =
-              (ref.relation.empty() || ref.relation == inner->name()) &&
-              inner->schema().IndexOf(ref.column).ok();
-          if (in_pipe.ok() && in_rel) {
-            return Status::InvalidArgument("ambiguous join column '" +
-                                           ref.ToString() + "'");
-          }
-          if (in_pipe.ok()) return std::make_pair(true, in_pipe.value());
-          if (in_rel) {
-            return std::make_pair(
-                false, inner->schema().IndexOf(ref.column).value());
-          }
-          return Status::NotFound("unknown join column '" + ref.ToString() +
-                                  "'");
-        };
-        DBS3_ASSIGN_OR_RETURN(auto a, resolve(clause.left));
-        DBS3_ASSIGN_OR_RETURN(auto b, resolve(clause.right));
-        if (a.first == b.first) {
-          return Status::InvalidArgument(
-              "join condition must reference the joined relation and the "
-              "preceding pipeline");
-        }
-        this_probe_col = a.first ? a.second : b.second;
-        this_inner_col = a.first ? b.second : a.second;
-        DBS3_ASSIGN_OR_RETURN(inner,
-                              resolve_inner(chain[step], this_inner_col));
-      }
-
-      const size_t join = state->plan.AddNode(
-          "pipelined-join", ActivationMode::kPipelined, inner->degree(),
-          std::make_unique<PipelinedJoinLogic>(
-              inner, this_inner_col, this_probe_col, options.algorithm));
-      DBS3_RETURN_IF_ERROR(state->plan.ConnectByColumn(
-          static_cast<size_t>(state->tail), join, this_probe_col,
-          inner->partitioner()));
-      state->tail = static_cast<int>(join);
-      state->instances = inner->degree();
-      state->schema = Schema::Concat(state->schema, inner->schema());
-      const std::string inner_name = OriginalName(*inner);
-      for (const Column& c : inner->schema().columns()) {
-        state->bindings.push_back({inner_name, c.name});
-      }
-      const std::string probe_name =
-          step == 0 ? rels[probe_idx]->name() : std::string("pipeline");
-      state->description += " ; AssocJoin(probe=" + probe_name +
-                            ", inner=" + inner->name() + ")";
-    }
-
-    // A swapped first join produced (right, left) column order; restore the
-    // SQL order (FROM relation first) with a projection.
-    if (probe_idx == 1) {
-      const size_t n_right = rels[1]->schema().num_columns();
-      const size_t n_left = rels[0]->schema().num_columns();
-      std::vector<size_t> reorder;
-      for (size_t c = 0; c < n_left; ++c) reorder.push_back(n_right + c);
-      for (size_t c = 0; c < n_right; ++c) reorder.push_back(c);
-      std::vector<Column> columns;
-      std::vector<Binding> bindings;
-      for (size_t c : reorder) {
-        columns.push_back(state->schema.column(c));
-        bindings.push_back(state->bindings[c]);
-      }
-      const size_t project = state->plan.AddNode(
-          "reorder", ActivationMode::kPipelined, state->instances,
-          std::make_unique<ProjectLogic>(std::move(reorder)));
-      DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
-          static_cast<size_t>(state->tail), project));
-      state->tail = static_cast<int>(project);
-      state->schema = Schema(std::move(columns));
-      state->bindings = std::move(bindings);
-    }
+        "ideal-join", ActivationMode::kTriggered, rels[0]->degree(),
+        std::make_unique<TriggeredJoinLogic>(rels[0], left_col, rels[1],
+                                             right_col, options.algorithm)));
+    state->instances = rels[0]->degree();
+    state->schema = Schema::Concat(rels[0]->schema(), rels[1]->schema());
+    state->bindings = std::move(pipeline);  // No later joins: both sides.
+    state->description =
+        "IdealJoin(" + rels[0]->name() + ", " + rels[1]->name() + ")";
+    return Status::OK();
   }
 
-  // Anything not pushed (ambiguous, or predicates on the first probe that
-  // appeared after orientation) runs as a final pipelined filter.
-  std::vector<Comparison> remaining = std::move(post_preds);
-  for (std::vector<Comparison>& preds : rel_preds) {
-    remaining.insert(remaining.end(), preds.begin(), preds.end());
+  // Orient the first join: prefer the side partitioned on its join
+  // attribute (and free of pushdown predicates) as the inner.
+  size_t probe_idx = 0, inner_idx = 1;
+  size_t probe_col = left_col, inner_col = right_col;
+  const bool right_inner_ok =
+      rels[1]->partition_column() == right_col && rel_preds[1].empty();
+  const bool left_inner_ok =
+      rels[0]->partition_column() == left_col && rel_preds[0].empty();
+  if (!right_inner_ok && left_inner_ok && query.joins.size() == 1) {
+    std::swap(probe_idx, inner_idx);
+    std::swap(probe_col, inner_col);
   }
-  return AppendFilter(remaining, state);
+
+  // Repartitions an inner that is not partitioned on its join attribute
+  // or carries pushdown predicates (subquery boundary); returns the
+  // relation the join probes.
+  auto resolve_inner = [&](size_t rel_index,
+                           size_t join_col) -> Result<Relation*> {
+    Relation* inner = rels[rel_index];
+    if (inner->partition_column() == join_col &&
+        rel_preds[rel_index].empty()) {
+      return inner;
+    }
+    auto inner_pred =
+        CombinePredicates(inner->schema(), rel_preds[rel_index]);
+    DBS3_ASSIGN_OR_RETURN(
+        std::unique_ptr<Relation> temp,
+        MaterializeRepartition(*inner, join_col, std::move(inner_pred.first),
+                               inner_pred.second, options, env,
+                               &state->phase_execs));
+    state->description =
+        "repartition(" + inner->name() + ") ; " + state->description;
+    inner = temp.get();
+    state->temps.push_back(std::move(temp));
+    return inner;
+  };
+  // The first join's inner is resolved before the probe scan, so a key
+  // filter covers exactly the relation that join probes.
+  DBS3_ASSIGN_OR_RETURN(Relation* const first_inner,
+                        resolve_inner(inner_idx, inner_col));
+
+  // Start the pipeline with the probe-side scan (pushdown predicates
+  // applied in the scan — the FilterLogic generalization of Transmit),
+  // ANDed with a filter over the first inner's join keys when the probe
+  // has at least as many rows.
+  Relation* probe = rels[probe_idx];
+  auto probe_pred = CombinePredicates(probe->schema(), rel_preds[probe_idx]);
+  const std::string scan = "scan(" + probe->name() + ")";
+  std::string scan_description = scan;
+  std::optional<PredExpr> key_filter =
+      ProbeKeyFilter(*probe, probe_col, *first_inner, inner_col);
+  if (key_filter.has_value()) {
+    probe_pred.first = PredExpr::And(
+        {std::move(probe_pred.first), std::move(*key_filter)});
+    scan_description = "scan(" + probe->name() + ", keyfilter(" +
+                       first_inner->name() + "." +
+                       first_inner->schema().column(inner_col).name + "))";
+  }
+  state->tail = static_cast<int>(state->plan.AddNode(
+      scan, ActivationMode::kTriggered, probe->degree(),
+      std::make_unique<FilterLogic>(probe, std::move(probe_pred.first),
+                                    probe_pred.second)));
+  state->instances = probe->degree();
+  state->schema = probe->schema();
+  state->description += scan_description;
+
+  // The chain: the oriented first join, then the later clauses in order.
+  std::vector<JoinStep> chain = {{inner_idx, probe_col, inner_col}};
+  chain.insert(chain.end(), later.begin(), later.end());
+  for (size_t step = 0; step < chain.size(); ++step) {
+    const JoinStep& js = chain[step];
+    Relation* inner = first_inner;
+    if (step > 0) {
+      DBS3_ASSIGN_OR_RETURN(inner, resolve_inner(js.rel, js.inner_col));
+    }
+    const size_t join = state->plan.AddNode(
+        "pipelined-join", ActivationMode::kPipelined, inner->degree(),
+        std::make_unique<PipelinedJoinLogic>(inner, js.inner_col,
+                                             js.probe_col, options.algorithm));
+    DBS3_RETURN_IF_ERROR(state->plan.ConnectByColumn(
+        static_cast<size_t>(state->tail), join, js.probe_col,
+        inner->partitioner()));
+    state->tail = static_cast<int>(join);
+    state->instances = inner->degree();
+    state->schema = Schema::Concat(state->schema, inner->schema());
+    const std::string probe_name =
+        step == 0 ? probe->name() : std::string("pipeline");
+    state->description += " ; AssocJoin(probe=" + probe_name +
+                          ", inner=" + inner->name() + ")";
+  }
+
+  // A swapped first join produced (right, left) column order; restore the
+  // SQL order (FROM relation first) with a projection.
+  if (probe_idx == 1) {
+    const size_t n_right = rels[1]->schema().num_columns();
+    const size_t n_left = rels[0]->schema().num_columns();
+    std::vector<size_t> reorder;
+    for (size_t c = 0; c < n_left; ++c) reorder.push_back(n_right + c);
+    for (size_t c = 0; c < n_right; ++c) reorder.push_back(c);
+    std::vector<Column> columns;
+    for (size_t c : reorder) columns.push_back(state->schema.column(c));
+    const size_t project = state->plan.AddNode(
+        "reorder", ActivationMode::kPipelined, state->instances,
+        std::make_unique<ProjectLogic>(std::move(reorder)));
+    DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
+        static_cast<size_t>(state->tail), project));
+    state->tail = static_cast<int>(project);
+    state->schema = Schema(std::move(columns));
+  }
+  // FROM order, each relation under its own name, also where the join
+  // probes its repartitioned temporary.
+  state->bindings = std::move(pipeline);
+  return Status::OK();
 }
 
 /// Appends the aggregation stage (global or grouped).
@@ -703,7 +642,6 @@ Result<QueryResult> RunEsql(Database& db, const EsqlQuery& query,
 /// pre-check before MakeSharedSpec does name resolution): scan-only — no
 /// joins, aggregates, grouping or ordering — and no declared memory.
 bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
-  if (!options.share_work) return false;
   if (options.memory_units != 0) return false;
   if (!query.joins.empty()) return false;
   if (query.group_by.has_value() || query.order_by.has_value()) return false;
@@ -714,10 +652,10 @@ bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
 }
 
 /// Builds the shared-scan payload for a shareable shape, mirroring the
-/// solo plan exactly: CombinePredicates for the WHERE conjunction and
-/// BuildProjection's naming for the result schema. Any resolution error
-/// means "not shareable" — the caller falls back to the solo body, which
-/// re-reports real errors through the normal path.
+/// solo plan exactly: ClassifyWhere and CombinePredicates for the WHERE
+/// conjunction and BuildProjection's naming for the result schema. Any
+/// resolution error means "not shareable" — the caller falls back to the
+/// solo body, which re-reports real errors through the normal path.
 Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
     Database& db, const EsqlQuery& query, const EsqlOptions& options) {
   DBS3_ASSIGN_OR_RETURN(Relation * rel, db.relation(query.from));
@@ -744,9 +682,8 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
     spec->result_schema = Schema(std::move(out_columns));
   }
 
-  DBS3_ASSIGN_OR_RETURN(
-      auto pred,
-      CombinePredicates(BindingsOf(*rel), rel->schema(), query.where));
+  DBS3_ASSIGN_OR_RETURN(auto where, ClassifyWhere({rel}, query.where));
+  auto pred = CombinePredicates(rel->schema(), where[0]);
   spec->predicate = std::move(pred.first);
   spec->selectivity = pred.second;
   spec->result_name = options.result_name;

@@ -15,22 +15,21 @@
 namespace dbs3 {
 
 /// Execution knobs of the ESQL layer: the facade's QueryOptions (schedule,
-/// cost model, join algorithm, the multi-user knobs — see dbs3/query.h)
-/// plus work sharing. The result relation defaults to "esql_result".
-/// There is no switch between row and batch evaluation: each WHERE
-/// conjunct becomes one predicate leaf, and the operators pick the batch
-/// kernels or the row loop from the size of the span they filter.
+/// cost model, join algorithm, the multi-user knobs — see dbs3/query.h).
+/// The result relation defaults to "esql_result". There is no switch
+/// between row and batch evaluation: each WHERE conjunct becomes one
+/// predicate leaf, and the operators pick the batch kernels or the row
+/// loop from the size of the span they filter.
+///
+/// A scan-only query with no declared memory may ride a multi-query shared
+/// scan with compatible queries (same relation, same projection shape):
+/// one relation pass serves the whole batch, and per-query results are
+/// identical to solo execution. The batch forms only when compatible
+/// queries are simultaneously queued; QueryRuntimeOptions decides how
+/// many fold (shared_batch_max_queries, 1 = off) and how long a lead waits
+/// for stragglers (shared_batch_window_us).
 struct EsqlOptions : QueryOptions {
   EsqlOptions() { result_name = "esql_result"; }
-
-  /// Allow the runtime to fold this query into a multi-query shared scan
-  /// with compatible queries (same relation, same projection shape,
-  /// scan-only, no declared memory). One relation pass then serves the
-  /// whole batch; per-query results are identical to solo execution. The
-  /// batch forms only when compatible queries are simultaneously queued
-  /// (see QueryRuntimeOptions::shared_batch_window_us to also wait for
-  /// stragglers).
-  bool share_work = true;
 };
 
 /// Outcome of one ESQL query.
@@ -55,9 +54,10 @@ struct EsqlResult {
 /// one side is partitioned on its join attribute becomes an AssocJoin
 /// probing with the other side (Figure 11); otherwise one side is first
 /// repartitioned into a materialized temporary (a subquery boundary,
-/// Figure 5) and an AssocJoin follows. WHERE conjuncts are pushed into the
-/// probe-side scan where possible; GROUP BY repartitions on the grouping
-/// attribute; ORDER BY sorts each result fragment.
+/// Figure 5) and an AssocJoin follows. Each WHERE conjunct runs in the
+/// scan of the FROM relation its column resolves into (an unknown or
+/// ambiguous column fails before any phase runs); GROUP BY repartitions on
+/// the grouping attribute; ORDER BY sorts each result fragment.
 Result<EsqlResult> ExecuteEsql(Database& db, const std::string& query,
                                const EsqlOptions& options = {});
 

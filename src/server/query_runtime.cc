@@ -20,6 +20,14 @@ int64_t Micros(double seconds) {
   return static_cast<int64_t>(seconds * 1e6);
 }
 
+/// Chunk buffers the runtime's shared ChunkPool retains between
+/// executions. The pool is what makes the engine's data path
+/// allocation-lean across queries (the free list stays warm from one
+/// execution to the next); sized to absorb a whole pipeline's in-flight
+/// chunk population at the paper-faithful chunk_size of 1 (one buffer per
+/// tuple in flight).
+constexpr size_t kChunkPoolBuffers = 64 * 1024;
+
 }  // namespace
 
 Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
@@ -79,7 +87,6 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
   if (reserved && adaptive) {
     exec.board = &runtime_->board_;
     exec.desired_threads = std::max(desired_threads, total_threads);
-    exec.grant_quantum = runtime_->options_.rebalance_quantum_units;
     exec.rebalance_out = &rebalance;
   }
 
@@ -129,7 +136,7 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
 QueryRuntime::QueryRuntime(QueryRuntimeOptions options)
     : options_(options),
       pool_(DefaultPoolThreads(options.pool_threads)),
-      chunk_pool_(options.chunk_pool_buffers),
+      chunk_pool_(kChunkPoolBuffers),
       admission_(AdmissionConfig{
           std::max<size_t>(1, options.max_queued_queries),
           options.memory_budget_units,

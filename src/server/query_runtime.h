@@ -50,14 +50,6 @@ struct QueryRuntimeOptions {
   /// (runtime.admission_wait_us, .execution_wall_us, .busy_us) here. Must
   /// outlive the runtime.
   MetricsRegistry* metrics = nullptr;
-  /// Chunk buffers the runtime's shared ChunkPool retains between
-  /// executions. The pool is what makes the engine's data path
-  /// allocation-lean across queries (the free list stays warm from one
-  /// execution to the next); sized to absorb a whole pipeline's in-flight
-  /// chunk population at the paper-faithful chunk_size of 1 (one buffer per
-  /// tuple in flight). Shrink it to trade steady-state allocations for
-  /// memory.
-  size_t chunk_pool_buffers = 64 * 1024;
   /// Largest shared-scan batch a driver folds (lead included). 1 turns the
   /// shared-work path off entirely; the default groups compatible queries
   /// whenever they are simultaneously queued.
@@ -77,11 +69,6 @@ struct QueryRuntimeOptions {
   /// executions are granted extra workers up to their unclamped schedule
   /// width. 500–5000 us works well for mixed short+long workloads.
   uint64_t rebalance_interval_us = 0;
-  /// Queued tuple units one worker is considered enough for when the
-  /// rebalancer sizes parks (the min grant quantum): an operation's
-  /// "needed" worker count is ceil(pending / quantum), and only workers
-  /// beyond that are parkable.
-  size_t rebalance_quantum_units = 256;
 };
 
 /// The outcome of one scheduled-and-executed plan phase.

@@ -31,14 +31,19 @@ class CapturingEmitter : public Emitter {
 
 Tuple Row(int64_t a, int64_t b) { return Tuple({Value(a), Value(b)}); }
 
+/// Delivers `row` to `logic` as a one-tuple data activation.
+void Push(OperatorLogic& logic, size_t instance, Tuple row, Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&row, 1), out);
+}
+
 TEST(GroupByLogicTest, CountSumMinMax) {
   GroupByLogic group(
       0, {{AggKind::kCount, 0}, {AggKind::kSum, 1}, {AggKind::kMin, 1},
           {AggKind::kMax, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Row(1, 10), nullptr);
-  group.OnData(0, Row(1, 30), nullptr);
-  group.OnData(0, Row(2, -5), nullptr);
+  Push(group, 0, Row(1, 10), nullptr);
+  Push(group, 0, Row(1, 30), nullptr);
+  Push(group, 0, Row(2, -5), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -60,8 +65,8 @@ TEST(GroupByLogicTest, CountSumMinMax) {
 TEST(GroupByLogicTest, InstancesIsolated) {
   GroupByLogic group(0, {{AggKind::kCount, 0}});
   ASSERT_TRUE(group.Prepare(2).ok());
-  group.OnData(0, Row(7, 0), nullptr);
-  group.OnData(1, Row(7, 0), nullptr);
+  Push(group, 0, Row(7, 0), nullptr);
+  Push(group, 1, Row(7, 0), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   group.OnFinish(1, &out);
@@ -74,7 +79,7 @@ TEST(GroupByLogicTest, InstancesIsolated) {
 TEST(GroupByLogicTest, FinishTwiceEmitsNothingSecondTime) {
   GroupByLogic group(0, {{AggKind::kCount, 0}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Row(1, 1), nullptr);
+  Push(group, 0, Row(1, 1), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   EXPECT_EQ(out.take().size(), 1u);
@@ -89,10 +94,10 @@ TEST(GroupByLogicTest, MinMaxOverStringOnlyColumnEmitsSentinelNotZero) {
   GroupByLogic group(
       0, {{AggKind::kMin, 1}, {AggKind::kMax, 1}, {AggKind::kSum, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("x"))}),
-               nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("y"))}),
-               nullptr);
+  Push(group, 0, Tuple({Value(int64_t{1}), Value(std::string("x"))}),
+       nullptr);
+  Push(group, 0, Tuple({Value(int64_t{1}), Value(std::string("y"))}),
+       nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -108,10 +113,10 @@ TEST(GroupByLogicTest, MinMaxIgnoreStringCellsWhenIntsExist) {
   // alone (previously a leading string cell left min/max pinned at 0).
   GroupByLogic group(0, {{AggKind::kMin, 1}, {AggKind::kMax, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(std::string("noise"))}),
-               nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{42})}), nullptr);
-  group.OnData(0, Tuple({Value(int64_t{1}), Value(int64_t{17})}), nullptr);
+  Push(group, 0, Tuple({Value(int64_t{1}), Value(std::string("noise"))}),
+       nullptr);
+  Push(group, 0, Tuple({Value(int64_t{1}), Value(int64_t{42})}), nullptr);
+  Push(group, 0, Tuple({Value(int64_t{1}), Value(int64_t{17})}), nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -121,31 +126,39 @@ TEST(GroupByLogicTest, MinMaxIgnoreStringCellsWhenIntsExist) {
 }
 
 TEST(SortLogicTest, OverBudgetFailsWithResourceExhausted) {
-  MemoryQuota quota(2);
-  SortLogic sort(0, SortOrder::kAscending);
-  ExecResources resources;
-  resources.quota = &quota;
-  sort.BindExecution(resources);
-  ASSERT_TRUE(sort.Prepare(1).ok());
-  sort.OnData(0, Row(3, 0), nullptr);
-  sort.OnData(0, Row(1, 1), nullptr);
-  sort.OnData(0, Row(2, 2), nullptr);  // Third row: over budget.
-  EXPECT_EQ(sort.error().code(), StatusCode::kResourceExhausted);
-  CapturingEmitter out;
-  sort.OnFinish(0, &out);
-  EXPECT_TRUE(out.take().empty());  // A failed sort emits nothing.
-  EXPECT_EQ(quota.used(), 0u);      // Buffered rows were released.
+  // Row by row, and all three rows in one activation.
+  for (const bool one_activation : {false, true}) {
+    SCOPED_TRACE(one_activation ? "one activation" : "row by row");
+    MemoryQuota quota(2);
+    SortLogic sort(0, SortOrder::kAscending);
+    ExecResources resources;
+    resources.quota = &quota;
+    sort.BindExecution(resources);
+    ASSERT_TRUE(sort.Prepare(1).ok());
+    std::vector<Tuple> rows = {Row(3, 0), Row(1, 1), Row(2, 2)};
+    if (one_activation) {
+      sort.OnDataBatch(0, std::span<Tuple>(rows), nullptr);
+    } else {
+      for (Tuple& row : rows) Push(sort, 0, std::move(row), nullptr);
+    }
+    // The third row is over budget.
+    EXPECT_EQ(sort.error().code(), StatusCode::kResourceExhausted);
+    CapturingEmitter out;
+    sort.OnFinish(0, &out);
+    EXPECT_TRUE(out.take().empty());  // A failed sort emits nothing.
+    EXPECT_EQ(quota.used(), 0u);      // Buffered rows were released.
+  }
 }
 
 TEST(GroupByLogicTest, StringGroupKeys) {
   GroupByLogic group(0, {{AggKind::kSum, 1}});
   ASSERT_TRUE(group.Prepare(1).ok());
-  group.OnData(0, Tuple({Value(std::string("paris")), Value(int64_t{2})}),
-               nullptr);
-  group.OnData(0, Tuple({Value(std::string("paris")), Value(int64_t{3})}),
-               nullptr);
-  group.OnData(0, Tuple({Value(std::string("lyon")), Value(int64_t{1})}),
-               nullptr);
+  Push(group, 0, Tuple({Value(std::string("paris")), Value(int64_t{2})}),
+       nullptr);
+  Push(group, 0, Tuple({Value(std::string("paris")), Value(int64_t{3})}),
+       nullptr);
+  Push(group, 0, Tuple({Value(std::string("lyon")), Value(int64_t{1})}),
+       nullptr);
   CapturingEmitter out;
   group.OnFinish(0, &out);
   auto rows = out.take();
@@ -161,9 +174,9 @@ TEST(SortLogicTest, AscendingAndDescending) {
   for (SortOrder order : {SortOrder::kAscending, SortOrder::kDescending}) {
     SortLogic sort(0, order);
     ASSERT_TRUE(sort.Prepare(1).ok());
-    sort.OnData(0, Row(3, 0), nullptr);
-    sort.OnData(0, Row(1, 1), nullptr);
-    sort.OnData(0, Row(2, 2), nullptr);
+    Push(sort, 0, Row(3, 0), nullptr);
+    Push(sort, 0, Row(1, 1), nullptr);
+    Push(sort, 0, Row(2, 2), nullptr);
     CapturingEmitter out;
     sort.OnFinish(0, &out);
     auto rows = out.take();
@@ -181,8 +194,8 @@ TEST(SortLogicTest, AscendingAndDescending) {
 TEST(SortLogicTest, StableOnEqualKeys) {
   SortLogic sort(0, SortOrder::kAscending);
   ASSERT_TRUE(sort.Prepare(1).ok());
-  sort.OnData(0, Row(1, 100), nullptr);
-  sort.OnData(0, Row(1, 200), nullptr);
+  Push(sort, 0, Row(1, 100), nullptr);
+  Push(sort, 0, Row(1, 200), nullptr);
   CapturingEmitter out;
   sort.OnFinish(0, &out);
   auto rows = out.take();

@@ -19,8 +19,8 @@ namespace {
 /// Terminal sink that only counts the tuples it is handed.
 class CountingSink : public OperatorLogic {
  public:
-  void OnData(size_t, Tuple, Emitter*) override {
-    seen.fetch_add(1, std::memory_order_relaxed);
+  void OnDataBatch(size_t, std::span<Tuple> tuples, Emitter*) override {
+    seen.fetch_add(tuples.size(), std::memory_order_relaxed);
   }
   std::string name() const override { return "counting-sink"; }
 

@@ -272,9 +272,11 @@ TEST(EngineConcurrencyTest, DestroyWhileWorkersStillDrainingIsSafe) {
   // never does this, but a failing query unwind does.
   class SlowLogic : public OperatorLogic {
    public:
-    void OnData(size_t, Tuple, Emitter*) override {
-      processed.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    void OnDataBatch(size_t, std::span<Tuple> tuples, Emitter*) override {
+      for (size_t i = 0; i < tuples.size(); ++i) {
+        processed.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
     }
     std::string name() const override { return "slow"; }
     std::atomic<uint64_t> processed{0};

@@ -289,6 +289,55 @@ TEST_F(EsqlPlannerTest, SemanticErrors) {
                            "residents.key = residents.payload",
                            options_)
                    .ok());
+  // A WHERE column no FROM relation has, and one both have.
+  const Status unknown =
+      ExecuteEsql(db_, "SELECT * FROM orders WHERE zzz < 3", options_)
+          .status();
+  EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.message(), "unknown column 'zzz'");
+  const Status ambiguous =
+      ExecuteEsql(db_,
+                  "SELECT * FROM residents JOIN cities ON residents.key = "
+                  "cities.key WHERE key < 3",
+                  options_)
+          .status();
+  EXPECT_EQ(ambiguous.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ambiguous.message(),
+            "ambiguous column 'key' (qualify it with the relation name)");
+}
+
+TEST_F(EsqlPlannerTest, BadWhereColumnFailsBeforeAnyPhase) {
+  // misaligned must be repartitioned before the join can run; the unknown
+  // WHERE column fails the query before that phase starts.
+  QueryHandle handle = SubmitEsql(
+      db_,
+      "SELECT * FROM orders JOIN misaligned ON orders.amount = "
+      "misaligned.key WHERE zzz < 1",
+      options_);
+  auto r = handle.Take();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(handle.stats().phases, 0u);
+}
+
+TEST_F(EsqlPlannerTest, RelationNamedLikeARepartitionKeepsItsName) {
+  // A relation whose own name ends in "_repart" is bound under that name.
+  auto named = std::make_unique<Relation>(
+      "orders_repart", db_.relation("orders").value()->schema(), 0,
+      Partitioner(PartitionKind::kModulo, 10));
+  for (const Tuple& t : db_.relation("orders").value()->Scan()) {
+    ASSERT_TRUE(named->Insert(t).ok());
+  }
+  ASSERT_TRUE(db_.AddRelation(std::move(named)).ok());
+  auto r = ExecuteEsql(db_,
+                       "SELECT orders_repart.amount FROM misaligned JOIN "
+                       "orders_repart ON misaligned.key = orders_repart.key",
+                       options_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().result->cardinality(), 500u);
+  EXPECT_EQ(r.value().physical_plan,
+            "scan(misaligned) ; AssocJoin(probe=misaligned, "
+            "inner=orders_repart) ; project ; store");
 }
 
 TEST_F(EsqlPlannerTest, ParseErrorsPropagate) {

@@ -20,8 +20,9 @@ class CountingLogic : public OperatorLogic {
   void OnTrigger(size_t instance, Emitter*) override {
     counts_[instance]->fetch_add(1);
   }
-  void OnData(size_t instance, Tuple, Emitter*) override {
-    counts_[instance]->fetch_add(1);
+  void OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                   Emitter*) override {
+    counts_[instance]->fetch_add(tuples.size());
   }
   std::string name() const override { return "counting"; }
 
@@ -95,13 +96,15 @@ TEST(OperationTest, ThreadsShareQueuesForLoadBalance) {
   // DBS3 decoupling of threads from instances.
   class BlockingLogic : public OperatorLogic {
    public:
-    void OnData(size_t, Tuple t, Emitter*) override {
-      if (t.at(0).AsInt() == -1) {
-        // The blocker: hold this thread until everything else is done.
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return released_; });
-      } else {
-        processed_.fetch_add(1);
+    void OnDataBatch(size_t, std::span<Tuple> tuples, Emitter*) override {
+      for (const Tuple& t : tuples) {
+        if (t.at(0).AsInt() == -1) {
+          // The blocker: hold this thread until everything else is done.
+          std::unique_lock<std::mutex> lock(mu_);
+          cv_.wait(lock, [&] { return released_; });
+        } else {
+          processed_.fetch_add(1);
+        }
       }
     }
     std::string name() const override { return "blocking"; }
@@ -198,8 +201,9 @@ TEST(OperationTest, LptConsumesExpensiveQueuesFirst) {
   // Single thread, LPT order: instance 2 (highest estimate) drains first.
   class OrderRecorder : public OperatorLogic {
    public:
-    void OnData(size_t instance, Tuple, Emitter*) override {
-      order.push_back(instance);
+    void OnDataBatch(size_t instance, std::span<Tuple> tuples,
+                     Emitter*) override {
+      order.insert(order.end(), tuples.size(), instance);
     }
     std::string name() const override { return "recorder"; }
     std::vector<size_t> order;
@@ -277,7 +281,7 @@ TEST(OperationTest, ChunkedPushCountsTuplesNotActivations) {
   op.PushData(1, Tuple({Value(int64_t{99})}));
   op.ProducerDone();
   op.Join();
-  // The default OnDataBatch loops OnData: every tuple is seen once.
+  // OnDataBatch sees every tuple of the chunk once.
   EXPECT_EQ(logic.count(0), 10u);
   EXPECT_EQ(logic.count(1), 1u);
   const OperationStats stats = op.stats();

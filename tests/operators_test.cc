@@ -28,6 +28,11 @@ class CapturingEmitter : public Emitter {
   std::vector<std::pair<size_t, Tuple>> emitted_;
 };
 
+/// Delivers `row` to `logic` as a one-tuple data activation.
+void Push(OperatorLogic& logic, size_t instance, Tuple row, Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&row, 1), out);
+}
+
 std::unique_ptr<Relation> KeyedRelation(size_t degree,
                                         std::vector<int64_t> keys) {
   auto r = std::make_unique<Relation>(
@@ -71,16 +76,18 @@ TEST(FilterLogicTest, PrepareRefusesAnEmptyRowTest) {
   auto r = KeyedRelation(2, {0, 1});
   FilterLogic filter(r.get(), TuplePredicate());
   EXPECT_EQ(filter.Prepare(2).code(), StatusCode::kInvalidArgument);
-  PipelinedFilterLogic pipelined(
+  FilterLogic nested(
+      r.get(),
       PredExpr::And({ColumnEquals(0, Value(int64_t{1})), TuplePredicate()}));
-  EXPECT_EQ(pipelined.Prepare(2).code(), StatusCode::kInvalidArgument);
-  PipelinedFilterLogic fine([](const Tuple& t) { return t.size() == 2; });
+  EXPECT_EQ(nested.Prepare(2).code(), StatusCode::kInvalidArgument);
+  FilterLogic fine(r.get(), [](const Tuple& t) { return t.size() == 2; });
   EXPECT_TRUE(fine.Prepare(2).ok());
 }
 
+// The paper's transmit is a filter that keeps every row.
 TEST(TransmitLogicTest, EmitsWholeFragmentTagged) {
   auto r = KeyedRelation(4, {0, 1, 2, 3, 4, 5, 6, 7});
-  TransmitLogic transmit(r.get());
+  FilterLogic transmit(r.get(), MatchAll());
   ASSERT_TRUE(transmit.Prepare(4).ok());
   CapturingEmitter out;
   transmit.OnTrigger(2, &out);
@@ -145,7 +152,7 @@ TEST_P(PipelinedJoinAlgoTest, ProbesAgainstInstanceFragment) {
   ASSERT_TRUE(join.Prepare(2).ok());
   CapturingEmitter out;
   // Probe with key 2 at instance 0 (2 % 2 == 0): matches the two 2s.
-  join.OnData(0, Tuple({Value(int64_t{2}), Value(int64_t{77})}), &out);
+  Push(join, 0, Tuple({Value(int64_t{2}), Value(int64_t{77})}), &out);
   auto emitted = out.take();
   ASSERT_EQ(emitted.size(), 2u);
   for (const auto& [inst, tuple] : emitted) {
@@ -154,7 +161,7 @@ TEST_P(PipelinedJoinAlgoTest, ProbesAgainstInstanceFragment) {
     EXPECT_EQ(tuple.at(2).AsInt(), 2);      // Inner key appended.
   }
   // A probe with no match at instance 1.
-  join.OnData(1, Tuple({Value(int64_t{9}), Value(int64_t{0})}), &out);
+  Push(join, 1, Tuple({Value(int64_t{9}), Value(int64_t{0})}), &out);
   EXPECT_TRUE(out.take().empty());
 }
 
@@ -167,9 +174,9 @@ TEST(StoreLogicTest, AppendsToInstanceFragment) {
                   Partitioner(PartitionKind::kModulo, 3));
   StoreLogic store(&result);
   ASSERT_TRUE(store.Prepare(3).ok());
-  store.OnData(1, Tuple({Value(int64_t{4}), Value(int64_t{0})}), nullptr);
-  store.OnData(1, Tuple({Value(int64_t{7}), Value(int64_t{0})}), nullptr);
-  store.OnData(2, Tuple({Value(int64_t{5}), Value(int64_t{0})}), nullptr);
+  Push(store, 1, Tuple({Value(int64_t{4}), Value(int64_t{0})}), nullptr);
+  Push(store, 1, Tuple({Value(int64_t{7}), Value(int64_t{0})}), nullptr);
+  Push(store, 2, Tuple({Value(int64_t{5}), Value(int64_t{0})}), nullptr);
   EXPECT_EQ(result.fragment(0).cardinality(), 0u);
   EXPECT_EQ(result.fragment(1).cardinality(), 2u);
   EXPECT_EQ(result.fragment(2).cardinality(), 1u);
@@ -181,7 +188,7 @@ TEST(MapLogicTest, TransformsAndForwards) {
     out->at(0) = Value(t.at(0).AsInt() * 10);
   });
   CapturingEmitter out;
-  map.OnData(3, Tuple({Value(int64_t{4}), Value(int64_t{7})}), &out);
+  Push(map, 3, Tuple({Value(int64_t{4}), Value(int64_t{7})}), &out);
   std::vector<Tuple> chunk = {Tuple({Value(int64_t{1}), Value(int64_t{8})}),
                               Tuple({Value(int64_t{2}), Value(int64_t{9})})};
   map.OnDataBatch(1, std::span<Tuple>(chunk), &out);

@@ -35,7 +35,7 @@ TestPlan MakeAssocPlan(double theta, size_t degree = 20) {
       Partitioner(PartitionKind::kModulo, degree));
   const size_t transmit =
       tp.plan.AddNode("transmit", ActivationMode::kTriggered, degree,
-                      std::make_unique<TransmitLogic>(tp.b.get()));
+                      std::make_unique<FilterLogic>(tp.b.get(), MatchAll()));
   const size_t join = tp.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
       std::make_unique<PipelinedJoinLogic>(tp.a.get(), 0, 0,
@@ -91,7 +91,7 @@ TEST(SchedulerTest, DerivedThreadCountGrowsWithComplexity) {
   Plan plan;
   const size_t transmit =
       plan.AddNode("transmit", ActivationMode::kTriggered, 20,
-                   std::make_unique<TransmitLogic>(big.b.get()));
+                   std::make_unique<FilterLogic>(big.b.get(), MatchAll()));
   const size_t join = plan.AddNode(
       "join", ActivationMode::kPipelined, 20,
       std::make_unique<PipelinedJoinLogic>(big.a.get(), 0, 0,

@@ -835,9 +835,8 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
 
     for (size_t i = 0; i < esql.size(); ++i) {
       SCOPED_TRACE(esql[i].text);
-      EsqlOptions solo;
-      solo.share_work = false;
-      auto expected = ExecuteEsql(db, esql[i].text, solo);
+      // Run alone, after the batch: a lone query never folds.
+      auto expected = ExecuteEsql(db, esql[i].text);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       const Relation& shared = *results[i].result;
       const Relation& reference = *expected.value().result;
@@ -1393,6 +1392,7 @@ TEST(AdmissionTest, EsqlCpuFitWaiterIsPackedPastABlockedWiderOne) {
   QueryRuntimeOptions ropt;
   ropt.pool_threads = 4;
   ropt.max_concurrent_queries = 2;
+  ropt.shared_batch_max_queries = 1;  // The two scans must not fold.
   ASSERT_TRUE(db.StartRuntime(ropt).ok());
 
   // Driver 1 runs a scan that holds 2 of the 4 pool threads until released.
@@ -1417,7 +1417,6 @@ TEST(AdmissionTest, EsqlCpuFitWaiterIsPackedPastABlockedWiderOne) {
   EsqlOptions wide;
   wide.schedule.total_threads = 4;  // More than the 2 free threads.
   wide.schedule.processors = 4;
-  wide.share_work = false;
   EsqlOptions narrow = wide;
   narrow.schedule.total_threads = 2;  // Deliverable right now.
   narrow.schedule.processors = 2;

@@ -55,6 +55,11 @@ class CapturingEmitter : public Emitter {
   std::vector<Tuple> emitted_;
 };
 
+/// Delivers `row` to `logic` as a one-tuple data activation.
+void Push(OperatorLogic& logic, size_t instance, Tuple row, Emitter* out) {
+  logic.OnDataBatch(instance, std::span<Tuple>(&row, 1), out);
+}
+
 /// Degree-1 relation of two int columns (key first).
 std::unique_ptr<Relation> MakeRelation(const std::string& name,
                                        const std::vector<Tuple>& rows) {
@@ -135,7 +140,7 @@ class JoinUnderTest {
     logic_->BindExecution(resources);
     ASSERT_TRUE(logic_->Prepare(1).ok());
     if (node_ == JoinNode::kAssocJoin) {
-      for (const Tuple& p : probes_) logic_->OnData(0, Tuple(p), &out_);
+      for (const Tuple& p : probes_) Push(*logic_, 0, Tuple(p), &out_);
     } else {
       logic_->OnTrigger(0, &out_);
     }
@@ -458,7 +463,7 @@ std::vector<Tuple> RunGroupBy(const std::vector<AggSpec>& aggs,
   group.BindExecution(resources);
   EXPECT_TRUE(group.Prepare(1).ok());
   CapturingEmitter out;
-  for (const Tuple& r : rows) group.OnData(0, Tuple(r), &out);
+  for (const Tuple& r : rows) Push(group, 0, Tuple(r), &out);
   group.OnFinish(0, &out);
   EXPECT_TRUE(group.error().ok()) << group.error().ToString();
   return out.take_sorted();
@@ -527,7 +532,7 @@ TEST(GroupBySpillTest, TeardownWithoutFinishReleasesQuotaAndFiles) {
     group.BindExecution(resources);
     ASSERT_TRUE(group.Prepare(1).ok());
     for (int64_t i = 0; i < 200; ++i) {
-      group.OnData(0, Tuple({Value(i % 40), Value(i)}), nullptr);
+      Push(group, 0, Tuple({Value(i % 40), Value(i)}), nullptr);
     }
     EXPECT_GT(SpillFile::live_files(), live_before);
     EXPECT_GT(quota.used(), 0u);

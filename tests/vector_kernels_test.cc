@@ -550,12 +550,18 @@ class VectorDifferentialTest : public ::testing::Test {
   /// Whether a run uses the engine's default path or the reference.
   enum class Path { kKernels, kReference };
 
-  void SetUp() override {
+  /// tenk1's generator options; tenk2 differs only in its seed.
+  static WisconsinOptions TenkOptions() {
     WisconsinOptions wopt;
     wopt.cardinality = 2'000;
     wopt.degree = 8;
     wopt.partition_kind = PartitionKind::kHash;
     wopt.with_strings = true;
+    return wopt;
+  }
+
+  void SetUp() override {
+    WisconsinOptions wopt = TenkOptions();
     ASSERT_TRUE(db_.CreateWisconsin("tenk1", wopt).ok());
     wopt.seed = 99;  // Different permutation, same key set.
     ASSERT_TRUE(db_.CreateWisconsin("tenk2", wopt).ok());
@@ -683,42 +689,24 @@ TEST_F(VectorDifferentialTest, FragmentsAndChunksOfOneToThreeRows) {
       RunSelect(db_, "small", typed, 0.5, Options(1, Path::kKernels));
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   EXPECT_EQ(SortedScan(*scanned.value().result), NaiveSelect(small, keep));
-
-  // The pipelined filter: chunk sizes 1-3 hand it data activations of 1-3
-  // tuples, 4 and 16 larger ones plus the partial chunks each fragment's
-  // tail leaves.
-  for (size_t chunk_size : {1, 2, 3, 4, 16}) {
-    for (const Path path : {Path::kKernels, Path::kReference}) {
-      Relation result("res", small.schema(), 0,
-                      Partitioner(PartitionKind::kModulo, small.degree()));
-      Plan plan;
-      const size_t scan =
-          plan.AddNode("scan", ActivationMode::kTriggered, small.degree(),
-                       std::make_unique<TransmitLogic>(&small));
-      const size_t filter = plan.AddNode(
-          "filter", ActivationMode::kPipelined, small.degree(),
-          std::make_unique<PipelinedFilterLogic>(On(path, typed), 0.5));
-      const size_t store =
-          plan.AddNode("store", ActivationMode::kPipelined, small.degree(),
-                       std::make_unique<StoreLogic>(&result));
-      ASSERT_TRUE(plan.ConnectSameInstance(scan, filter).ok());
-      ASSERT_TRUE(plan.ConnectSameInstance(filter, store).ok());
-      for (size_t i = 0; i < plan.num_nodes(); ++i) {
-        plan.params(i).threads = 2;
-        plan.params(i).chunk_size = chunk_size;
-      }
-      Executor executor;
-      auto run = executor.Run(plan);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(SortedScan(result), NaiveSelect(small, keep))
-          << "chunk_size=" << chunk_size;
-    }
-  }
 }
 
 TEST_F(VectorDifferentialTest, EsqlWhereWithAnUntypedConjunct) {
   // `string4 < 'OOOO'` has no typed leaf (no string ranges), so it runs as
-  // a row leaf between the two conjuncts that lower.
+  // a row leaf between the two conjuncts that lower. At every chunk size
+  // the query runs solo (its own FilterLogic scan) and as one shared scan
+  // of kCopies identical members: a single driver holds the lead's batch
+  // open until every copy has queued. The solo run goes to a second
+  // database holding the same tenk1, as a lone copy on the batching
+  // runtime would wait out the whole window.
+  Database solo_db;
+  ASSERT_TRUE(solo_db.CreateWisconsin("tenk1", TenkOptions()).ok());
+  constexpr size_t kCopies = 3;
+  QueryRuntimeOptions ropt;
+  ropt.max_concurrent_queries = 1;
+  ropt.shared_batch_max_queries = kCopies;
+  ropt.shared_batch_window_us = 10'000'000;  // The last copy closes it.
+  ASSERT_TRUE(db_.StartRuntime(ropt).ok());
   const Relation& tenk1 = *db_.relation("tenk1").value();
   const size_t unique1 = Column("tenk1", "unique1");
   const size_t string4 = Column("tenk1", "string4");
@@ -732,16 +720,25 @@ TEST_F(VectorDifferentialTest, EsqlWhereWithAnUntypedConjunct) {
       "SELECT * FROM tenk1 WHERE unique1 < 1500 AND string4 < 'OOOO' AND "
       "ten != 3";
   for (size_t chunk_size : {1, 4, 16, 64}) {
-    for (const bool share_work : {false, true}) {
-      EsqlOptions options;
-      options.schedule.total_threads = 4;
-      options.schedule.processors = 4;
-      options.schedule.chunk_size = chunk_size;
-      options.share_work = share_work;
-      auto r = ExecuteEsql(db_, query, options);
+    SCOPED_TRACE("chunk_size=" + std::to_string(chunk_size));
+    EsqlOptions options;
+    options.schedule.total_threads = 4;
+    options.schedule.processors = 4;
+    options.schedule.chunk_size = chunk_size;
+    QueryHandle solo = SubmitEsql(solo_db, query, options);
+    auto alone = solo.Take();
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    EXPECT_EQ(solo.stats().shared_batch_queries, 0u);
+    EXPECT_EQ(SortedScan(*alone.value().result), expected);
+    std::vector<QueryHandle> handles;
+    for (size_t i = 0; i < kCopies; ++i) {
+      handles.push_back(SubmitEsql(db_, query, options));
+    }
+    for (QueryHandle& h : handles) {
+      auto r = h.Take();
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_EQ(SortedScan(*r.value().result), expected)
-          << "chunk_size=" << chunk_size << " share_work=" << share_work;
+      EXPECT_EQ(h.stats().shared_batch_queries, kCopies);
+      EXPECT_EQ(SortedScan(*r.value().result), expected);
     }
   }
 }
