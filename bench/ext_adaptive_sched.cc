@@ -95,8 +95,7 @@ QuerySpec LongQuery(Relation* rel) {
     ScheduleOptions schedule;
     schedule.total_threads = kPool;
     schedule.processors = kPool;
-    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
-                          env.Run(plan, CostModel{}, schedule));
+    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase, env.Run(plan, schedule));
     QueryResult out;
     out.result = std::move(result);
     out.execution = std::move(phase.execution);

@@ -106,7 +106,7 @@ Status RunIdealJoinPrivately(Database& db, const QueryOptions& options) {
                                     std::make_unique<StoreLogic>(&result));
   DBS3_RETURN_IF_ERROR(plan.ConnectSameInstance(join, store));
   DBS3_RETURN_IF_ERROR(
-      ScheduleQuery(plan, options.cost_model, options.schedule).status());
+      ScheduleQuery(plan, CostModel{}, options.schedule).status());
   ExecOptions exec;
   exec.quota = &quota;
   Executor executor;

@@ -78,9 +78,9 @@ bool RunQuery(dbs3::Database& db, const std::string& query) {
   }
   const dbs3::Relation& rel = *result.value().result;
   // Header.
+  const size_t phases = result.value().phases.size() + 1;
   std::printf("physical: %s  (%zu phase%s, %zu threads, %.1f ms)\n",
-              result.value().physical_plan.c_str(), result.value().phases,
-              result.value().phases > 1 ? "s" : "",
+              result.value().detail.c_str(), phases, phases > 1 ? "s" : "",
               result.value().schedule.total_threads,
               result.value().execution.seconds * 1e3);
   for (const dbs3::Column& c : rel.schema().columns()) {

@@ -25,7 +25,7 @@ void Run(dbs3::Database& db, const char* label, const std::string& query) {
               static_cast<unsigned long long>(
                   result.value().result->cardinality()),
               result.value().execution.seconds * 1e3,
-              result.value().physical_plan.c_str());
+              result.value().detail.c_str());
 }
 
 }  // namespace

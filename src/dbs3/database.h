@@ -63,10 +63,11 @@ class Database {
   DiskArray& disks() { return disks_; }
 
   /// Engine-wide metrics, accumulated across every query run against this
-  /// database (engine.queries, engine.tuple_units, engine.busy_ns,
-  /// engine.units_dropped, runtime.*...). Per-execution detail lives on
-  /// each query's ExecutionResult; this registry is the long-running
-  /// aggregate.
+  /// database — facade, ESQL and shared-batch members alike: runtime.*
+  /// (query outcomes, admission wait, execution wall and busy time),
+  /// engine.tuple_units, engine.units_cancelled, spill.* and shared.*.
+  /// Per-execution detail lives on each query's ExecutionResult; this
+  /// registry is the long-running aggregate.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 

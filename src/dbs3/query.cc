@@ -10,29 +10,6 @@ namespace dbs3 {
 
 namespace {
 
-/// Folds one execution's statistics into the database's engine-wide
-/// metrics registry.
-void AccumulateEngineMetrics(MetricsRegistry& metrics,
-                             const ExecutionResult& execution) {
-  metrics.counter("engine.queries")->Add(1);
-  metrics.counter("engine.units_dropped")->Add(execution.units_dropped);
-  metrics.counter("engine.units_cancelled")->Add(execution.units_cancelled);
-  uint64_t tuple_units = 0, activations = 0, emitted = 0;
-  double busy = 0.0;
-  for (const OperationStats& op : execution.op_stats) {
-    for (uint64_t c : op.per_instance_processed) tuple_units += c;
-    activations += op.activations;
-    emitted += op.emitted;
-    busy += op.busy_seconds;
-  }
-  metrics.counter("engine.tuple_units")->Add(tuple_units);
-  metrics.counter("engine.activations")->Add(activations);
-  metrics.counter("engine.emitted")->Add(emitted);
-  metrics.counter("engine.busy_ns")->Add(static_cast<uint64_t>(busy * 1e9));
-  metrics.counter("engine.wall_ns")
-      ->Add(static_cast<uint64_t>(execution.seconds * 1e9));
-}
-
 /// A built-but-not-yet-executed query: the dataflow graph plus the
 /// relation its store node materializes into.
 struct PlannedQuery {
@@ -49,13 +26,11 @@ QueryHandle SubmitPlanned(Database& db, QueryPlanner planner,
                           const QueryOptions& options) {
   return db.Submit(MakeQuerySpec(
       options,
-      [&db, planner = std::move(planner),
-       options](QueryEnv& env) -> Result<QueryResult> {
+      [planner = std::move(planner),
+       schedule = options.schedule](QueryEnv& env) -> Result<QueryResult> {
         DBS3_ASSIGN_OR_RETURN(PlannedQuery planned, planner());
-        DBS3_ASSIGN_OR_RETURN(
-            PhaseOutcome phase,
-            env.Run(planned.plan, options.cost_model, options.schedule));
-        AccumulateEngineMetrics(db.metrics(), phase.execution);
+        DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
+                              env.Run(planned.plan, schedule));
         QueryResult out;
         out.result = std::move(planned.result);
         out.execution = std::move(phase.execution);

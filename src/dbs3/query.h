@@ -23,10 +23,9 @@ namespace dbs3 {
 /// pool); code that wants private threads schedules a Plan and calls
 /// Executor::Run itself.
 struct QueryOptions {
-  /// Thread allocation inputs (Section 3 steps 1-4).
+  /// Thread allocation inputs (Section 3 steps 1-4). Every phase is
+  /// scheduled with the default CostModel.
   ScheduleOptions schedule;
-  /// Operator complexity constants for the scheduler.
-  CostModel cost_model;
   /// Join algorithm for join queries.
   JoinAlgorithm algorithm = JoinAlgorithm::kHash;
   /// Name given to the materialized result relation.

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/memory_quota.h"
-#include "common/metrics.h"
 
 namespace dbs3 {
 
@@ -116,7 +115,7 @@ Status GroupByLogic::SpillGroupsLocked(InstanceState& state) {
     const size_t p = PartitionOf(key, 0);
     if (state.spill_files[p] == nullptr) {
       DBS3_ASSIGN_OR_RETURN(state.spill_files[p],
-                            SpillFile::Create(&counters_));
+                            SpillFile::Create(resources_.spill));
     }
     DBS3_RETURN_IF_ERROR(
         state.spill_files[p]->Append(EncodePartial(key, group)));
@@ -124,7 +123,9 @@ Status GroupByLogic::SpillGroupsLocked(InstanceState& state) {
   state.groups.clear();
   if (resources_.quota != nullptr) resources_.quota->Release(state.charged);
   state.charged = 0;
-  spill_events_.fetch_add(1, std::memory_order_relaxed);
+  if (resources_.spill != nullptr) {
+    resources_.spill->groupby_flushes.fetch_add(1, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 
@@ -287,7 +288,6 @@ void GroupByLogic::OnFinish(size_t instance, Emitter* out) {
     MutexLock lock(&state.mu);
     if (state.error.ok()) state.error = status;
   }
-  PublishMetrics();
 }
 
 Status GroupByLogic::MergeSpilledFile(size_t instance, SpillFile* file,
@@ -305,7 +305,7 @@ Status GroupByLogic::MergeSpilledFile(size_t instance, SpillFile* file,
   auto route_to_sub = [&](const Tuple& row) -> Status {
     const size_t p = PartitionOf(row.at(0), level);
     if (subs[p] == nullptr) {
-      DBS3_ASSIGN_OR_RETURN(subs[p], SpillFile::Create(&counters_));
+      DBS3_ASSIGN_OR_RETURN(subs[p], SpillFile::Create(resources_.spill));
     }
     return subs[p]->Append(row);
   };
@@ -338,7 +338,10 @@ Status GroupByLogic::MergeSpilledFile(size_t instance, SpillFile* file,
           // Switch to split mode: dump what merged so far as partial rows
           // into level-salted sub-partitions and stream the rest through.
           overflow = true;
-          merge_recursions_.fetch_add(1, std::memory_order_relaxed);
+          if (resources_.spill != nullptr) {
+            resources_.spill->recursions.fetch_add(1,
+                                                   std::memory_order_relaxed);
+          }
           subs.resize(kSpillFanout);
           for (const auto& [key, group] : merged) {
             DBS3_RETURN_IF_ERROR(route_to_sub(EncodePartial(key, group)));
@@ -368,26 +371,6 @@ Status GroupByLogic::MergeSpilledFile(size_t instance, SpillFile* file,
     DBS3_RETURN_IF_ERROR(MergeSpilledFile(instance, sub.get(), level + 1, out));
   }
   return Status::OK();
-}
-
-void GroupByLogic::PublishMetrics() {
-  if (resources_.metrics == nullptr) return;
-  const uint64_t bw = counters_.bytes_written.load(std::memory_order_relaxed);
-  const uint64_t br = counters_.bytes_read.load(std::memory_order_relaxed);
-  const uint64_t events = spill_events_.load(std::memory_order_relaxed);
-  const uint64_t recs = merge_recursions_.load(std::memory_order_relaxed);
-  resources_.metrics->counter("spill.bytes_written")
-      ->Add(bw - published_bytes_written_);
-  resources_.metrics->counter("spill.bytes_read")
-      ->Add(br - published_bytes_read_);
-  resources_.metrics->counter("spill.groupby_flushes")
-      ->Add(events - published_spill_events_);
-  resources_.metrics->counter("spill.recursions")
-      ->Add(recs - published_recursions_);
-  published_bytes_written_ = bw;
-  published_bytes_read_ = br;
-  published_spill_events_ = events;
-  published_recursions_ = recs;
 }
 
 NodeEstimate GroupByLogic::Estimate(const CostModel& cost_model,

@@ -1,7 +1,6 @@
 #ifndef DBS3_ENGINE_BLOCKING_OPERATORS_H_
 #define DBS3_ENGINE_BLOCKING_OPERATORS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -116,19 +115,9 @@ class GroupByLogic : public OperatorLogic {
   Status MergeSpilledFile(size_t instance, SpillFile* file, size_t level,
                           Emitter* out);
 
-  /// Publishes counter growth since the last publish (sequential OnFinish).
-  void PublishMetrics();
-
   size_t group_column_;
   std::vector<AggSpec> aggregates_;
   ExecResources resources_;
-  SpillCounters counters_;
-  std::atomic<uint64_t> spill_events_{0};
-  std::atomic<uint64_t> merge_recursions_{0};
-  uint64_t published_bytes_written_ = 0;
-  uint64_t published_bytes_read_ = 0;
-  uint64_t published_spill_events_ = 0;
-  uint64_t published_recursions_ = 0;
   std::vector<std::unique_ptr<InstanceState>> instances_;
 };
 

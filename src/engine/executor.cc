@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
@@ -9,6 +10,7 @@
 
 #include "common/logging.h"
 #include "engine/verify.h"
+#include "storage/spill.h"
 
 namespace dbs3 {
 namespace {
@@ -124,20 +126,17 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
       options.chunk_pool != nullptr ? options.chunk_pool : &local_pool;
   const ChunkPool::Stats pool_before = chunk_pool->stats();
 
-  // Per-execution metric registry, declared before the operations so the
-  // operator logics may write (spill) counters from any execution callback.
-  // The background sampler (queue depth in tuple units per operation) only
-  // runs when tracing is enabled; counters are aggregated after the run
-  // either way.
-  MetricsRegistry registry;
+  // The run's spill record, declared before the operations so the operator
+  // logics may count into it from any execution callback.
+  SpillCounters spill;
 
   // Resources shared by every operator logic this run: the query's memory
-  // quota (nullptr = unaccounted), the registry above, and the cancel
+  // quota (nullptr = unaccounted), the spill record above, and the cancel
   // token. Bound before Prepare so per-instance state can be sized with the
   // budget in view.
   ExecResources resources;
   resources.quota = options.quota;
-  resources.metrics = &registry;
+  resources.spill = &spill;
   resources.cancel = options.cancel;
 
   // Instantiate operations consumers-first so producers can hold their
@@ -188,18 +187,22 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
     if (node.mode == ActivationMode::kTriggered) ops[i]->AddProducer();
   }
 
-  MetricsSampler sampler(
-      &registry,
-      std::chrono::microseconds(std::max<uint32_t>(1,
-                                                   trace.sample_interval_us)));
+  // A traced run samples each operation's queued tuple units into a series
+  // on a registry of its own; an untraced one builds neither.
+  std::unique_ptr<MetricsRegistry> registry;
+  std::unique_ptr<MetricsSampler> sampler;
   if (trace.enabled) {
+    registry = std::make_unique<MetricsRegistry>();
     for (size_t i = 0; i < plan.num_nodes(); ++i) {
       Operation* op = ops[i].get();
-      registry.RegisterProbe(
+      registry->RegisterProbe(
           "op." + plan.node(i).name + ".queued_units",
           [op] { return std::max<int64_t>(0, op->pending()); });
     }
-    sampler.Start();
+    sampler = std::make_unique<MetricsSampler>(
+        registry.get(), std::chrono::microseconds(std::max<uint32_t>(
+                            1, trace.sample_interval_us)));
+    sampler->Start();
   }
 
   // Steady-state malleability: a pool-backed execution registers on the
@@ -278,8 +281,10 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
 
   // The sampler's probes point into the operations: stop it (and drop the
   // probes) before the operations can go away.
-  sampler.Stop();
-  registry.ClearProbes();
+  if (sampler != nullptr) {
+    sampler->Stop();
+    registry->ClearProbes();
+  }
 
   // Operator-level failures (spill IO, quota exhaustion without a spill
   // path) have no return channel in the activation callbacks; surface the
@@ -297,23 +302,6 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
   result.op_stats.reserve(plan.num_nodes());
   for (size_t i = 0; i < plan.num_nodes(); ++i) {
     OperationStats stats = ops[i]->stats();
-    const std::string prefix = "op." + stats.name + ".";
-    registry.counter(prefix + "tuple_units")
-        ->Add(std::accumulate(stats.per_instance_processed.begin(),
-                              stats.per_instance_processed.end(),
-                              uint64_t{0}));
-    registry.counter(prefix + "activations")->Add(stats.activations);
-    registry.counter(prefix + "emitted")->Add(stats.emitted);
-    registry.counter(prefix + "dropped_units")->Add(stats.dropped);
-    registry.counter(prefix + "cancelled_units")->Add(stats.cancelled_units);
-    registry.counter(prefix + "busy_ns")
-        ->Add(static_cast<uint64_t>(stats.busy_seconds * 1e9));
-    registry.counter(prefix + "main_queue_acquisitions")
-        ->Add(stats.main_queue_acquisitions);
-    registry.counter(prefix + "secondary_queue_acquisitions")
-        ->Add(stats.secondary_queue_acquisitions);
-    registry.counter(prefix + "peak_queue_units")
-        ->Add(stats.peak_queue_units);
     result.units_dropped += stats.dropped;
     result.units_cancelled += stats.cancelled_units;
     result.op_stats.push_back(std::move(stats));
@@ -328,14 +316,21 @@ Result<ExecutionResult> Executor::Run(Plan& plan,
     result.chunk_pool.discarded = after.discarded - pool_before.discarded;
     result.chunk_pool.free_buffers = after.free_buffers;
   }
-  registry.counter("engine.chunks_allocated")->Add(result.chunk_pool.allocated);
-  registry.counter("engine.chunks_reused")->Add(result.chunk_pool.reused);
-  registry.counter("engine.chunks_discarded")
-      ->Add(result.chunk_pool.discarded);
-  result.threads_granted = rebalance.granted;
-  result.threads_parked = rebalance.parked;
   result.completion = options.cancel.ToStatus();
-  result.metrics = registry.Snapshot();
+  if (registry != nullptr) result.metrics = registry->Snapshot();
+  // Spill activity, cancelled runs included: every spill file and spilling
+  // operator counted into `spill` before its worker exited.
+  const std::pair<const char*, const std::atomic<uint64_t>*> spilled[] = {
+      {"spill.bytes_written", &spill.bytes_written},
+      {"spill.bytes_read", &spill.bytes_read},
+      {"spill.partitions", &spill.partitions},
+      {"spill.recursions", &spill.recursions},
+      {"spill.groupby_flushes", &spill.groupby_flushes},
+  };
+  for (const auto& [name, value] : spilled) {
+    const uint64_t v = value->load(std::memory_order_relaxed);
+    if (v != 0) result.metrics.counters[name] = v;
+  }
 
 #if DBS3_VERIFY_ENABLED
   // Tuple-conservation ledger (debug builds): every unit pushed into an

@@ -28,7 +28,8 @@ struct ExecOptions {
   /// Cooperative cancellation/deadline for the whole execution. Once it
   /// fires, remaining queued units drain into the per-operation
   /// `cancelled_units` bucket, OnFinish hooks are skipped, and the result's
-  /// `completion` reports Cancelled or DeadlineExceeded.
+  /// `completion` reports Cancelled or DeadlineExceeded (its spill.*
+  /// counters still report the IO done before the stop).
   CancelToken cancel = CancelToken::None();
   /// When set, chunk buffers recycle through this pool instead of a
   /// per-execution one, carrying the warmed-up free list across executions
@@ -77,9 +78,11 @@ struct ExecutionResult {
   /// when the cancel token fired. The execution still drained cleanly
   /// either way — results are merely partial or withheld.
   Status completion = Status::OK();
-  /// Per-execution metric snapshot: engine counters aggregated from the
-  /// operations plus (when tracing was enabled) the background sampler's
-  /// queue-depth series.
+  /// Per-execution metric snapshot: the non-zero spill.* counters of the
+  /// run (bytes_written, bytes_read, partitions, recursions,
+  /// groupby_flushes) plus, when tracing was enabled, each operation's
+  /// sampled op.<name>.queued_units series. Per-operation counts live in
+  /// `op_stats`, chunk recycling in `chunk_pool`.
   MetricsSnapshot metrics;
   /// Chrome trace_event JSON of every activation span
   /// (chrome://tracing-loadable). Empty unless the plan's TraceOptions
@@ -90,11 +93,6 @@ struct ExecutionResult {
   /// emitter buffer is allocated at most once and then cycles through
   /// producer -> consumer queue -> pool -> producer).
   ChunkPool::Stats chunk_pool;
-  /// Steady-state rebalancing activity (0 without an ExecOptions board):
-  /// extra workers granted into this execution mid-query, and workers
-  /// parked (released back to the pool before their natural drain).
-  uint64_t threads_granted = 0;
-  uint64_t threads_parked = 0;
 };
 
 /// Runs a Plan with real threads on the host machine.

@@ -15,11 +15,11 @@
 namespace dbs3 {
 
 class MemoryQuota;
-class MetricsRegistry;
+struct SpillCounters;
 
 /// Per-execution resources the executor hands to every operator logic
 /// before Prepare (see OperatorLogic::BindExecution). Pointers stay valid
-/// for the duration of Executor::Run only — logics must touch `metrics`
+/// for the duration of Executor::Run only — logics must touch `spill`
 /// exclusively from execution callbacks. `quota` is the one exception: when
 /// non-null the caller guarantees it outlives the plan's logics, so
 /// destructors can release charges a cancelled run left behind.
@@ -27,8 +27,9 @@ struct ExecResources {
   /// The query's memory quota, or nullptr when the execution runs without
   /// accounting (no budget declared and no caller-provided tracker).
   MemoryQuota* quota = nullptr;
-  /// The execution's metric registry (spill counters land here).
-  MetricsRegistry* metrics = nullptr;
+  /// The execution's spill record: spill files and the spilling operators
+  /// count into it directly. nullptr = nothing counted.
+  SpillCounters* spill = nullptr;
   /// The execution's cancel token; long-running OnFinish work (spill
   /// drains) checks it between partitions.
   CancelToken cancel = CancelToken::None();
@@ -89,7 +90,7 @@ class OperatorLogic {
 
   /// Called once per execution, before Prepare, with the run's shared
   /// resources. The default ignores them; memory-aware operators (hash
-  /// joins, group-by, sort) keep the quota/metrics pointers and charge
+  /// joins, group-by, sort) keep the quota/spill pointers and charge
   /// retained state against the quota as they buffer it.
   virtual void BindExecution(const ExecResources& resources) {
     (void)resources;

@@ -244,12 +244,6 @@ void TriggeredJoinLogic::OnTrigger(size_t instance, Emitter* out) {
   }
 }
 
-void TriggeredJoinLogic::OnFinish(size_t instance, Emitter* out) {
-  (void)instance;
-  (void)out;
-  build_.PublishMetrics();
-}
-
 Status TriggeredJoinLogic::error() const { return build_.error(); }
 
 // -------------------------------------------------------- PipelinedJoin
@@ -340,7 +334,6 @@ void PipelinedJoinLogic::OnDataBatch(size_t instance,
 void PipelinedJoinLogic::OnFinish(size_t instance, Emitter* out) {
   if (algorithm_ == JoinAlgorithm::kNestedLoop) return;
   build_.Finish(instance, out);
-  build_.PublishMetrics();
 }
 
 Status PipelinedJoinLogic::error() const { return build_.error(); }

@@ -85,8 +85,6 @@ class TriggeredJoinLogic : public OperatorLogic {
   void BindExecution(const ExecResources& resources) override;
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
-  /// Publishes the spill counters.
-  void OnFinish(size_t instance, Emitter* out) override;
   Status error() const override;
   std::string name() const override { return "join"; }
   NodeEstimate Estimate(const CostModel& cost_model,
@@ -124,8 +122,7 @@ class PipelinedJoinLogic : public OperatorLogic {
   /// batched prefetching probe.
   void OnDataBatch(size_t instance, std::span<Tuple> tuples,
                    Emitter* out) override;
-  /// Joins deferred probes, releases the instance's build, and publishes
-  /// the spill counters.
+  /// Joins deferred probes and releases the instance's build.
   void OnFinish(size_t instance, Emitter* out) override;
   Status error() const override;
   std::string name() const override { return "join"; }

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/memory_quota.h"
-#include "common/metrics.h"
 #include "storage/row_block.h"
 
 namespace dbs3 {
@@ -72,7 +71,8 @@ Status HashJoinBuild::error() const {
 
 Status HashJoinBuild::SpillPartition(Partition& part) {
   if (part.build_file == nullptr) {
-    DBS3_ASSIGN_OR_RETURN(part.build_file, SpillFile::Create(&counters_));
+    DBS3_ASSIGN_OR_RETURN(part.build_file,
+                          SpillFile::Create(resources_.spill));
   }
   for (const Tuple& t : part.build.tuples) {
     DBS3_RETURN_IF_ERROR(part.build_file->Append(t));
@@ -83,7 +83,9 @@ Status HashJoinBuild::SpillPartition(Partition& part) {
   if (resources_.quota != nullptr) resources_.quota->Release(part.charged);
   part.charged = 0;
   part.spilled = true;
-  partitions_spilled_.fetch_add(1, std::memory_order_relaxed);
+  if (resources_.spill != nullptr) {
+    resources_.spill->partitions.fetch_add(1, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 
@@ -183,7 +185,7 @@ void HashJoinBuild::ProbePartitions(size_t instance,
       MutexLock lock(&state.mu);
       if (part.probe_file == nullptr) {
         Result<std::unique_ptr<SpillFile>> file =
-            SpillFile::Create(&counters_);
+            SpillFile::Create(resources_.spill);
         if (!file.ok()) {
           if (state.error.ok()) state.error = file.status();
           return;
@@ -277,7 +279,9 @@ Status HashJoinBuild::ProcessSpilledPair(size_t instance,
 Status HashJoinBuild::Repartition(size_t instance, SpillFile* build_file,
                                   SpillFile* probe_file, size_t level,
                                   Emitter* out) {
-  recursions_.fetch_add(1, std::memory_order_relaxed);
+  if (resources_.spill != nullptr) {
+    resources_.spill->recursions.fetch_add(1, std::memory_order_relaxed);
+  }
   std::vector<std::unique_ptr<SpillFile>> sub_build(kFanout);
   std::vector<std::unique_ptr<SpillFile>> sub_probe(kFanout);
 
@@ -294,7 +298,8 @@ Status HashJoinBuild::Repartition(size_t instance, SpillFile* build_file,
       for (const Tuple& t : chunk) {
         const size_t p = PartitionOf(t.at(column), level);
         if (dst[p] == nullptr) {
-          DBS3_ASSIGN_OR_RETURN(dst[p], SpillFile::Create(&counters_));
+          DBS3_ASSIGN_OR_RETURN(dst[p],
+                                SpillFile::Create(resources_.spill));
         }
         DBS3_RETURN_IF_ERROR(dst[p]->Append(t));
       }
@@ -381,34 +386,6 @@ void HashJoinBuild::Finish(size_t instance, Emitter* out) {
   // Drop the build and return its charges: nothing probes this instance
   // again.
   Release(state);
-}
-
-void HashJoinBuild::PublishMetrics() {
-  if (resources_.metrics == nullptr) return;
-  // OnFinish runs sequentially, so delta publishing needs no lock.
-  const uint64_t bw = counters_.bytes_written.load(std::memory_order_relaxed);
-  const uint64_t br = counters_.bytes_read.load(std::memory_order_relaxed);
-  const uint64_t parts =
-      partitions_spilled_.load(std::memory_order_relaxed);
-  const uint64_t recs = recursions_.load(std::memory_order_relaxed);
-  // Nothing spilled since the last publish (every resident build): skip
-  // the registry lookups.
-  if (bw == published_bytes_written_ && br == published_bytes_read_ &&
-      parts == published_partitions_ && recs == published_recursions_) {
-    return;
-  }
-  resources_.metrics->counter("spill.bytes_written")
-      ->Add(bw - published_bytes_written_);
-  resources_.metrics->counter("spill.bytes_read")
-      ->Add(br - published_bytes_read_);
-  resources_.metrics->counter("spill.partitions")
-      ->Add(parts - published_partitions_);
-  resources_.metrics->counter("spill.recursions")
-      ->Add(recs - published_recursions_);
-  published_bytes_written_ = bw;
-  published_bytes_read_ = br;
-  published_partitions_ = parts;
-  published_recursions_ = recs;
 }
 
 }  // namespace dbs3

@@ -1,7 +1,6 @@
 #ifndef DBS3_ENGINE_SPILL_JOIN_H_
 #define DBS3_ENGINE_SPILL_JOIN_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -58,7 +57,7 @@ class HashJoinBuild {
   HashJoinBuild(const HashJoinBuild&) = delete;
   HashJoinBuild& operator=(const HashJoinBuild&) = delete;
 
-  /// OperatorLogic::BindExecution's resources (quota, metrics, cancel).
+  /// OperatorLogic::BindExecution's resources (quota, spill, cancel).
   void Bind(const ExecResources& resources) { resources_ = resources; }
 
   /// Releases any previous execution's state and sizes `num_instances`
@@ -82,10 +81,6 @@ class HashJoinBuild {
 
   /// First spill IO error any instance hit.
   Status error() const;
-
-  /// Publishes the spill counters' growth since the last publish into the
-  /// bound metrics registry (called from the sequential OnFinish).
-  void PublishMetrics();
 
  private:
   /// Build-side hash partitions per instance (and per recursion level).
@@ -155,14 +150,6 @@ class HashJoinBuild {
   size_t inner_column_;
   size_t probe_column_;
   ExecResources resources_;
-  SpillCounters counters_;
-  /// spill.* counter values already published to the metrics registry.
-  uint64_t published_bytes_written_ = 0;
-  uint64_t published_bytes_read_ = 0;
-  uint64_t published_partitions_ = 0;
-  uint64_t published_recursions_ = 0;
-  std::atomic<uint64_t> partitions_spilled_{0};
-  std::atomic<uint64_t> recursions_{0};
   std::vector<std::unique_ptr<InstanceState>> instances_;
 };
 

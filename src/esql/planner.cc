@@ -214,8 +214,7 @@ Result<std::unique_ptr<Relation>> MaterializeRepartition(
                    std::make_unique<StoreLogic>(temp.get()));
   DBS3_RETURN_IF_ERROR(
       plan.ConnectByColumn(filter, store, column, temp->partitioner()));
-  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out,
-                        env.Run(plan, CostModel{}, options.schedule));
+  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out, env.Run(plan, options.schedule));
   phase_execs->push_back(std::move(out.execution));
   return temp;
 }
@@ -626,9 +625,8 @@ Result<QueryResult> RunEsql(Database& db, const EsqlQuery& query,
   DBS3_RETURN_IF_ERROR(state.plan.ConnectSameInstance(
       static_cast<size_t>(state.tail), store));
 
-  DBS3_ASSIGN_OR_RETURN(
-      PhaseOutcome final_phase,
-      env.Run(state.plan, options.cost_model, options.schedule));
+  DBS3_ASSIGN_OR_RETURN(PhaseOutcome final_phase,
+                        env.Run(state.plan, options.schedule));
   QueryResult out;
   out.result = std::move(result);
   out.execution = std::move(final_phase.execution);
@@ -688,7 +686,6 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
   spec->selectivity = pred.second;
   spec->result_name = options.result_name;
   spec->schedule = options.schedule;
-  spec->cost_model = options.cost_model;
   spec->share_class = ComputeShareClass(*rel, spec->projection);
   return std::shared_ptr<const SharedScanSpec>(std::move(spec));
 }
@@ -712,23 +709,14 @@ QueryHandle SubmitParsed(Database& db, EsqlQuery query,
 
 }  // namespace
 
-Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
-                               const EsqlOptions& options) {
-  DBS3_ASSIGN_OR_RETURN(QueryResult result,
-                        SubmitEsql(db, query, options).Take());
-  EsqlResult out;
-  out.result = std::move(result.result);
-  out.execution = std::move(result.execution);
-  out.schedule = std::move(result.schedule);
-  out.physical_plan = std::move(result.detail);
-  out.phases = result.phases.size() + 1;
-  return out;
+Result<QueryResult> ExecuteEsql(Database& db, const EsqlQuery& query,
+                                const EsqlOptions& options) {
+  return SubmitEsql(db, query, options).Take();
 }
 
-Result<EsqlResult> ExecuteEsql(Database& db, const std::string& query,
-                               const EsqlOptions& options) {
-  DBS3_ASSIGN_OR_RETURN(EsqlQuery parsed, ParseEsql(query));
-  return ExecuteEsql(db, parsed, options);
+Result<QueryResult> ExecuteEsql(Database& db, const std::string& query,
+                                const EsqlOptions& options) {
+  return SubmitEsql(db, query, options).Take();
 }
 
 QueryHandle SubmitEsql(Database& db, const EsqlQuery& query,

@@ -1,21 +1,18 @@
 #ifndef DBS3_ESQL_PLANNER_H_
 #define DBS3_ESQL_PLANNER_H_
 
-#include <memory>
 #include <string>
 
 #include "common/result.h"
 #include "dbs3/database.h"
 #include "dbs3/query.h"
-#include "engine/executor.h"
 #include "esql/ast.h"
-#include "sched/scheduler.h"
 #include "server/query_handle.h"
 
 namespace dbs3 {
 
 /// Execution knobs of the ESQL layer: the facade's QueryOptions (schedule,
-/// cost model, join algorithm, the multi-user knobs — see dbs3/query.h).
+/// join algorithm, the multi-user knobs — see dbs3/query.h).
 /// The result relation defaults to "esql_result". There is no switch
 /// between row and batch evaluation: each WHERE conjunct becomes one
 /// predicate leaf, and the operators pick the batch kernels or the row
@@ -32,22 +29,11 @@ struct EsqlOptions : QueryOptions {
   EsqlOptions() { result_name = "esql_result"; }
 };
 
-/// Outcome of one ESQL query.
-struct EsqlResult {
-  /// The materialized result.
-  std::unique_ptr<Relation> result;
-  /// Execution stats of the final plan phase.
-  ExecutionResult execution;
-  /// Scheduling decisions of the final plan phase.
-  ScheduleReport schedule;
-  /// Human-readable physical strategy, e.g. "IdealJoin" or
-  /// "repartition(B) ; AssocJoin(probe=A)".
-  std::string physical_plan;
-  /// Number of pipeline chains executed (materialization boundaries + 1).
-  size_t phases = 1;
-};
-
-/// Compiles and executes `query` against `db`.
+/// Compiles and executes `query` against `db`: SubmitEsql + Take. The
+/// QueryResult carries the final phase's result, execution and schedule;
+/// `detail` renders the physical strategy (e.g. "IdealJoin(A, B) ; store"),
+/// and `phases` holds the executions of the repartition phases before it,
+/// so the query ran `phases.size() + 1` pipeline chains.
 ///
 /// Physical planning follows the paper's repertoire: a join between
 /// co-partitioned relations becomes an IdealJoin (Figure 10); a join where
@@ -58,18 +44,16 @@ struct EsqlResult {
 /// scan of the FROM relation its column resolves into (an unknown or
 /// ambiguous column fails before any phase runs); GROUP BY repartitions on
 /// the grouping attribute; ORDER BY sorts each result fragment.
-Result<EsqlResult> ExecuteEsql(Database& db, const std::string& query,
-                               const EsqlOptions& options = {});
+Result<QueryResult> ExecuteEsql(Database& db, const std::string& query,
+                                const EsqlOptions& options = {});
 
 /// Same, over an already-parsed query.
-Result<EsqlResult> ExecuteEsql(Database& db, const EsqlQuery& query,
-                               const EsqlOptions& options = {});
+Result<QueryResult> ExecuteEsql(Database& db, const EsqlQuery& query,
+                                const EsqlOptions& options = {});
 
 /// Async variant: queues the query on the database's shared runtime and
 /// returns a handle immediately. Parse errors, like planning errors,
-/// surface through the handle. The QueryResult's `detail` carries the
-/// physical-plan rendering and `phases` the intermediate (repartition)
-/// executions. ExecuteEsql above is Submit + Take.
+/// surface through the handle.
 QueryHandle SubmitEsql(Database& db, const std::string& query,
                        const EsqlOptions& options = {});
 

@@ -37,10 +37,7 @@ void PoolLoadBoard::OnWorkerExit(uint64_t id, bool parked) {
     Entry* entry = FindLocked(id);
     if (entry == nullptr) return;  // Never registered here; nothing owed.
     ++entry->exited;
-    if (parked) {
-      ++entry->parked;
-      total_parked_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (parked) ++entry->parked;
   }
   // Credit the freed slot outside the board mutex: the release path
   // signals reservation waiters and must not nest under mu_ longer than
@@ -49,13 +46,10 @@ void PoolLoadBoard::OnWorkerExit(uint64_t id, bool parked) {
   hooks_.release_thread();
 }
 
-PoolLoadBoard::TickReport PoolLoadBoard::Rebalance(size_t pool_threads,
-                                                   size_t free_threads,
-                                                   bool pressure,
-                                                   size_t extra_load) {
-  TickReport report;
+void PoolLoadBoard::Rebalance(size_t pool_threads, size_t free_threads,
+                              bool pressure, size_t extra_load) {
   MutexLock lock(&mu_);
-  if (entries_.empty()) return report;
+  if (entries_.empty()) return;
 
   std::vector<ExecSnapshot> snapshots;
   snapshots.reserve(entries_.size());
@@ -80,7 +74,7 @@ PoolLoadBoard::TickReport PoolLoadBoard::Rebalance(size_t pool_threads,
   for (const ReassignPlan::Move& move : plan.parks) {
     Entry* entry = FindLocked(move.id);
     if (entry == nullptr) continue;
-    report.parks_requested += entry->exec->RequestPark(move.count);
+    entry->exec->RequestPark(move.count);
   }
 
   // Grants: one pool slot is taken *before* each dispatch (the grant's
@@ -90,23 +84,15 @@ PoolLoadBoard::TickReport PoolLoadBoard::Rebalance(size_t pool_threads,
     Entry* entry = FindLocked(move.id);
     if (entry == nullptr) continue;
     for (size_t k = 0; k < move.count; ++k) {
-      if (!hooks_.try_reserve_thread()) return report;  // Pool dry.
+      if (!hooks_.try_reserve_thread()) return;  // Pool dry.
       if (entry->exec->TryGrantWorker()) {
         ++entry->granted;
-        total_granted_.fetch_add(1, std::memory_order_relaxed);
-        ++report.grants_delivered;
       } else {
         hooks_.release_thread();
         break;  // This execution won't take more; try the next one.
       }
     }
   }
-  return report;
-}
-
-size_t PoolLoadBoard::live_executions() const {
-  MutexLock lock(&mu_);
-  return entries_.size();
 }
 
 PoolLoadBoard::Entry* PoolLoadBoard::FindLocked(uint64_t id) {

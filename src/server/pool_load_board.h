@@ -1,7 +1,6 @@
 #ifndef DBS3_SERVER_POOL_LOAD_BOARD_H_
 #define DBS3_SERVER_POOL_LOAD_BOARD_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -37,12 +36,6 @@ class PoolLoadBoard final : public ExecutionBoard {
     std::function<void()> release_thread;
   };
 
-  /// What one rebalance tick did (for logging/metrics).
-  struct TickReport {
-    size_t parks_requested = 0;
-    size_t grants_delivered = 0;
-  };
-
   explicit PoolLoadBoard(Hooks hooks) : hooks_(std::move(hooks)) {}
 
   PoolLoadBoard(const PoolLoadBoard&) = delete;
@@ -60,14 +53,8 @@ class PoolLoadBoard final : public ExecutionBoard {
   /// the fair-share computation. Serialized against Register/Unregister
   /// by the board mutex — a granted worker can never land on an execution
   /// that already unregistered.
-  TickReport Rebalance(size_t pool_threads, size_t free_threads,
-                       bool pressure, size_t extra_load) EXCLUDES(mu_);
-
-  size_t live_executions() const EXCLUDES(mu_);
-
-  /// Lifetime totals across all executions (runtime.threads_* counters).
-  uint64_t total_granted() const { return total_granted_.load(); }
-  uint64_t total_parked() const { return total_parked_.load(); }
+  void Rebalance(size_t pool_threads, size_t free_threads, bool pressure,
+                 size_t extra_load) EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -85,12 +72,10 @@ class PoolLoadBoard final : public ExecutionBoard {
 
   Entry* FindLocked(uint64_t id) REQUIRES(mu_);
 
-  mutable Mutex mu_{"PoolLoadBoard::mu"};
+  Mutex mu_{"PoolLoadBoard::mu"};
   std::vector<Entry> entries_ GUARDED_BY(mu_);
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   Hooks hooks_;
-  std::atomic<uint64_t> total_granted_{0};
-  std::atomic<uint64_t> total_parked_{0};
 };
 
 }  // namespace dbs3

@@ -30,7 +30,7 @@ constexpr size_t kChunkPoolBuffers = 64 * 1024;
 
 }  // namespace
 
-Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
+Result<PhaseOutcome> QueryEnv::Run(Plan& plan,
                                    const ScheduleOptions& schedule) {
   if (cancel_.ShouldStop()) return cancel_.ToStatus();
 
@@ -47,7 +47,7 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
   // runs last so the execution starts at the clamped width.
   size_t desired_threads = 0;
   if (adaptive) {
-    Result<ScheduleReport> unclamped = ScheduleQuery(plan, cost_model,
+    Result<ScheduleReport> unclamped = ScheduleQuery(plan, CostModel{},
                                                      schedule);
     if (unclamped.ok()) {
       const ScheduleReport& r = unclamped.value();
@@ -58,7 +58,7 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan, const CostModel& cost_model,
 
   PhaseOutcome out;
   DBS3_ASSIGN_OR_RETURN(out.schedule,
-                        ScheduleQuery(plan, cost_model, adjusted));
+                        ScheduleQuery(plan, CostModel{}, adjusted));
   const size_t total_threads = std::accumulate(
       out.schedule.threads.begin(), out.schedule.threads.end(), size_t{0});
 
@@ -388,7 +388,7 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
   const ScheduleOptions adjusted = ApplyUtilization(
       lead_spec.schedule, MultiUserUtilization(live_queries()));
   Result<ScheduleReport> scheduled =
-      ScheduleQuery(batch.plan, lead_spec.cost_model, adjusted);
+      ScheduleQuery(batch.plan, CostModel{}, adjusted);
   if (!scheduled.ok()) {
     fail_all(scheduled.status());
     live_.fetch_sub(1);
@@ -488,12 +488,10 @@ void QueryRuntime::Complete(const std::shared_ptr<QueryHandle::State>& state,
     } else if (outcome.status().code() == StatusCode::kDeadlineExceeded) {
       m.counter("runtime.queries_deadline_exceeded")->Add(1);
     }
-    if (!outcome.ok()) {
-      // A query that failed (cancel/deadline) never reaches the facade's
-      // engine-metrics accumulation, so its drained units are credited to
-      // the engine-wide ledger counter here.
-      m.counter("engine.units_cancelled")->Add(stats.units_cancelled);
-    }
+    // The work of every query, however it ran (facade, ESQL, a shared
+    // batch member) and however it ended.
+    m.counter("engine.tuple_units")->Add(stats.units_processed);
+    m.counter("engine.units_cancelled")->Add(stats.units_cancelled);
     if (stats.threads_granted > 0) {
       m.counter("runtime.threads_granted")->Add(stats.threads_granted);
     }

@@ -17,7 +17,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "engine/cancel.h"
-#include "engine/cost_model.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
 #include "sched/scheduler.h"
@@ -45,10 +44,11 @@ struct QueryRuntimeOptions {
   /// query declares via QuerySpec::memory_units). 0 = unbounded.
   uint64_t memory_budget_units = 0;
   /// When set, the runtime publishes counters (runtime.queries_submitted,
-  /// .admitted, .shed, .cancelled, .deadline_exceeded, .completed) and
-  /// per-query latency summaries in microseconds
-  /// (runtime.admission_wait_us, .execution_wall_us, .busy_us) here. Must
-  /// outlive the runtime.
+  /// .shed, .cancelled, .deadline_exceeded, .completed, .threads_granted,
+  /// .threads_released; engine.tuple_units and engine.units_cancelled, the
+  /// work of every finished query) and per-query latency summaries in
+  /// microseconds (runtime.admission_wait_us, .execution_wall_us,
+  /// .busy_us) here. Must outlive the runtime.
   MetricsRegistry* metrics = nullptr;
   /// Largest shared-scan batch a driver folds (lead included). 1 turns the
   /// shared-work path off entirely; the default groups compatible queries
@@ -87,11 +87,10 @@ struct PhaseOutcome {
 /// remaining phases naturally.
 class QueryEnv {
  public:
-  /// Schedules and executes one plan phase. On cancellation/deadline the
-  /// partial work is folded into the query's stats and the token's status
-  /// is returned as the error.
-  Result<PhaseOutcome> Run(Plan& plan, const CostModel& cost_model,
-                           const ScheduleOptions& schedule);
+  /// Schedules (with the default CostModel) and executes one plan phase.
+  /// On cancellation/deadline the partial work is folded into the query's
+  /// stats and the token's status is returned as the error.
+  Result<PhaseOutcome> Run(Plan& plan, const ScheduleOptions& schedule);
 
   const CancelToken& cancel() const { return cancel_; }
 
@@ -184,7 +183,6 @@ class QueryRuntime {
   WorkerPool& pool() { return pool_; }
   const AdmissionController& admission() const { return admission_; }
   const QueryRuntimeOptions& options() const { return options_; }
-  const PoolLoadBoard& load_board() const { return board_; }
 
   /// The runtime's shared chunk pool: every execution run through a
   /// QueryEnv recycles its data-path buffers here, so the free list one

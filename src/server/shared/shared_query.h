@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/cost_model.h"
 #include "engine/operators.h"
 #include "sched/scheduler.h"
 #include "storage/relation.h"
@@ -44,9 +43,8 @@ struct SharedScanSpec {
   /// Name of the member's materialized result.
   std::string result_name = "esql_result";
   /// Scheduling knobs of the member; the batch runs under the lead
-  /// member's schedule and cost model.
+  /// member's schedule.
   ScheduleOptions schedule;
-  CostModel cost_model;
   /// Grouping key: equal nonzero classes are batchable. 0 = never shared.
   uint64_t share_class = 0;
 };

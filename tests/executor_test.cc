@@ -200,21 +200,29 @@ TEST(ExecutorTest, MetricsSnapshotAggregatesPerOperationCounters) {
   auto result = RunAssocJoin(db, "Bp", "key", "A", "key", options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const ExecutionResult& execution = result.value().execution;
-  const auto& counters = execution.metrics.counters;
-  // One counter group per operation; values mirror op_stats.
-  for (const OperationStats& op : execution.op_stats) {
-    const std::string prefix = "op." + op.name + ".";
-    ASSERT_TRUE(counters.count(prefix + "activations")) << prefix;
-    EXPECT_EQ(counters.at(prefix + "activations"), op.activations);
-    ASSERT_TRUE(counters.count(prefix + "dropped_units")) << prefix;
-    EXPECT_EQ(counters.at(prefix + "dropped_units"), op.dropped);
-    ASSERT_TRUE(counters.count(prefix + "main_queue_acquisitions"));
-    EXPECT_EQ(counters.at(prefix + "main_queue_acquisitions"),
-              op.main_queue_acquisitions);
-  }
-  // Tracing off: no trace JSON, no queue-depth series.
-  EXPECT_TRUE(execution.trace_json.empty());
+  // op_stats is the one record of the per-operation counts: an untraced,
+  // unbudgeted run spills nothing, so its snapshot holds no counters, and
+  // with tracing off there is no trace JSON and no queue-depth series.
+  EXPECT_TRUE(execution.metrics.counters.empty());
   EXPECT_TRUE(execution.metrics.series.empty());
+  EXPECT_TRUE(execution.trace_json.empty());
+  // transmit -> join -> store, in plan node order: each operation ran,
+  // dropped nothing, and processed exactly what its producer emitted.
+  const std::vector<OperationStats>& ops = execution.op_stats;
+  ASSERT_EQ(ops.size(), 3u);
+  for (const OperationStats& op : ops) {
+    EXPECT_GT(op.activations, 0u) << op.name;
+    EXPECT_EQ(op.dropped, 0u) << op.name;
+  }
+  const auto processed = [](const OperationStats& op) {
+    uint64_t units = 0;
+    for (uint64_t c : op.per_instance_processed) units += c;
+    return units;
+  };
+  EXPECT_GT(ops[0].emitted, 0u);
+  EXPECT_EQ(processed(ops[1]), ops[0].emitted);
+  EXPECT_EQ(processed(ops[2]), ops[1].emitted);
+  EXPECT_EQ(execution.units_dropped, 0u);
 }
 
 TEST(ExecutorTest, TracingProducesSpansAndQueueDepthSeries) {

@@ -336,10 +336,10 @@ TEST_P(KeyFilterPlanTest, EsqlAssocJoinMatchesOracle) {
     ExpectScanShipped(r.value().execution, filtered,
                       Rel(probe).cardinality(), kept, matches);
     ExpectSpilledIfBudgeted(r.value().execution);
-    EXPECT_EQ(r.value().physical_plan.find("keyfilter(I.k)") !=
+    EXPECT_EQ(r.value().detail.find("keyfilter(I.k)") !=
                   std::string::npos,
               filtered)
-        << r.value().physical_plan;
+        << r.value().detail;
   }
 }
 
@@ -358,9 +358,9 @@ TEST_P(KeyFilterPlanTest, EsqlFilterCoversTheRepartitionedInner) {
   uint64_t matches = 0;
   EXPECT_EQ(Sorted(*r.value().result),
             Oracle("Q", keep, &matches, keep_inner));
-  EXPECT_NE(r.value().physical_plan.find("keyfilter(I_repart.k)"),
+  EXPECT_NE(r.value().detail.find("keyfilter(I_repart.k)"),
             std::string::npos)
-      << r.value().physical_plan;
+      << r.value().detail;
   uint64_t kept = 0;
   for (const Tuple& t : Rel("Q").Scan()) kept += keep(t) ? 1 : 0;
   ExpectScanShipped(r.value().execution, /*filtered=*/true,

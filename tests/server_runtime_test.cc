@@ -67,8 +67,7 @@ QueryBody ScanBody(Relation* rel, TuplePredicate predicate, size_t threads) {
     ScheduleOptions schedule;
     schedule.total_threads = threads;
     schedule.processors = threads;
-    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
-                          env.Run(plan, CostModel{}, schedule));
+    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase, env.Run(plan, schedule));
     QueryResult out;
     out.result = std::move(result);
     out.execution = std::move(phase.execution);
@@ -416,7 +415,8 @@ TEST(DatabaseSubmitTest, SubmitSelectRunsOnSharedRuntime) {
   MetricsSnapshot snap = db.metrics().Snapshot();
   EXPECT_GE(snap.counters["runtime.queries_submitted"], 1u);
   EXPECT_GE(snap.counters["runtime.queries_completed"], 1u);
-  EXPECT_GE(snap.counters["engine.queries"], 1u);
+  // The runtime records the query's work once, from its run stats.
+  EXPECT_EQ(snap.counters["engine.tuple_units"], stats.units_processed);
 }
 
 TEST(DatabaseSubmitTest, CancelMidPipelineDrainsAndReportsPartialWork) {
@@ -454,8 +454,7 @@ TEST(DatabaseSubmitTest, CancelMidPipelineDrainsAndReportsPartialWork) {
     ScheduleOptions schedule;
     schedule.total_threads = 2;
     schedule.processors = 2;
-    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase,
-                          env.Run(plan, CostModel{}, schedule));
+    DBS3_ASSIGN_OR_RETURN(PhaseOutcome phase, env.Run(plan, schedule));
     QueryResult out;
     out.result = std::move(result);
     out.execution = std::move(phase.execution);
@@ -516,6 +515,10 @@ TEST(DatabaseSubmitTest, SubmitEsqlReportsRepartitionPhases) {
       << taken.value().detail;
   EXPECT_EQ(taken.value().phases.size(), 1u);  // One materialization.
   EXPECT_EQ(handle.stats().phases, 2u);  // Repartition + final pipeline.
+  // An ESQL query's work, both phases of it, reaches the database totals.
+  EXPECT_GT(handle.stats().units_processed, 0u);
+  EXPECT_EQ(db.metrics().Snapshot().counters["engine.tuple_units"],
+            handle.stats().units_processed);
 }
 
 TEST(DatabaseSubmitTest, SubmitEsqlSurfacesParseErrorsThroughHandle) {
@@ -710,8 +713,8 @@ TEST(SharedScanTest, IncompatibleQueryIsNeverFoldedIntoABatch) {
   QueryHandle blocking = db.Submit(std::move(blocker));
   started.Await();
 
-  // qa and qb share a class (same relation, star projection); qc projects
-  // two columns — a different shape, so a different class.
+  // qa, qb and qd share a class (same relation, star projection); qc
+  // projects two columns — a different shape, so a different class.
   EsqlOptions options;
   QueryHandle qa = SubmitEsql(db, "SELECT * FROM w WHERE unique1 < 50",
                               options);
@@ -719,25 +722,37 @@ TEST(SharedScanTest, IncompatibleQueryIsNeverFoldedIntoABatch) {
                               options);
   QueryHandle qc = SubmitEsql(
       db, "SELECT unique1, unique2 FROM w WHERE unique1 < 150", options);
+  QueryHandle qd = SubmitEsql(db, "SELECT * FROM w WHERE unique1 >= 1900",
+                              options);
   release.Set();
   ASSERT_TRUE(blocking.Take().ok());
 
   auto qa_taken = qa.Take();
   auto qb_taken = qb.Take();
   auto qc_taken = qc.Take();
+  auto qd_taken = qd.Take();
   ASSERT_TRUE(qa_taken.ok()) << qa_taken.status().ToString();
   ASSERT_TRUE(qb_taken.ok()) << qb_taken.status().ToString();
   ASSERT_TRUE(qc_taken.ok()) << qc_taken.status().ToString();
+  ASSERT_TRUE(qd_taken.ok()) << qd_taken.status().ToString();
 
-  // qa/qb rode one batch; qc ran solo and is row-identical to the solo
+  // qa/qb/qd rode one batch; qc ran solo and is row-identical to the solo
   // reference computed straight off the base relation.
-  EXPECT_EQ(qa.stats().shared_batch_queries, 2u);
-  EXPECT_EQ(qb.stats().shared_batch_queries, 2u);
+  EXPECT_EQ(qa.stats().shared_batch_queries, 3u);
+  EXPECT_EQ(qb.stats().shared_batch_queries, 3u);
+  EXPECT_EQ(qd.stats().shared_batch_queries, 3u);
   EXPECT_EQ(qc.stats().shared_batch_queries, 0u);
   MetricsSnapshot snap = db.metrics().Snapshot();
   EXPECT_EQ(snap.counters["runtime.shared_batches"], 1u);
   EXPECT_EQ(snap.series["shared.queries_per_batch"].samples, 1u);
-  EXPECT_EQ(snap.series["shared.queries_per_batch"].last, 2);
+  EXPECT_EQ(snap.series["shared.queries_per_batch"].last, 3);
+  // The batch members' work and the solo query's reach the database
+  // totals alike (the blocker ran no phase).
+  EXPECT_EQ(qd_taken.value().result->cardinality(), 100u);
+  EXPECT_EQ(snap.counters["engine.tuple_units"],
+            qa.stats().units_processed + qb.stats().units_processed +
+                qc.stats().units_processed + qd.stats().units_processed);
+  EXPECT_GT(qc.stats().units_processed, 0u);
 
   Relation* rel = db.relation("w").value();
   std::vector<Tuple> qb_expected;
@@ -1326,27 +1341,33 @@ TEST(PoolLoadBoardTest, RefusedGrantReturnsTheSlot) {
   PoolLoadBoard board(slots.hooks());
   FakeMalleable exec;
   exec.refuse_grants = true;  // Drained / at capacity.
-  board.Register(&exec, 1, 4);
-  const PoolLoadBoard::TickReport report =
-      board.Rebalance(4, 2, /*pressure=*/false, 0);
-  EXPECT_EQ(report.grants_delivered, 0u);
+  const uint64_t id = board.Register(&exec, 1, 4);
+  board.Rebalance(4, 2, /*pressure=*/false, 0);
+  // One grant was tried (its slot taken first) and refused, which ends
+  // the execution's grants for this tick.
+  EXPECT_EQ(slots.reserves.load(), 1u);
   // Every reserved slot was handed back: no capacity leaks on refusal.
   EXPECT_EQ(slots.reserves.load(), slots.releases.load());
   EXPECT_EQ(slots.free_slots.load(), 2u);
+  EXPECT_EQ(board.Unregister(id).granted, 0u);
 }
 
 TEST(PoolLoadBoardTest, PressureForwardsParksToTheWidestExecution) {
   CountedSlots slots(0);
   PoolLoadBoard board(slots.hooks());
   FakeMalleable wide;
-  board.Register(&wide, 6, 6);
+  const uint64_t id = board.Register(&wide, 6, 6);
   board.Rebalance(8, 0, /*pressure=*/true, /*extra_load=*/1);
   // Fair share at live load 2 is floor(8/2) = 4: park 2 of 6.
   EXPECT_EQ(wide.park_requests, 2u);
-  EXPECT_EQ(board.total_parked(), 0u);  // Counted at exit, not request.
-  board.OnWorkerExit(1, true);
-  EXPECT_EQ(board.total_parked(), 1u);
+  EXPECT_EQ(slots.releases.load(), 0u);  // A request frees no slot.
+  board.OnWorkerExit(id, true);
   EXPECT_EQ(slots.releases.load(), 1u);
+  // Parks are counted at exit, not request: 2 requested, 1 parked.
+  const RebalanceTotals totals = board.Unregister(id);
+  EXPECT_TRUE(totals.active);
+  EXPECT_EQ(totals.parked, 1u);
+  EXPECT_EQ(totals.granted, 0u);
 }
 
 // ---------------------------------------------------------------------

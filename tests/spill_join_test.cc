@@ -27,7 +27,9 @@
 #include "dbs3/database.h"
 #include "dbs3/query.h"
 #include "engine/blocking_operators.h"
+#include "engine/executor.h"
 #include "engine/operators.h"
+#include "engine/plan.h"
 #include "esql/planner.h"
 #include "storage/row_block.h"
 #include "storage/spill.h"
@@ -129,13 +131,13 @@ class JoinUnderTest {
     }
   }
 
-  /// Binds `quota`/`metrics`/`cancel` and delivers every probe; no
+  /// Binds `quota`/`spill`/`cancel` and delivers every probe; no
   /// OnFinish, so the teardown test can stop here.
-  void Probe(MemoryQuota* quota, MetricsRegistry* metrics,
+  void Probe(MemoryQuota* quota, SpillCounters* spill,
              CancelToken cancel = CancelToken::None()) {
     ExecResources resources;
     resources.quota = quota;
-    resources.metrics = metrics;
+    resources.spill = spill;
     resources.cancel = cancel;
     logic_->BindExecution(resources);
     ASSERT_TRUE(logic_->Prepare(1).ok());
@@ -147,9 +149,8 @@ class JoinUnderTest {
   }
 
   /// Probe + OnFinish; returns the sorted output.
-  std::vector<Tuple> Run(MemoryQuota* quota,
-                         MetricsRegistry* metrics = nullptr) {
-    Probe(quota, metrics);
+  std::vector<Tuple> Run(MemoryQuota* quota, SpillCounters* spill = nullptr) {
+    Probe(quota, spill);
     logic_->OnFinish(0, &out_);
     EXPECT_TRUE(logic_->error().ok()) << logic_->error().ToString();
     return out_.take_sorted();
@@ -178,12 +179,13 @@ TEST(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
   for (JoinNode node : kJoinNodes) {
     SCOPED_TRACE(NodeName(node));
     MemoryQuota quota(0);  // Unlimited: tracks but never spills.
-    MetricsRegistry metrics;
-    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
+    SpillCounters spill;
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &spill),
               expected);
     EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
     EXPECT_EQ(quota.high_water(), build_keys.size());  // One whole charge.
-    EXPECT_EQ(metrics.Snapshot().counters["spill.bytes_written"], 0u);
+    EXPECT_EQ(spill.bytes_written.load(), 0u);
+    EXPECT_EQ(spill.files_created.load(), 0u);
     // No quota at all: nothing charged, same rows.
     EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(nullptr),
               expected);
@@ -207,18 +209,18 @@ TEST(SpillJoinDifferentialTest, TinyBudgetsSpillAndStayByteIdentical) {
       SCOPED_TRACE(std::string(NodeName(node)) +
                    " budget=" + std::to_string(budget));
       MemoryQuota quota(budget);
-      MetricsRegistry metrics;
-      EXPECT_EQ(
-          JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
-          expected);
+      SpillCounters spill;
+      EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &spill),
+                expected);
       EXPECT_EQ(quota.used(), 0u);
       // Forced-progress overshoot is bounded to O(1) units per instance.
       EXPECT_LE(quota.high_water(), budget + 2);
-      MetricsSnapshot snap = metrics.Snapshot();
       if (budget < build_keys.size()) {
-        EXPECT_GT(snap.counters["spill.bytes_written"], 0u);
+        EXPECT_GT(spill.bytes_written.load(), 0u);
+        EXPECT_GT(spill.partitions.load(), 0u);
       } else {
-        EXPECT_EQ(snap.counters["spill.bytes_written"], 0u);
+        EXPECT_EQ(spill.bytes_written.load(), 0u);
+        EXPECT_EQ(spill.partitions.load(), 0u);
       }
     }
   }
@@ -290,12 +292,12 @@ TEST(SpillJoinDifferentialTest, SmallBudgetForcesDeepRecursion) {
   for (JoinNode node : kJoinNodes) {
     SCOPED_TRACE(NodeName(node));
     MemoryQuota quota(4);
-    MetricsRegistry metrics;
-    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &metrics),
+    SpillCounters spill;
+    EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(&quota, &spill),
               expected);
     // One repartition per overflowing partition per level: more than the
     // 8 level-0 partitions can account for means a second level ran.
-    EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 8u);
+    EXPECT_GT(spill.recursions.load(), 8u);
     EXPECT_EQ(quota.used(), 0u);
   }
 }
@@ -424,11 +426,11 @@ TEST(SpillJoinRowMemoryTest, FlushKeepsNoReadBackRowsAlive) {
   auto outer = WideRelation("outer", kProbes, kWidth, kProbes);
   const std::vector<Tuple>& probes = outer->fragment(0).tuples;
   MemoryQuota quota(kInner / 10);
-  MetricsRegistry metrics;
+  SpillCounters spill;
   HashJoinBuild build(inner.get(), 0, 0);
   ExecResources resources;
   resources.quota = &quota;
-  resources.metrics = &metrics;
+  resources.spill = &spill;
   build.Bind(resources);
   build.Reset(1);
 
@@ -438,12 +440,11 @@ TEST(SpillJoinRowMemoryTest, FlushKeepsNoReadBackRowsAlive) {
   ASSERT_EQ(build.Build(0), nullptr);
   build.ProbePartitions(0, probes, &out);
   build.Finish(0, &out);
-  build.PublishMetrics();
   ASSERT_TRUE(build.error().ok()) << build.error().ToString();
   ASSERT_EQ(out.rows.size(), static_cast<size_t>(kInner));
-  EXPECT_GT(metrics.Snapshot().counters["spill.bytes_read"], 0u);
+  EXPECT_GT(spill.bytes_read.load(), 0u);
   EXPECT_EQ(quota.used(), 0u);
-  EXPECT_GT(metrics.Snapshot().counters["spill.recursions"], 0u);
+  EXPECT_GT(spill.recursions.load(), 0u);
   // Plus the thread's current scratch block, and one for the tails of
   // blocks too short for another row.
   EXPECT_LE(row_block::LiveBlocks() - before,
@@ -455,11 +456,11 @@ TEST(SpillJoinRowMemoryTest, FlushKeepsNoReadBackRowsAlive) {
 std::vector<Tuple> RunGroupBy(const std::vector<AggSpec>& aggs,
                               const std::vector<Tuple>& rows,
                               MemoryQuota* quota,
-                              MetricsRegistry* metrics = nullptr) {
+                              SpillCounters* spill = nullptr) {
   GroupByLogic group(0, aggs);
   ExecResources resources;
   resources.quota = quota;
-  resources.metrics = metrics;
+  resources.spill = spill;
   group.BindExecution(resources);
   EXPECT_TRUE(group.Prepare(1).ok());
   CapturingEmitter out;
@@ -486,12 +487,13 @@ TEST(GroupBySpillTest, SpilledAggregationMatchesInMemory) {
   const int64_t live_before = SpillFile::live_files();
   for (uint64_t budget : {uint64_t{1}, uint64_t{5}, uint64_t{24}}) {
     MemoryQuota quota(budget);
-    MetricsRegistry metrics;
-    EXPECT_EQ(RunGroupBy(aggs, rows, &quota, &metrics), expected)
+    SpillCounters spill;
+    EXPECT_EQ(RunGroupBy(aggs, rows, &quota, &spill), expected)
         << "budget=" << budget;
     EXPECT_EQ(quota.used(), 0u);
-    EXPECT_GT(metrics.Snapshot().counters["spill.groupby_flushes"], 0u)
-        << "budget=" << budget;
+    EXPECT_GT(spill.groupby_flushes.load(), 0u) << "budget=" << budget;
+    EXPECT_GT(spill.bytes_written.load(), 0u) << "budget=" << budget;
+    EXPECT_GT(spill.bytes_read.load(), 0u) << "budget=" << budget;
   }
   EXPECT_EQ(SpillFile::live_files(), live_before);
 }
@@ -706,8 +708,15 @@ TEST(SpillJoinEndToEndTest, BudgetedFacadeJoinsSpillAndMatchUnbudgeted) {
     EXPECT_GT(stats.quota_high_water_units, 0u);
     // The slack covers the bounded per-instance forced-progress overshoot.
     EXPECT_LE(stats.quota_high_water_units, options.memory_units + 16);
-    EXPECT_GT(taken.value().execution.metrics.counters["spill.bytes_written"],
-              0u);
+    // The execution's counters are its spill record and nothing else: the
+    // per-operation counts live in op_stats only.
+    const std::map<std::string, uint64_t>& counters =
+        taken.value().execution.metrics.counters;
+    for (const auto& [counter, value] : counters) {
+      EXPECT_EQ(counter.rfind("spill.", 0), 0u) << counter;
+    }
+    ASSERT_EQ(counters.count("spill.bytes_written"), 1u);
+    EXPECT_GT(counters.at("spill.bytes_written"), 0u);
   }
   EXPECT_EQ(SpillFile::live_files(), live_before);
 }
@@ -745,6 +754,61 @@ TEST(SpillJoinEndToEndTest, RepeatedSpillingJoinsLeaveNoRowBlocksBehind) {
   const int64_t warm = row_block::LiveBlocks();
   for (int i = 0; i < 6; ++i) run();
   EXPECT_LE(row_block::LiveBlocks() - warm, 16);
+}
+
+/// Cancels the run on its first data activation and keeps nothing.
+class CancelOnFirstRow : public OperatorLogic {
+ public:
+  explicit CancelOnFirstRow(CancelToken cancel) : cancel_(std::move(cancel)) {}
+  void OnDataBatch(size_t, std::span<Tuple>, Emitter*) override {
+    cancel_.Cancel();
+  }
+  std::string name() const override { return "cancel"; }
+
+ private:
+  CancelToken cancel_;
+};
+
+TEST(SpillJoinEndToEndTest, CancelledRunStillReportsItsSpillIo) {
+  // A refused IdealJoin build spills inside OnTrigger, before the join
+  // emits a row, and the consumer cancels the run on the first row it
+  // sees. The executor then skips OnFinish, yet the result still reports
+  // the spill IO done before the stop.
+  Rng rng(11);
+  std::vector<int64_t> build_keys, probe_keys;
+  for (int i = 0; i < 400; ++i) build_keys.push_back(rng.Range(0, 100));
+  for (int i = 0; i < 600; ++i) probe_keys.push_back(rng.Range(0, 120));
+  auto inner = MakeInner(build_keys);
+  auto outer = MakeRelation("outer", MakeProbes(probe_keys));
+  const int64_t live_before = SpillFile::live_files();
+  MemoryQuota quota(4);
+  {
+    CancelToken cancel;
+    Plan plan;
+    const size_t join = plan.AddNode(
+        "join", ActivationMode::kTriggered, 1,
+        std::make_unique<TriggeredJoinLogic>(outer.get(), 0, inner.get(), 0,
+                                             JoinAlgorithm::kHash));
+    const size_t sink =
+        plan.AddNode("cancel", ActivationMode::kPipelined, 1,
+                     std::make_unique<CancelOnFirstRow>(cancel));
+    ASSERT_TRUE(plan.ConnectSameInstance(join, sink).ok());
+    ExecOptions options;
+    options.cancel = cancel;
+    options.quota = &quota;
+    Executor executor;
+    Result<ExecutionResult> run = executor.Run(plan, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().completion.code(), StatusCode::kCancelled);
+    const std::map<std::string, uint64_t>& counters =
+        run.value().metrics.counters;
+    ASSERT_EQ(counters.count("spill.bytes_written"), 1u);
+    EXPECT_GT(counters.at("spill.bytes_written"), 0u);
+    ASSERT_EQ(counters.count("spill.partitions"), 1u);
+    EXPECT_GT(counters.at("spill.partitions"), 0u);
+  }
+  EXPECT_EQ(quota.used(), 0u);
+  EXPECT_EQ(SpillFile::live_files(), live_before);
 }
 
 TEST(SpillJoinEndToEndTest, SortOverTinyBudgetFailsWithResourceExhausted) {
