@@ -107,6 +107,8 @@ BENCHMARK(BM_IdealJoinEndToEnd)
     ->Args({static_cast<int>(JoinAlgorithm::kNestedLoop), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 2})
     ->Args({static_cast<int>(JoinAlgorithm::kHash), 4})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The AssocJoin on both sides of the probe-side key filter's rule (probe rows

@@ -78,7 +78,13 @@ Result<PlannedQuery> PlanIdealJoin(Database& db, const std::string& outer,
   return planned;
 }
 
-Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
+/// The probe-side join AssocJoin and FilterJoin share: a triggered scan of
+/// `probe_rel` through `predicate` (node `scan_name`), repartitioned on the
+/// probe column into a pipelined join against `inner`, then stored.
+/// AssocJoin is the paper's `transmit`: MatchAll() at selectivity 1.
+Result<PlannedQuery> PlanProbeJoin(Database& db, const std::string& scan_name,
+                                   const std::string& probe_rel,
+                                   Predicate predicate, double selectivity,
                                    const std::string& probe_column,
                                    const std::string& inner,
                                    const std::string& inner_column,
@@ -95,6 +101,14 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
         "' (it is partitioned on column " +
         std::to_string(inner_rel->partition_column()) + ")");
   }
+  // When the probe has at least as many rows as the inner, the scan also
+  // tests a filter over the inner's join keys, so rows without a partner
+  // never reach the join. And() drops a MatchAll() operand, so a plain
+  // transmit scans through the key filter alone.
+  if (std::optional<PredExpr> key_filter =
+          ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)) {
+    predicate = PredExpr::And({std::move(predicate), std::move(*key_filter)});
+  }
   const size_t degree = inner_rel->degree();
   PlannedQuery planned;
   planned.result = std::make_unique<Relation>(
@@ -102,59 +116,9 @@ Result<PlannedQuery> PlanAssocJoin(Database& db, const std::string& probe_rel,
       Schema::Concat(probe->schema(), inner_rel->schema()), probe_col,
       Partitioner(inner_rel->partitioner().kind(), degree));
 
-  // The paper's transmit ships every probe row. When the probe has at least
-  // as many rows as the inner, it scans through a filter over the inner's
-  // join keys instead, so rows without a partner never reach the join.
-  const size_t transmit = planned.plan.AddNode(
-      "transmit", ActivationMode::kTriggered, probe->degree(),
-      std::make_unique<FilterLogic>(
-          probe, ProbeKeyFilter(*probe, probe_col, *inner_rel, inner_col)
-                     .value_or(MatchAll())));
-  const size_t join = planned.plan.AddNode(
-      "join", ActivationMode::kPipelined, degree,
-      std::make_unique<PipelinedJoinLogic>(inner_rel, inner_col, probe_col,
-                                           options.algorithm));
-  const size_t store = planned.plan.AddNode(
-      "store", ActivationMode::kPipelined, degree,
-      std::make_unique<StoreLogic>(planned.result.get()));
-  DBS3_RETURN_IF_ERROR(planned.plan.ConnectByColumn(
-      transmit, join, probe_col, inner_rel->partitioner()));
-  DBS3_RETURN_IF_ERROR(planned.plan.ConnectSameInstance(join, store));
-  return planned;
-}
-
-Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
-                                    Predicate predicate,
-                                    double selectivity,
-                                    const std::string& filter_join_column,
-                                    const std::string& inner,
-                                    const std::string& inner_column,
-                                    const QueryOptions& options) {
-  DBS3_ASSIGN_OR_RETURN(Relation * filtered_rel, db.relation(filtered));
-  DBS3_ASSIGN_OR_RETURN(Relation * inner_rel, db.relation(inner));
-  DBS3_ASSIGN_OR_RETURN(const size_t probe_col,
-                        ColumnOf(filtered_rel, filter_join_column));
-  DBS3_ASSIGN_OR_RETURN(const size_t inner_col,
-                        ColumnOf(inner_rel, inner_column));
-  if (inner_rel->partition_column() != inner_col) {
-    return Status::FailedPrecondition(
-        "FilterJoin needs '" + inner + "' partitioned on '" + inner_column +
-        "'");
-  }
-  if (std::optional<PredExpr> key_filter =
-          ProbeKeyFilter(*filtered_rel, probe_col, *inner_rel, inner_col)) {
-    predicate = PredExpr::And({std::move(predicate), std::move(*key_filter)});
-  }
-  const size_t degree = inner_rel->degree();
-  PlannedQuery planned;
-  planned.result = std::make_unique<Relation>(
-      options.result_name,
-      Schema::Concat(filtered_rel->schema(), inner_rel->schema()), probe_col,
-      Partitioner(inner_rel->partitioner().kind(), degree));
-
-  const size_t filter = planned.plan.AddNode(
-      "filter", ActivationMode::kTriggered, filtered_rel->degree(),
-      std::make_unique<FilterLogic>(filtered_rel, std::move(predicate),
+  const size_t scan = planned.plan.AddNode(
+      scan_name, ActivationMode::kTriggered, probe->degree(),
+      std::make_unique<FilterLogic>(probe, std::move(predicate),
                                     selectivity));
   const size_t join = planned.plan.AddNode(
       "join", ActivationMode::kPipelined, degree,
@@ -164,7 +128,7 @@ Result<PlannedQuery> PlanFilterJoin(Database& db, const std::string& filtered,
       "store", ActivationMode::kPipelined, degree,
       std::make_unique<StoreLogic>(planned.result.get()));
   DBS3_RETURN_IF_ERROR(planned.plan.ConnectByColumn(
-      filter, join, probe_col, inner_rel->partitioner()));
+      scan, join, probe_col, inner_rel->partitioner()));
   DBS3_RETURN_IF_ERROR(planned.plan.ConnectSameInstance(join, store));
   return planned;
 }
@@ -268,8 +232,8 @@ QueryHandle SubmitAssocJoin(Database& db, const std::string& probe_rel,
   return SubmitPlanned(
       db,
       [&db, probe_rel, probe_column, inner, inner_column, options] {
-        return PlanAssocJoin(db, probe_rel, probe_column, inner,
-                             inner_column, options);
+        return PlanProbeJoin(db, "transmit", probe_rel, MatchAll(), 1.0,
+                             probe_column, inner, inner_column, options);
       },
       options);
 }
@@ -284,9 +248,9 @@ QueryHandle SubmitFilterJoin(Database& db, const std::string& filtered,
       db,
       [&db, filtered, predicate = std::move(predicate), selectivity,
        filter_join_column, inner, inner_column, options] {
-        return PlanFilterJoin(db, filtered, predicate, selectivity,
-                              filter_join_column, inner, inner_column,
-                              options);
+        return PlanProbeJoin(db, "filter", filtered, predicate, selectivity,
+                             filter_join_column, inner, inner_column,
+                             options);
       },
       options);
 }

@@ -7,6 +7,14 @@
 
 namespace dbs3 {
 
+namespace {
+
+/// A triggered node whose per-instance work spread (max/mean) exceeds
+/// this gets LPT (step 4); others get Random.
+constexpr double kLptSkewThreshold = 1.2;
+
+}  // namespace
+
 std::string ScheduleReport::ToString() const {
   std::string out = "schedule: " + std::to_string(total_threads) +
                     " threads, total work " + std::to_string(total_work) +
@@ -113,7 +121,7 @@ Result<ScheduleReport> ScheduleQuery(Plan& plan, const CostModel& cost_model,
           sum += v;
         }
         const double mean = sum / static_cast<double>(w.size());
-        if (mean > 0.0 && max / mean > options.lpt_skew_threshold) {
+        if (mean > 0.0 && max / mean > kLptSkewThreshold) {
           s = Strategy::kLpt;
         }
       }

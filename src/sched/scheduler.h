@@ -39,9 +39,6 @@ struct ScheduleOptions {
   size_t queue_capacity = 0;
   /// Overrides step 4 for every node when set.
   std::optional<Strategy> force_strategy;
-  /// A triggered node whose per-instance work spread (max/mean) exceeds
-  /// this threshold gets LPT (step 4); others get Random.
-  double lpt_skew_threshold = 1.2;
   /// Observability: activation tracing + queue-depth sampling for this
   /// query's execution (off by default; see common/trace.h).
   TraceOptions trace;

@@ -36,10 +36,6 @@ Status AdmissionController::TryEnqueue(PendingQuery q) {
     }
     waiting_.push_back(std::move(q));
     seq_.push_back(next_seq_++);
-    size_t peak = peak_queued_.load(std::memory_order_relaxed);
-    while (peak < waiting_.size() &&
-           !peak_queued_.compare_exchange_weak(peak, waiting_.size())) {
-    }
   }
   cv_.Signal();
   return Status::OK();
@@ -121,7 +117,6 @@ void AdmissionController::TakeLocked(size_t index, PendingQuery* out) {
   } else {
     memory_in_use_ += out->memory_units;
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AdmissionController::CollectShareClassLocked(

@@ -138,8 +138,6 @@ class AdmissionController {
 
   /// Monitoring counters (exact under the controller's own lock).
   uint64_t queries_shed() const { return shed_.load(); }
-  uint64_t queries_admitted() const { return admitted_.load(); }
-  size_t peak_queued() const { return peak_queued_.load(); }
   size_t queued_now() const EXCLUDES(mu_);
 
  private:
@@ -149,7 +147,7 @@ class AdmissionController {
   /// (cpu_bypasses) when a CPU-fit peer is preferred over it.
   size_t BestAdmissibleLocked() REQUIRES(mu_);
   /// Removes waiting_[index] into `*out`, charging its reservation (zeroed
-  /// instead when its token already fired) and counting the admission.
+  /// instead when its token already fired).
   void TakeLocked(size_t index, PendingQuery* out) REQUIRES(mu_);
   /// Moves up to `max_followers` waiters with `share_class` into
   /// `*followers` (FIFO order), skipping any whose reservation does not
@@ -169,8 +167,6 @@ class AdmissionController {
   std::vector<uint64_t> seq_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<size_t> peak_queued_{0};
 };
 
 }  // namespace dbs3

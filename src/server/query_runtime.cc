@@ -34,77 +34,15 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan,
                                    const ScheduleOptions& schedule) {
   if (cancel_.ShouldStop()) return cancel_.ToStatus();
 
-  // Scheduler feedback: the live multiprogramming level reduces this
-  // phase's thread allocation [Rahm93], so N concurrent queries together
-  // apply roughly single-user thread pressure to the machine.
-  const ScheduleOptions adjusted = ApplyUtilization(
-      schedule, MultiUserUtilization(runtime_->live_queries()));
-
-  const bool adaptive = runtime_->options_.rebalance_interval_us > 0;
-  // The grant ceiling for the rebalancer: what this phase would have been
-  // scheduled at without the utilization clamp. Scheduling twice is safe —
-  // ScheduleQuery overwrites the plan's params, and the clamped pass below
-  // runs last so the execution starts at the clamped width.
-  size_t desired_threads = 0;
-  if (adaptive) {
-    Result<ScheduleReport> unclamped = ScheduleQuery(plan, CostModel{},
-                                                     schedule);
-    if (unclamped.ok()) {
-      const ScheduleReport& r = unclamped.value();
-      desired_threads = std::accumulate(r.threads.begin(), r.threads.end(),
-                                        size_t{0});
-    }
-  }
-
-  PhaseOutcome out;
-  DBS3_ASSIGN_OR_RETURN(out.schedule,
-                        ScheduleQuery(plan, CostModel{}, adjusted));
-  const size_t total_threads = std::accumulate(
-      out.schedule.threads.begin(), out.schedule.threads.end(), size_t{0});
-
-  // Whole-plan reservation against the shared pool; a plan too wide for
-  // the pool falls back to private threads (correct, just without the
-  // spawn amortization).
   ExecOptions exec;
   exec.cancel = cancel_;
-  exec.chunk_pool = &runtime_->chunk_pool_;
   exec.quota = &quota_;
-  bool reserved = false;
-  if (total_threads <= runtime_->pool_.num_threads()) {
-    reserved = runtime_->ReserveWorkers(total_threads, cancel_);
-    if (reserved) {
-      exec.workers = &runtime_->pool_;
-    } else if (cancel_.ShouldStop()) {
-      return cancel_.ToStatus();
-    }
-  }
-
-  // Pool-backed phases register on the load board when adaptivity is on:
-  // the rebalance tick may park surplus workers mid-phase (their slots are
-  // then credited back per exit through the board) or grant extra workers
-  // up to the unclamped width.
   RebalanceTotals rebalance;
-  if (reserved && adaptive) {
-    exec.board = &runtime_->board_;
-    exec.desired_threads = std::max(desired_threads, total_threads);
-    exec.rebalance_out = &rebalance;
-  }
-
-  Executor executor;
-  Result<ExecutionResult> run = executor.Run(plan, exec);
-  // Slot settlement: a board-registered execution (rebalance.active)
-  // already credited one slot per worker exit — reserved plus granted,
-  // exactly what it consumed — so releasing the reservation again would
-  // double-free capacity. Static executions release the whole reservation
-  // here, as before. This runs before the error return below so the
-  // accounting settles on every path.
-  if (reserved && !rebalance.active) {
-    runtime_->ReleaseWorkers(total_threads);
-  }
+  Result<PhaseOutcome> phase =
+      runtime_->RunPhase(plan, schedule, {&cancel_, 1}, &exec, &rebalance);
   stats_.threads_granted += rebalance.granted;
   stats_.threads_released += rebalance.parked;
-  DBS3_RETURN_IF_ERROR(run.status());
-  out.execution = std::move(run).value();
+  DBS3_ASSIGN_OR_RETURN(PhaseOutcome out, std::move(phase));
 
   // Fold the phase into the query's running stats — cancelled phases too,
   // so a cancelled query reports the partial work it did.
@@ -115,7 +53,7 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan,
     stats_.busy_seconds += op.busy_seconds;
     for (uint64_t c : op.per_instance_processed) stats_.units_processed += c;
   }
-  if (reserved) stats_.used_shared_pool = true;
+  if (exec.workers != nullptr) stats_.used_shared_pool = true;
   stats_.quota_high_water_units =
       std::max(stats_.quota_high_water_units, quota_.high_water());
   // Roll the phase's spill activity up into the runtime-wide registry, so
@@ -155,13 +93,6 @@ QueryRuntime::QueryRuntime(QueryRuntimeOptions options)
   if (options_.metrics != nullptr) {
     options_.metrics->gauge("runtime.pool_idle_threads")
         ->Set(static_cast<int64_t>(pool_.idle_threads()));
-    options_.metrics->RegisterProbe(
-        "runtime.dispatch_queue_depth",
-        [this] { return static_cast<int64_t>(pool_.queue_depth()); });
-    probes_registered_ = true;
-    sampler_ = std::make_unique<MetricsSampler>(
-        options_.metrics, std::chrono::microseconds(1000));
-    sampler_->Start();
   }
   if (options_.rebalance_interval_us > 0) {
     rebalancer_ = std::thread([this] { RebalanceLoop(); });
@@ -190,12 +121,6 @@ QueryRuntime::~QueryRuntime() {
   for (auto& d : drivers_) {
     if (d.joinable()) d.join();
   }
-  if (sampler_ != nullptr) sampler_->Stop();
-  // The queue-depth probe points at pool_; drop it before this runtime
-  // goes away. ClearProbes drops every probe on the registry — fine for
-  // the facade's single-runtime-per-registry setup (the executor's
-  // per-execution probes live on private registries).
-  if (probes_registered_) options_.metrics->ClearProbes();
   // pool_ destroys after the drivers: every execution has completed, so
   // its queue is empty and the threads exit immediately.
 }
@@ -364,116 +289,138 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
     cancels.push_back(m->cancel);
   }
 
-  const auto batch_stats = [&](const PendingQuery* m) {
+  // The phase runs on behalf of every live member: the slot wait lasts
+  // while any of them is live, so a cancelled lead hands the wait to the
+  // next member instead of pushing the batch onto private threads beside
+  // a saturated pool. The engine-level token stays unfired (the default)
+  // and the quota empty — member cancellation is the scan's per-tile
+  // check, not an execution abort.
+  ExecOptions exec;
+  MemoryQuota quota(0);
+  exec.quota = &quota;
+  RebalanceTotals rebalance;
+  Result<SharedBatchPlan> built = BuildSharedBatchPlan(specs, cancels);
+  Result<PhaseOutcome> phase =
+      built.ok() ? RunPhase(built.value().plan, live[0]->shared->schedule,
+                            cancels, &exec, &rebalance)
+                 : Result<PhaseOutcome>(built.status());
+
+  double total_busy = 0.0;
+  if (phase.ok()) {
+    for (const OperationStats& op : phase.value().execution.op_stats) {
+      total_busy += op.busy_seconds;
+    }
+    if (options_.metrics != nullptr) {
+      options_.metrics->counter("runtime.shared_batches")->Add(1);
+      options_.metrics->summary("shared.queries_per_batch")
+          ->Record(static_cast<int64_t>(live.size()));
+      options_.metrics->summary("shared.batch_window_wait_us")
+          ->Record(Micros(window_wait_seconds));
+    }
+  }
+
+  for (size_t i = 0; i < live.size(); ++i) {
+    PendingQuery* m = live[i];
     QueryRunStats stats;
     stats.admission_wait_seconds =
         std::chrono::duration<double>(now - m->enqueued_at).count();
     stats.shared_batch_queries = live.size();
     stats.batch_window_wait_seconds = window_wait_seconds;
-    return stats;
-  };
-  const auto fail_all = [&](const Status& error) {
-    for (PendingQuery* m : live) m->finish(error, batch_stats(m));
-  };
-
-  Result<SharedBatchPlan> built = BuildSharedBatchPlan(specs, cancels);
-  if (!built.ok()) {
-    fail_all(built.status());
-    live_.fetch_sub(1);
-    return;
-  }
-  SharedBatchPlan batch = std::move(built).value();
-
-  const SharedScanSpec& lead_spec = *live[0]->shared;
-  const ScheduleOptions adjusted = ApplyUtilization(
-      lead_spec.schedule, MultiUserUtilization(live_queries()));
-  Result<ScheduleReport> scheduled =
-      ScheduleQuery(batch.plan, CostModel{}, adjusted);
-  if (!scheduled.ok()) {
-    fail_all(scheduled.status());
-    live_.fetch_sub(1);
-    return;
-  }
-  const ScheduleReport& report = scheduled.value();
-  const size_t total_threads = std::accumulate(
-      report.threads.begin(), report.threads.end(), size_t{0});
-
-  // Same worker-pool contract as QueryEnv::Run: whole-plan all-or-nothing
-  // reservation, private threads when the plan outsizes the pool. The
-  // reservation waits on behalf of whichever member is still live, so a
-  // cancelled lead hands the wait to the next member instead of pushing
-  // the batch onto private threads beside a saturated pool. The
-  // engine-level token stays unfired — member cancellation is the scan's
-  // per-tile check, not an execution abort.
-  ExecOptions exec;
-  exec.chunk_pool = &chunk_pool_;
-  MemoryQuota quota(0);
-  exec.quota = &quota;
-  bool reserved = false;
-  if (total_threads <= pool_.num_threads()) {
-    for (const PendingQuery* m : live) {
-      reserved = ReserveWorkers(total_threads, m->cancel);
-      if (reserved) break;
+    if (i == 0) {
+      // The batch's grants and parks count once, on its lead.
+      stats.threads_granted = rebalance.granted;
+      stats.threads_released = rebalance.parked;
     }
-    if (!reserved) {
-      // Every member was cancelled while waiting: nothing left to run.
-      for (PendingQuery* m : live) {
-        m->finish(m->cancel.ToStatus(), batch_stats(m));
-      }
-      live_.fetch_sub(1);
-      return;
+    if (phase.ok()) {
+      stats.execution_seconds = phase.value().execution.seconds;
+      stats.phases = 1;
+      stats.used_shared_pool = exec.workers != nullptr;
+      // Rows are stored by the scan itself, so nothing is ever in flight
+      // to drop: a member's work is what its sink holds.
+      stats.units_processed = built.value().sinks[i]->cardinality();
+      // The pass was shared; attribute an even share of the busy time.
+      stats.busy_seconds = total_busy / static_cast<double>(live.size());
     }
-    exec.workers = &pool_;
-  }
-  Executor executor;
-  Result<ExecutionResult> run = executor.Run(batch.plan, exec);
-  if (reserved) ReleaseWorkers(total_threads);
-  if (!run.ok()) {
-    fail_all(run.status());
-    live_.fetch_sub(1);
-    return;
-  }
-  const ExecutionResult execution = std::move(run).value();
-
-  double total_busy = 0.0;
-  for (const OperationStats& op : execution.op_stats) {
-    total_busy += op.busy_seconds;
-  }
-
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("runtime.shared_batches")->Add(1);
-    options_.metrics->summary("shared.queries_per_batch")
-        ->Record(static_cast<int64_t>(live.size()));
-    options_.metrics->summary("shared.batch_window_wait_us")
-        ->Record(Micros(window_wait_seconds));
-  }
-
-  for (size_t i = 0; i < live.size(); ++i) {
-    PendingQuery* m = live[i];
-    QueryRunStats stats = batch_stats(m);
-    stats.execution_seconds = execution.seconds;
-    stats.phases = 1;
-    stats.used_shared_pool = reserved;
-    // Rows are stored by the scan itself, so nothing is ever in flight
-    // to drop: a member's work is what its sink holds.
-    stats.units_processed = batch.sinks[i]->cardinality();
-    // The pass was shared; attribute an even share of the busy time.
-    stats.busy_seconds = total_busy / static_cast<double>(live.size());
 
     if (m->cancel.ShouldStop()) {
       m->finish(m->cancel.ToStatus(), stats);
-    } else if (!execution.completion.ok()) {
-      m->finish(execution.completion, stats);
+    } else if (!phase.ok()) {
+      m->finish(phase.status(), stats);
+    } else if (!phase.value().execution.completion.ok()) {
+      m->finish(phase.value().execution.completion, stats);
     } else {
       QueryResult result;
-      result.result = std::move(batch.sinks[i]);
-      result.execution = execution;
-      result.schedule = report;
-      result.detail = batch.detail;
+      result.result = std::move(built.value().sinks[i]);
+      result.execution = phase.value().execution;
+      result.schedule = phase.value().schedule;
+      result.detail = built.value().detail;
       m->finish(std::move(result), stats);
     }
   }
   live_.fetch_sub(1);
+}
+
+Result<PhaseOutcome> QueryRuntime::RunPhase(
+    Plan& plan, const ScheduleOptions& schedule,
+    std::span<const CancelToken> waiters, ExecOptions* exec,
+    RebalanceTotals* rebalance) {
+  const auto total_threads = [](const ScheduleReport& report) {
+    return std::accumulate(report.threads.begin(), report.threads.end(),
+                           size_t{0});
+  };
+
+  // Scheduler feedback: the live multiprogramming level reduces this
+  // phase's thread allocation [Rahm93], so N concurrent queries together
+  // apply roughly single-user thread pressure to the machine.
+  const ScheduleOptions adjusted =
+      ApplyUtilization(schedule, MultiUserUtilization(live_queries()));
+
+  const bool adaptive = options_.rebalance_interval_us > 0;
+  // The grant ceiling for the rebalancer: what this phase would have been
+  // scheduled at without the utilization clamp. Scheduling twice is safe —
+  // ScheduleQuery overwrites the plan's params, and the clamped pass below
+  // runs last so the execution starts at the clamped width.
+  size_t desired_threads = 0;
+  if (adaptive) {
+    Result<ScheduleReport> unclamped = ScheduleQuery(plan, CostModel{},
+                                                     schedule);
+    if (unclamped.ok()) desired_threads = total_threads(unclamped.value());
+  }
+
+  PhaseOutcome out;
+  DBS3_ASSIGN_OR_RETURN(out.schedule,
+                        ScheduleQuery(plan, CostModel{}, adjusted));
+  const size_t threads = total_threads(out.schedule);
+
+  // Whole-plan reservation against the shared pool; a plan too wide for
+  // the pool falls back to private threads (correct, just without the
+  // spawn amortization).
+  exec->chunk_pool = &chunk_pool_;
+  exec->rebalance_out = rebalance;
+  if (threads <= pool_.num_threads()) {
+    if (!ReserveWorkers(threads, waiters)) return waiters.front().ToStatus();
+    exec->workers = &pool_;
+    // Pool-backed phases register on the load board when adaptivity is
+    // on: the rebalance tick may park surplus workers mid-phase (their
+    // slots are then credited back per exit through the board) or grant
+    // extra workers up to the unclamped width.
+    if (adaptive) {
+      exec->board = &board_;
+      exec->desired_threads = std::max(desired_threads, threads);
+    }
+  }
+
+  Executor executor;
+  Result<ExecutionResult> run = executor.Run(plan, *exec);
+  // Slot settlement: a board-registered execution (rebalance->active)
+  // already credited one slot per worker exit — reserved plus granted,
+  // exactly what it consumed — so releasing the reservation again would
+  // double-free capacity. Every other pooled execution, one that failed
+  // before its workers started included, releases the whole reservation
+  // here, before the error return below.
+  if (exec->workers != nullptr && !rebalance->active) ReleaseWorkers(threads);
+  DBS3_ASSIGN_OR_RETURN(out.execution, std::move(run));
+  return out;
 }
 
 void QueryRuntime::Complete(const std::shared_ptr<QueryHandle::State>& state,
@@ -519,12 +466,16 @@ void QueryRuntime::Complete(const std::shared_ptr<QueryHandle::State>& state,
   state->cv.SignalAll();
 }
 
-bool QueryRuntime::ReserveWorkers(size_t slots, const CancelToken& cancel) {
+bool QueryRuntime::ReserveWorkers(size_t slots,
+                                  std::span<const CancelToken> waiters) {
   if (slots == 0) return true;
   if (slots > pool_.num_threads()) return false;
   MutexLock lock(&slots_mu_);
   while (free_slots_ < slots) {
-    if (cancel.ShouldStop()) return false;
+    if (std::all_of(waiters.begin(), waiters.end(),
+                    [](const CancelToken& c) { return c.ShouldStop(); })) {
+      return false;
+    }
     // Announce the blocked reservation: the rebalancer reads this as
     // pressure (running queries should shed down to their fair share) and
     // TryReserveOneWorker yields to it (grants must not starve waiters).

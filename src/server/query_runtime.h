@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -78,11 +79,9 @@ struct PhaseOutcome {
 };
 
 /// Execution context handed to a running query body. Each phase the body
-/// runs goes through Run(), which (a) feeds the live multiprogramming
-/// level into the scheduler's utilization factor, (b) reserves whole-plan
-/// worker slots on the shared pool — falling back to private threads when
-/// the plan wants more threads than the pool has — and (c) threads the
-/// query's cancel token into the engine. A fired token surfaces as a
+/// runs goes through Run(), which hands it to the runtime's phase runner
+/// (QueryRuntime::RunPhase) with the query's cancel token and quota, then
+/// folds the phase into the query's stats. A fired token surfaces as a
 /// Cancelled/DeadlineExceeded error so multi-phase bodies abort their
 /// remaining phases naturally.
 class QueryEnv {
@@ -199,17 +198,34 @@ class QueryRuntime {
   /// Executes one shared-scan batch (lead + followers popped together):
   /// sheds members whose token/deadline fired while queued, degenerates to
   /// the member's own solo body when only one survives, and otherwise runs
-  /// the single multi-query plan and completes every member's handle from
-  /// its sink. The caller releases each member's admission memory.
+  /// the single multi-query plan through RunPhase on behalf of its live
+  /// members and completes every member's handle from its sink. The caller
+  /// releases each member's admission memory.
   void RunSharedBatch(PendingQuery* lead, std::vector<PendingQuery>* followers,
                       double window_wait_seconds);
 
+  /// The one phase runner, for a solo query phase and a shared batch
+  /// alike: scales `schedule` by the live multiprogramming level
+  /// [Rahm93], schedules `plan`, reserves its whole thread count on the
+  /// pool (private threads when the plan is wider than the pool),
+  /// registers on the load board when adaptive, runs the executor and
+  /// settles the reservation on every path. The caller's `exec` carries
+  /// the engine token and quota; `exec->workers` reads back non-null when
+  /// the phase ran on the pool, and `*rebalance` receives the board's
+  /// grants and parks, also when the run fails. The slot wait gives up,
+  /// with the first waiter's status, only once every token in `waiters`
+  /// has fired.
+  Result<PhaseOutcome> RunPhase(Plan& plan, const ScheduleOptions& schedule,
+                                std::span<const CancelToken> waiters,
+                                ExecOptions* exec, RebalanceTotals* rebalance);
+
   /// Blocks until `slots` worker threads are free on the shared pool and
-  /// charges them. False when `cancel` fires first or `slots` exceeds the
-  /// pool. Reservations are whole-plan and all-or-nothing, so every
-  /// dispatched (possibly blocking) worker loop is backed by a real
-  /// thread — the no-deadlock invariant of running plans on a shared pool.
-  bool ReserveWorkers(size_t slots, const CancelToken& cancel)
+  /// charges them. False when every token in `waiters` has fired first or
+  /// `slots` exceeds the pool. Reservations are whole-plan and
+  /// all-or-nothing, so every dispatched (possibly blocking) worker loop is
+  /// backed by a real thread — the no-deadlock invariant of running plans
+  /// on a shared pool.
+  bool ReserveWorkers(size_t slots, std::span<const CancelToken> waiters)
       EXCLUDES(slots_mu_);
   void ReleaseWorkers(size_t slots) EXCLUDES(slots_mu_);
 
@@ -246,11 +262,6 @@ class QueryRuntime {
   CondVar rebalance_cv_;
   bool rebalance_stop_ GUARDED_BY(rebalance_mu_) = false;
   std::thread rebalancer_;
-
-  /// Samples the dispatch-queue-depth probe into a series while the
-  /// runtime lives (only when a metrics registry was supplied).
-  std::unique_ptr<MetricsSampler> sampler_;
-  bool probes_registered_ = false;
 
   std::vector<std::thread> drivers_;
 };

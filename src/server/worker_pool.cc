@@ -41,7 +41,6 @@ void WorkerPool::Dispatch(std::function<void()> fn) {
       rejected = true;
     } else {
       tasks_.push_back(std::move(fn));
-      queued_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (rejected) {
@@ -66,7 +65,6 @@ void WorkerPool::ThreadMain() {
       task = std::move(tasks_.front());
       tasks_.pop_front();
     }
-    queued_.fetch_sub(1, std::memory_order_relaxed);
     busy_.fetch_add(1, std::memory_order_relaxed);
     task();
     busy_.fetch_sub(1, std::memory_order_relaxed);

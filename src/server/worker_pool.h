@@ -64,10 +64,6 @@ class WorkerPool final : public ThreadSource {
     return n > busy ? n - busy : 0;
   }
 
-  /// Tasks queued but not yet picked up (approximate, for the
-  /// runtime.dispatch_queue_depth probe).
-  size_t queue_depth() const { return queued_.load(std::memory_order_relaxed); }
-
  private:
   void ThreadMain() EXCLUDES(mu_);
 
@@ -79,7 +75,6 @@ class WorkerPool final : public ThreadSource {
   std::atomic<uint64_t> dispatched_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<size_t> busy_{0};
-  std::atomic<size_t> queued_{0};
 };
 
 }  // namespace dbs3

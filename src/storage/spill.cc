@@ -64,9 +64,6 @@ Result<std::unique_ptr<SpillFile>> SpillFile::Create(SpillCounters* counters) {
   if (f == nullptr) {
     return Status::Internal("cannot open spill temporary file");
   }
-  if (counters != nullptr) {
-    counters->files_created.fetch_add(1, std::memory_order_relaxed);
-  }
   return std::unique_ptr<SpillFile>(new SpillFile(f, counters));
 }
 
@@ -95,9 +92,6 @@ Status SpillFile::Append(const Tuple& tuple) {
   for (const Value& v : tuple.values()) EncodeValue(v, &frame_);
   ++frame_tuples_;
   ++tuples_;
-  if (counters_ != nullptr) {
-    counters_->tuples_written.fetch_add(1, std::memory_order_relaxed);
-  }
   if (frame_tuples_ >= kSpillChunkTuples) return FlushBuffer();
   return Status::OK();
 }

@@ -21,16 +21,14 @@ inline constexpr size_t kSpillChunkTuples = 256;
 
 /// One execution's spill record: the executor owns one per run, hands it
 /// to every operator logic (ExecResources::spill) and, after the drain,
-/// reports each non-zero field but tuples_written and files_created as a
-/// spill.<field> counter of the run's metrics. Spill files add their IO;
-/// the spilling operators add their events (a join build partition
-/// spilled, a repartition or group-by merge split, a group-by table
-/// flushed). Atomic: instances on different threads count concurrently.
+/// reports each non-zero field as a spill.<field> counter of the run's
+/// metrics. Spill files add their IO; the spilling operators add their
+/// events (a join build partition spilled, a repartition or group-by
+/// merge split, a group-by table flushed). Atomic: instances on different
+/// threads count concurrently.
 struct SpillCounters {
   std::atomic<uint64_t> bytes_written{0};
   std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> tuples_written{0};
-  std::atomic<uint64_t> files_created{0};
   std::atomic<uint64_t> partitions{0};
   std::atomic<uint64_t> recursions{0};
   std::atomic<uint64_t> groupby_flushes{0};
@@ -55,7 +53,7 @@ struct SpillCounters {
 class SpillFile {
  public:
   /// Opens a fresh unlinked temporary file. `counters` (optional) receives
-  /// this file's IO tallies from Create, Append, Rewind and ReadChunk; it
+  /// this file's IO tallies from Append, Rewind and ReadChunk; it
   /// must outlive those calls, not the file.
   static Result<std::unique_ptr<SpillFile>> Create(
       SpillCounters* counters = nullptr);

@@ -185,7 +185,7 @@ TEST(SpillJoinDifferentialTest, UnboundedQuotaMatchesInMemoryJoin) {
     EXPECT_EQ(quota.used(), 0u);  // Everything released after OnFinish.
     EXPECT_EQ(quota.high_water(), build_keys.size());  // One whole charge.
     EXPECT_EQ(spill.bytes_written.load(), 0u);
-    EXPECT_EQ(spill.files_created.load(), 0u);
+    EXPECT_EQ(spill.partitions.load(), 0u);
     // No quota at all: nothing charged, same rows.
     EXPECT_EQ(JoinUnderTest(node, inner.get(), probes).Run(nullptr),
               expected);

@@ -99,8 +99,6 @@ TEST(SpillFileTest, CountersAccumulateAcrossFiles) {
     }
     (void)ReadAll(*f1.value());
   }
-  EXPECT_EQ(counters.files_created.load(), 2u);
-  EXPECT_EQ(counters.tuples_written.load(), 20u);
   EXPECT_GT(counters.bytes_written.load(), 0u);
   EXPECT_GT(counters.bytes_read.load(), 0u);
 }
