@@ -6,11 +6,12 @@
 // runs the identical submission flood twice: once with the admission
 // batching window enabled (compatible queries fold into multi-query
 // shared-scan plans — one relation pass serves the whole batch) and once
-// with batching off (every query runs its own solo scan plan). Each mode
-// is best-of-kReps; on the first rep every query's result relation is
-// checked fragment-for-fragment against rows computed directly from the
-// base relation (sorted within a fragment: several threads may drain one
-// store queue, so intra-fragment order is not defined — in either mode).
+// with folding off (shared_batch_max_queries = 1: every query runs the
+// same one-node scan as a batch of one; the table and the JSON call this
+// mode "solo"). Each mode is best-of-kReps; on the first rep every
+// query's result relation is checked fragment-for-fragment against rows
+// computed directly from the base relation (sorted within a fragment, so
+// the check does not lean on the scan's storing order).
 //
 // Writes BENCH_sharedscan.json next to the binary; the CI gate
 // (compare_bench.py --sharedscan) requires every point's results to

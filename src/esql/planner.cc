@@ -549,23 +549,41 @@ Status BuildAggregation(const EsqlQuery& query, PipelineState* state) {
   return Status::OK();
 }
 
-/// Appends the projection stage for plain (non-aggregate) select lists.
-Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
-  if (query.items.size() == 1 &&
-      query.items[0].kind == SelectItem::Kind::kStar) {
-    return Status::OK();
-  }
-  std::vector<size_t> columns;
-  std::vector<Column> out_columns;
-  std::vector<Binding> out_bindings;
+/// `SELECT *`: the whole row, no projection.
+bool SelectsStar(const EsqlQuery& query) {
+  return query.items.size() == 1 &&
+         query.items[0].kind == SelectItem::Kind::kStar;
+}
+
+/// Resolves a plain select list, item by item, against `bindings` (the
+/// columns of `schema`): the kept columns in output order, and the result
+/// columns, each named by its alias or else its column.
+Result<std::pair<std::vector<size_t>, std::vector<Column>>> ResolveSelectList(
+    const EsqlQuery& query, const std::vector<Binding>& bindings,
+    const Schema& schema) {
+  std::pair<std::vector<size_t>, std::vector<Column>> out;
   for (const SelectItem& item : query.items) {
     DBS3_ASSIGN_OR_RETURN(const size_t col,
-                          ResolveBinding(state->bindings, item.column));
-    columns.push_back(col);
-    const std::string name =
-        !item.alias.empty() ? item.alias : item.column.column;
-    out_columns.push_back({name, state->schema.column(col).type});
-    out_bindings.push_back({state->bindings[col].relation, name});
+                          ResolveBinding(bindings, item.column));
+    out.first.push_back(col);
+    out.second.push_back(
+        {!item.alias.empty() ? item.alias : item.column.column,
+         schema.column(col).type});
+  }
+  return out;
+}
+
+/// Appends the projection stage for plain (non-aggregate) select lists.
+Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
+  if (SelectsStar(query)) return Status::OK();
+  DBS3_ASSIGN_OR_RETURN(
+      auto projection,
+      ResolveSelectList(query, state->bindings, state->schema));
+  auto& [columns, out_columns] = projection;
+  std::vector<Binding> out_bindings;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    out_bindings.push_back(
+        {state->bindings[columns[i]].relation, out_columns[i].name});
   }
   const size_t project = state->plan.AddNode(
       "project", ActivationMode::kPipelined, state->instances,
@@ -636,11 +654,10 @@ Result<QueryResult> RunEsql(Database& db, const EsqlQuery& query,
   return out;
 }
 
-/// Whether the query's shape may ride a shared scan at all (cheap
-/// pre-check before MakeSharedSpec does name resolution): scan-only — no
-/// joins, aggregates, grouping or ordering — and no declared memory.
-bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
-  if (options.memory_units != 0) return false;
+/// Whether the query only scans: no joins, aggregates, grouping or
+/// ordering. Such a query runs as a one-node shared scan, alone or folded
+/// into a batch.
+bool ScanOnly(const EsqlQuery& query) {
   if (!query.joins.empty()) return false;
   if (query.group_by.has_value() || query.order_by.has_value()) return false;
   for (const SelectItem& item : query.items) {
@@ -649,61 +666,57 @@ bool ShareableShape(const EsqlQuery& query, const EsqlOptions& options) {
   return !query.items.empty();
 }
 
-/// Builds the shared-scan payload for a shareable shape, mirroring the
-/// solo plan exactly: ClassifyWhere and CombinePredicates for the WHERE
-/// conjunction and BuildProjection's naming for the result schema. Any
-/// resolution error means "not shareable" — the caller falls back to the
-/// solo body, which re-reports real errors through the normal path.
+/// The plan of a scan-only query: its shared-scan payload, resolved in
+/// RunEsql's order (the relation, then WHERE, then each select item) so a
+/// bad query fails with the status RunEsql would give it.
 Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
     Database& db, const EsqlQuery& query, const EsqlOptions& options) {
   DBS3_ASSIGN_OR_RETURN(Relation * rel, db.relation(query.from));
+  DBS3_ASSIGN_OR_RETURN(auto where, ClassifyWhere({rel}, query.where));
   auto spec = std::make_shared<SharedScanSpec>();
   spec->relation = rel;
-
-  if (query.items.size() == 1 &&
-      query.items[0].kind == SelectItem::Kind::kStar) {
-    spec->result_schema = rel->schema();  // Empty projection = whole row.
-  } else {
-    const std::vector<Binding> bindings = BindingsOf(*rel);
-    std::vector<Column> out_columns;
-    for (const SelectItem& item : query.items) {
-      if (item.kind != SelectItem::Kind::kColumn) {
-        return Status::InvalidArgument("not a shareable select list");
-      }
-      DBS3_ASSIGN_OR_RETURN(const size_t col,
-                            ResolveBinding(bindings, item.column));
-      spec->projection.push_back(col);
-      const std::string name =
-          !item.alias.empty() ? item.alias : item.column.column;
-      out_columns.push_back({name, rel->schema().column(col).type});
-    }
-    spec->result_schema = Schema(std::move(out_columns));
-  }
-
-  DBS3_ASSIGN_OR_RETURN(auto where, ClassifyWhere({rel}, query.where));
   auto pred = CombinePredicates(rel->schema(), where[0]);
   spec->predicate = std::move(pred.first);
   spec->selectivity = pred.second;
+  if (SelectsStar(query)) {
+    spec->result_schema = rel->schema();  // Empty projection = whole row.
+  } else {
+    DBS3_ASSIGN_OR_RETURN(
+        auto projection,
+        ResolveSelectList(query, BindingsOf(*rel), rel->schema()));
+    spec->projection = std::move(projection.first);
+    spec->result_schema = Schema(std::move(projection.second));
+  }
   spec->result_name = options.result_name;
   spec->schedule = options.schedule;
   spec->share_class = ComputeShareClass(*rel, spec->projection);
   return std::shared_ptr<const SharedScanSpec>(std::move(spec));
 }
 
+/// A query that failed before it could run: its handle completes with
+/// `error` once the query leaves admission, like any other failure.
+QueryHandle SubmitFailed(Database& db, Status error,
+                         const EsqlOptions& options) {
+  return db.Submit(MakeQuerySpec(
+      options, [error = std::move(error)](QueryEnv&) -> Result<QueryResult> {
+        return error;
+      }));
+}
+
 QueryHandle SubmitParsed(Database& db, EsqlQuery query,
                          const EsqlOptions& options) {
-  std::shared_ptr<const SharedScanSpec> shared;
-  if (ShareableShape(query, options)) {
-    Result<std::shared_ptr<const SharedScanSpec>> spec =
-        MakeSharedSpec(db, query, options);
-    if (spec.ok()) shared = std::move(spec).value();
+  if (!ScanOnly(query)) {
+    return db.Submit(MakeQuerySpec(
+        options, [&db, query = std::move(query),
+                  options](QueryEnv& env) -> Result<QueryResult> {
+          return RunEsql(db, query, options, env);
+        }));
   }
-  QuerySpec spec = MakeQuerySpec(
-      options, [&db, query = std::move(query),
-                options](QueryEnv& env) -> Result<QueryResult> {
-        return RunEsql(db, query, options, env);
-      });
-  spec.shared = std::move(shared);
+  Result<std::shared_ptr<const SharedScanSpec>> shared =
+      MakeSharedSpec(db, query, options);
+  if (!shared.ok()) return SubmitFailed(db, shared.status(), options);
+  QuerySpec spec = MakeQuerySpec(options, QueryBody());
+  spec.shared = std::move(shared).value();
   return db.Submit(std::move(spec));
 }
 
@@ -726,17 +739,12 @@ QueryHandle SubmitEsql(Database& db, const EsqlQuery& query,
 
 QueryHandle SubmitEsql(Database& db, const std::string& query,
                        const EsqlOptions& options) {
-  // Parse eagerly so shareable queries get their shared-scan payload
-  // attached; a syntax error still surfaces through the handle like every
-  // other query failure.
+  // Parse eagerly so a scan-only query is planned at submit; a syntax
+  // error still surfaces through the handle like every other query
+  // failure.
   Result<EsqlQuery> parsed = ParseEsql(query);
-  if (parsed.ok()) {
-    return SubmitParsed(db, std::move(parsed).value(), options);
-  }
-  return db.Submit(MakeQuerySpec(
-      options, [error = parsed.status()](QueryEnv&) -> Result<QueryResult> {
-        return error;
-      }));
+  if (!parsed.ok()) return SubmitFailed(db, parsed.status(), options);
+  return SubmitParsed(db, std::move(parsed).value(), options);
 }
 
 }  // namespace dbs3

@@ -18,20 +18,22 @@ namespace dbs3 {
 /// predicate leaf, and the operators pick the batch kernels or the row
 /// loop from the size of the span they filter.
 ///
-/// A scan-only query with no declared memory may ride a multi-query shared
-/// scan with compatible queries (same relation, same projection shape):
-/// one relation pass serves the whole batch, and per-query results are
-/// identical to solo execution. The batch forms only when compatible
-/// queries are simultaneously queued; QueryRuntimeOptions decides how
-/// many fold (shared_batch_max_queries, 1 = off) and how long a lead waits
-/// for stragglers (shared_batch_window_us).
+/// A scan-only query (no join, aggregate, GROUP BY or ORDER BY) is planned
+/// once, at submit, as a one-node shared scan; its declared memory only
+/// reserves admission budget. Alone it is a batch of one; compatible
+/// queries (same relation, same projection shape) queued at the same time
+/// fold into one batch, where one relation pass serves every member and
+/// each member's rows are what it would store alone. QueryRuntimeOptions
+/// decides how many fold (shared_batch_max_queries, 1 = never) and how
+/// long a lead waits for stragglers (shared_batch_window_us).
 struct EsqlOptions : QueryOptions {
   EsqlOptions() { result_name = "esql_result"; }
 };
 
 /// Compiles and executes `query` against `db`: SubmitEsql + Take. The
 /// QueryResult carries the final phase's result, execution and schedule;
-/// `detail` renders the physical strategy (e.g. "IdealJoin(A, B) ; store"),
+/// `detail` renders the physical strategy (e.g. "IdealJoin(A, B) ; store",
+/// or "shared-scan(A)[1 queries]" for a scan-only query that ran alone),
 /// and `phases` holds the executions of the repartition phases before it,
 /// so the query ran `phases.size() + 1` pipeline chains.
 ///

@@ -74,8 +74,8 @@ struct PendingQuery {
   /// The shared-scan payload when shareable; what the runtime's batch path
   /// builds the multi-query plan from. Opaque to the controller.
   std::shared_ptr<const SharedScanSpec> shared;
-  /// Completes the query's handle without running `run` — the batch path's
-  /// per-member completion channel (stats/outcome per member).
+  /// Completes the query's handle without running `run` — how the driver
+  /// sheds a dead query and how a batch completes each member.
   std::function<void(Result<QueryResult>, const QueryRunStats&)> finish;
 };
 

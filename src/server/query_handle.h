@@ -60,10 +60,12 @@ struct QueryRunStats {
   /// the query retained no state).
   uint64_t quota_high_water_units = 0;
   /// Queries that rode the same shared-scan batch as this one, including
-  /// this one. 0 = the query ran solo (no shared-work path involved).
+  /// this one. 0 = it shared nothing: it ran alone, a batch of one
+  /// included.
   size_t shared_batch_queries = 0;
   /// Seconds the batch's lead driver held the admission window open before
-  /// execution started (0 for solo queries and zero-window batches).
+  /// execution started, a batch of one included (0 for queries with a
+  /// body and zero-window batches).
   double batch_window_wait_seconds = 0.0;
   /// Steady-state rebalancer activity on this query, summed over phases
   /// (both 0 with rebalance_interval_us = 0): extra pool workers granted

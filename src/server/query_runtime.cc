@@ -20,6 +20,12 @@ int64_t Micros(double seconds) {
   return static_cast<int64_t>(seconds * 1e6);
 }
 
+/// How long `q` waited in the admission queue before `popped_at`.
+double AdmissionWait(const PendingQuery& q,
+                     std::chrono::steady_clock::time_point popped_at) {
+  return std::chrono::duration<double>(popped_at - q.enqueued_at).count();
+}
+
 /// Chunk buffers the runtime's shared ChunkPool retains between
 /// executions. The pool is what makes the engine's data path
 /// allocation-lean across queries (the free list stays warm from one
@@ -167,33 +173,14 @@ QueryHandle QueryRuntime::Submit(QuerySpec spec) {
   };
   pending.run = [this, state, memory_units = spec.memory_units,
                  body = std::move(spec.body)](double wait_seconds) mutable {
-    QueryRunStats stats;
-    stats.admission_wait_seconds = wait_seconds;
-    {
-      MutexLock lock(&state->mu);
-      state->stats = stats;
-    }
-    if (shutdown_.load()) {
-      Complete(state, Status::Cancelled("query runtime shutting down"),
-               stats);
-      return;
-    }
-    if (state->cancel.ShouldStop()) {
-      // Cancelled or deadline-expired while still queued: complete without
-      // executing anything.
-      Complete(state, state->cancel.ToStatus(), stats);
-      return;
-    }
     live_.fetch_add(1);
     QueryEnv env(this, state->cancel, memory_units,
-                 [this, state](const QueryRunStats& s) {
-                   QueryRunStats merged = s;
+                 [state](const QueryRunStats& s) {
                    MutexLock lock(&state->mu);
-                   merged.admission_wait_seconds =
-                       state->stats.admission_wait_seconds;
-                   state->stats = merged;
+                   state->stats = s;
                  });
     env.stats_.admission_wait_seconds = wait_seconds;
+    env.publish_(env.stats_);
     Result<QueryResult> outcome = body(env);
     live_.fetch_sub(1);
     Complete(state, std::move(outcome), env.stats_);
@@ -216,115 +203,96 @@ void QueryRuntime::DriverLoop() {
   const BatchWindow window{
       std::chrono::microseconds(options_.shared_batch_window_us),
       std::max<size_t>(1, options_.shared_batch_max_queries)};
-  PendingQuery q;
-  std::vector<PendingQuery> followers;
+  PendingQuery lead;
+  std::vector<PendingQuery> popped;  // The lead, then its followers.
+  std::vector<PendingQuery*> live;
   double window_wait_seconds = 0.0;
-  while (admission_.PopNextBatch(&q, &followers, window,
+  while (admission_.PopNextBatch(&lead, &popped, window,
                                  &window_wait_seconds)) {
-    if (followers.empty()) {
-      const double wait_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        q.enqueued_at)
-              .count();
-      q.run(wait_seconds);
-      admission_.ReleaseMemory(q.memory_units);
-    } else {
-      uint64_t batch_units = q.memory_units;
-      for (const PendingQuery& f : followers) batch_units += f.memory_units;
-      RunSharedBatch(&q, &followers, window_wait_seconds);
-      admission_.ReleaseMemory(batch_units);
+    popped.insert(popped.begin(), std::move(lead));
+    // Shed every popped query that died while queued — a deadline expiring
+    // inside the batching window sheds the query here instead of riding
+    // the batch.
+    const auto popped_at = std::chrono::steady_clock::now();
+    uint64_t units = 0;
+    live.clear();
+    for (PendingQuery& q : popped) {
+      units += q.memory_units;
+      QueryRunStats stats;
+      stats.admission_wait_seconds = AdmissionWait(q, popped_at);
+      if (shutdown_.load()) {
+        q.finish(Status::Cancelled("query runtime shutting down"), stats);
+      } else if (q.cancel.ShouldStop()) {
+        q.finish(q.cancel.ToStatus(), stats);
+      } else {
+        live.push_back(&q);
+      }
     }
-    q = PendingQuery{};
-    followers.clear();
+    if (!live.empty() && popped[0].shared != nullptr) {
+      RunSharedBatch(live, popped_at, window_wait_seconds);
+    } else if (!live.empty()) {
+      popped[0].run(AdmissionWait(popped[0], popped_at));
+    }
+    admission_.ReleaseMemory(units);
+    popped.clear();
   }
 }
 
-void QueryRuntime::RunSharedBatch(PendingQuery* lead,
-                                  std::vector<PendingQuery>* followers,
-                                  double window_wait_seconds) {
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<PendingQuery*> members;
-  members.reserve(1 + followers->size());
-  members.push_back(lead);
-  for (PendingQuery& f : *followers) members.push_back(&f);
-
-  // Shed members that died while queued — a deadline expiring inside the
-  // batching window sheds the query here instead of riding the batch.
-  std::vector<PendingQuery*> live;
-  live.reserve(members.size());
-  for (PendingQuery* m : members) {
-    QueryRunStats stats;
-    stats.admission_wait_seconds =
-        std::chrono::duration<double>(now - m->enqueued_at).count();
-    if (shutdown_.load()) {
-      m->finish(Status::Cancelled("query runtime shutting down"), stats);
-    } else if (m->cancel.ShouldStop()) {
-      m->finish(m->cancel.ToStatus(), stats);
-    } else if (m->shared == nullptr) {
-      m->finish(Status::Internal("shareable query without a shared spec"),
-                stats);
-    } else {
-      live.push_back(m);
-    }
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    // Everyone else shed: the member's own solo body stores the same
-    // rows.
-    PendingQuery* solo = live[0];
-    solo->run(std::chrono::duration<double>(now - solo->enqueued_at).count());
-    return;
-  }
-
+void QueryRuntime::RunSharedBatch(
+    const std::vector<PendingQuery*>& members,
+    std::chrono::steady_clock::time_point popped_at,
+    double window_wait_seconds) {
   // One batch presents as one running query to the scheduler's
   // multiprogramming feedback — that is the point of sharing the pass.
   live_.fetch_add(1);
 
   std::vector<const SharedScanSpec*> specs;
   std::vector<CancelToken> cancels;
-  specs.reserve(live.size());
-  cancels.reserve(live.size());
-  for (PendingQuery* m : live) {
+  specs.reserve(members.size());
+  cancels.reserve(members.size());
+  for (PendingQuery* m : members) {
     specs.push_back(m->shared.get());
     cancels.push_back(m->cancel);
   }
 
-  // The phase runs on behalf of every live member: the slot wait lasts
-  // while any of them is live, so a cancelled lead hands the wait to the
-  // next member instead of pushing the batch onto private threads beside
-  // a saturated pool. The engine-level token stays unfired (the default)
-  // and the quota empty — member cancellation is the scan's per-tile
-  // check, not an execution abort.
+  // The phase runs on behalf of every member: the slot wait lasts while
+  // any of them is live, so a cancelled lead hands the wait to the next
+  // member instead of pushing the batch onto private threads beside a
+  // saturated pool. The engine-level token stays unfired (the default) and
+  // the quota empty — member cancellation is the scan's per-tile check,
+  // not an execution abort.
   ExecOptions exec;
   MemoryQuota quota(0);
   exec.quota = &quota;
   RebalanceTotals rebalance;
   Result<SharedBatchPlan> built = BuildSharedBatchPlan(specs, cancels);
   Result<PhaseOutcome> phase =
-      built.ok() ? RunPhase(built.value().plan, live[0]->shared->schedule,
+      built.ok() ? RunPhase(built.value().plan, members[0]->shared->schedule,
                             cancels, &exec, &rebalance)
                  : Result<PhaseOutcome>(built.status());
 
+  // A batch of one shares nothing: it is no shared batch in the stats or
+  // the metrics, though it still reports how long it was held open.
+  const size_t folded = members.size() > 1 ? members.size() : 0;
   double total_busy = 0.0;
   if (phase.ok()) {
     for (const OperationStats& op : phase.value().execution.op_stats) {
       total_busy += op.busy_seconds;
     }
-    if (options_.metrics != nullptr) {
+    if (options_.metrics != nullptr && folded > 0) {
       options_.metrics->counter("runtime.shared_batches")->Add(1);
       options_.metrics->summary("shared.queries_per_batch")
-          ->Record(static_cast<int64_t>(live.size()));
+          ->Record(static_cast<int64_t>(folded));
       options_.metrics->summary("shared.batch_window_wait_us")
           ->Record(Micros(window_wait_seconds));
     }
   }
 
-  for (size_t i = 0; i < live.size(); ++i) {
-    PendingQuery* m = live[i];
+  for (size_t i = 0; i < members.size(); ++i) {
+    PendingQuery* m = members[i];
     QueryRunStats stats;
-    stats.admission_wait_seconds =
-        std::chrono::duration<double>(now - m->enqueued_at).count();
-    stats.shared_batch_queries = live.size();
+    stats.admission_wait_seconds = AdmissionWait(*m, popped_at);
+    stats.shared_batch_queries = folded;
     stats.batch_window_wait_seconds = window_wait_seconds;
     if (i == 0) {
       // The batch's grants and parks count once, on its lead.
@@ -339,7 +307,7 @@ void QueryRuntime::RunSharedBatch(PendingQuery* lead,
       // to drop: a member's work is what its sink holds.
       stats.units_processed = built.value().sinks[i]->cardinality();
       // The pass was shared; attribute an even share of the busy time.
-      stats.busy_seconds = total_busy / static_cast<double>(live.size());
+      stats.busy_seconds = total_busy / static_cast<double>(members.size());
     }
 
     if (m->cancel.ShouldStop()) {

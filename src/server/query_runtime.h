@@ -51,9 +51,10 @@ struct QueryRuntimeOptions {
   /// microseconds (runtime.admission_wait_us, .execution_wall_us,
   /// .busy_us) here. Must outlive the runtime.
   MetricsRegistry* metrics = nullptr;
-  /// Largest shared-scan batch a driver folds (lead included). 1 turns the
-  /// shared-work path off entirely; the default groups compatible queries
-  /// whenever they are simultaneously queued.
+  /// Largest shared-scan batch a driver folds (lead included). 1 never
+  /// folds: each scan-only query runs its one-node shared scan alone. The
+  /// default groups compatible queries whenever they are simultaneously
+  /// queued.
   size_t shared_batch_max_queries = 8;
   /// Extra microseconds a driver holds a shareable lead open for
   /// compatible stragglers before executing. 0 (default) adds no latency:
@@ -148,11 +149,12 @@ struct QuerySpec {
   /// External cancel token to share; default = a fresh token (cancel via
   /// the returned handle).
   std::optional<CancelToken> cancel;
-  /// Shared-work payload: when set, the admission controller may fold this
-  /// query into a multi-query shared-scan batch with other queries of the
-  /// same share_class; `body` is then bypassed for the batch path (it still
-  /// runs when the query executes solo). Set by the ESQL planner for
-  /// shareable scan-only queries.
+  /// Shared-work payload: the plan of a scan-only query, which runs as a
+  /// one-node shared scan, alone or folded by the admission controller into
+  /// a batch with other queued queries of the same share_class. With
+  /// `shared` set the body never runs: the ESQL planner gives every
+  /// scan-only query `shared` and no body, and every other query a body
+  /// and no `shared`.
   std::shared_ptr<const SharedScanSpec> shared;
 };
 
@@ -195,13 +197,12 @@ class QueryRuntime {
   void Complete(const std::shared_ptr<QueryHandle::State>& state,
                 Result<QueryResult> outcome, const QueryRunStats& stats);
 
-  /// Executes one shared-scan batch (lead + followers popped together):
-  /// sheds members whose token/deadline fired while queued, degenerates to
-  /// the member's own solo body when only one survives, and otherwise runs
-  /// the single multi-query plan through RunPhase on behalf of its live
-  /// members and completes every member's handle from its sink. The caller
-  /// releases each member's admission memory.
-  void RunSharedBatch(PendingQuery* lead, std::vector<PendingQuery>* followers,
+  /// Executes one shared-scan batch of the live `members` (one or more,
+  /// popped together at `popped_at`): runs the single one-node plan through
+  /// RunPhase on their behalf and completes every member's handle from its
+  /// sink. A batch of one is no shared batch in its stats or the metrics.
+  void RunSharedBatch(const std::vector<PendingQuery*>& members,
+                      std::chrono::steady_clock::time_point popped_at,
                       double window_wait_seconds);
 
   /// The one phase runner, for a solo query phase and a shared batch

@@ -12,12 +12,12 @@
 
 namespace dbs3 {
 
-/// One multi-query plan built from a batch of compatible SharedScanSpecs:
+/// One plan built from a batch of one or more compatible SharedScanSpecs:
 /// a single shared-scan node that stores each member's rows into that
 /// member's result sink. Sinks are hash-partitioned on column 0 with the
-/// relation's degree, and instance i fills fragment i in base-fragment
-/// tile order — the exact shape of the solo filter→store plan, so each
-/// member's result is fragment-for-fragment identical to solo execution.
+/// relation's degree, and instance i fills fragment i with the rows of
+/// base fragment i that the member selects, in base-fragment order, so a
+/// member's result does not depend on which batch it rode.
 struct SharedBatchPlan {
   Plan plan;
   /// Per-member materialized results, index-aligned with the input specs.

@@ -13,13 +13,14 @@
 
 namespace dbs3 {
 
-/// Everything the runtime needs to fold one submitted query into a
-/// multi-query shared-scan plan (SharedDB-style shared work): the relation
-/// it scans, its own predicate, and how its slice of the shared pass is
-/// projected and materialized. The ESQL planner builds one of these at
-/// Submit time for every shareable query (single-relation selection, no
-/// aggregates/ordering, no declared memory budget); queries whose spec
-/// carries the same nonzero `share_class` may execute as one plan.
+/// The plan of one scan-only query, and everything the runtime needs to
+/// fold it into a multi-query shared-scan plan (SharedDB-style shared
+/// work): the relation it scans, its own predicate, and how its slice of
+/// the shared pass is projected and materialized. The ESQL planner builds
+/// one of these at Submit time for every scan-only query (single-relation
+/// selection, no aggregates or ordering); alone the query runs as a batch
+/// of one, and queries whose spec carries the same nonzero `share_class`
+/// may execute as one plan.
 ///
 /// Compatibility contract: two specs with equal share_class scan the same
 /// Relation object with the same projection shape. Predicates, result

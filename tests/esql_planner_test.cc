@@ -269,10 +269,16 @@ TEST_F(EsqlPlannerTest, SemanticErrors) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(ExecuteEsql(db_, "SELECT zzz FROM orders", options_)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
+  const Status unknown_item =
+      ExecuteEsql(db_, "SELECT zzz FROM orders", options_).status();
+  EXPECT_EQ(unknown_item.code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown_item.message(), "unknown column 'zzz'");
+  // WHERE resolves before the select list, so its column is reported.
+  const Status where_first =
+      ExecuteEsql(db_, "SELECT zzz FROM orders WHERE yyy < 3", options_)
+          .status();
+  EXPECT_EQ(where_first.code(), StatusCode::kNotFound);
+  EXPECT_EQ(where_first.message(), "unknown column 'yyy'");
   // GROUP BY without aggregates.
   EXPECT_FALSE(
       ExecuteEsql(db_, "SELECT key FROM orders GROUP BY key", options_)

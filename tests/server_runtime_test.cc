@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -569,8 +570,9 @@ std::vector<Tuple> SortedRows(const Relation& rel) {
 
 /// A query whose shared spec is built by hand in share class 42, so specs
 /// the planner would keep apart (a projection beside whole-row members)
-/// still fold into one batch. Its solo body fails: an OK result proves the
-/// query rode a batch. Two workers let the fragments' passes overlap.
+/// still fold into one batch. Its body fails: an OK result proves the
+/// query ran its shared scan. Two workers let the fragments' passes
+/// overlap.
 QuerySpec HandBuiltSharedQuery(const Relation* rel, Predicate predicate,
                                std::vector<size_t> projection = {}) {
   auto shared = std::make_shared<SharedScanSpec>();
@@ -630,8 +632,8 @@ TEST(SharedScanTest, DeadlineExpiringInTheWindowShedsNotRides) {
   ASSERT_FALSE(q2_taken.ok());
   EXPECT_EQ(q2_taken.status().code(), StatusCode::kDeadlineExceeded);
 
-  // q1, the sole survivor, degenerates to its solo body — correct rows,
-  // no shared batch recorded anywhere.
+  // q1, the sole survivor, runs as a batch of one — correct rows, no
+  // shared batch recorded anywhere.
   auto q1_taken = q1.Take();
   ASSERT_TRUE(q1_taken.ok()) << q1_taken.status().ToString();
   Relation* rel = db.relation("w").value();
@@ -768,11 +770,75 @@ TEST(SharedScanTest, IncompatibleQueryIsNeverFoldedIntoABatch) {
   EXPECT_EQ(SortedRows(*qc_taken.value().result), qc_expected);
 }
 
-/// Fragment f of `rel`, sorted: the unit shared and solo results are
-/// compared in (the engine orders rows only within a fragment).
-std::vector<Tuple> SortedFragment(const Relation& rel, size_t f) {
-  std::vector<Tuple> rows = rel.fragment(f).tuples;
-  std::sort(rows.begin(), rows.end());
+TEST(SharedScanTest, DeclaredMemoryScanQueriesFoldAndReturnTheirCharge) {
+  Database db(2);
+  WisconsinOptions opt;
+  opt.cardinality = 2'000;
+  opt.degree = 2;
+  ASSERT_TRUE(db.CreateWisconsin("w", opt).ok());
+  QueryRuntimeOptions ropt;
+  ropt.max_concurrent_queries = 1;
+  ropt.memory_budget_units = 100;
+  ASSERT_TRUE(db.StartRuntime(ropt).ok());
+  Relation* rel = db.relation("w").value();
+
+  // Park the driver so the three declared-memory queries queue together.
+  Latch started, release;
+  QuerySpec blocker;
+  blocker.body = Blocker(&started, &release);
+  QueryHandle blocking = db.Submit(std::move(blocker));
+  started.Await();
+  EsqlOptions options;
+  options.memory_units = 10;
+  const int64_t limits[] = {100, 700, 1500};
+  std::vector<QueryHandle> handles;
+  for (const int64_t limit : limits) {
+    handles.push_back(SubmitEsql(
+        db, "SELECT * FROM w WHERE unique1 < " + std::to_string(limit),
+        options));
+  }
+  release.Set();
+  ASSERT_TRUE(blocking.Take().ok());
+
+  for (size_t i = 0; i < handles.size(); ++i) {
+    auto taken = handles[i].Take();
+    ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+    EXPECT_EQ(handles[i].stats().shared_batch_queries, 3u);
+    std::vector<Tuple> expected;
+    for (const Tuple& t : rel->Scan()) {
+      if (t.at(0).AsInt() < limits[i]) expected.push_back(t);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(SortedRows(*taken.value().result), expected);
+  }
+
+  // The batch returned every member's charge: a query declaring the whole
+  // budget admits. A leaked charge fails it at its deadline.
+  EsqlOptions whole = options;
+  whole.memory_units = 100;
+  whole.deadline = steady_clock::now() + std::chrono::seconds(5);
+  auto last = ExecuteEsql(db, "SELECT * FROM w WHERE unique1 < 10", whole);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value().result->cardinality(), 10u);
+}
+
+/// The naive reference for a scan-only query: base fragment f of `rel`
+/// kept by `keep` and projected onto `projection` (the whole row when
+/// empty), in base-fragment order.
+std::vector<Tuple> NaiveFragment(const Relation& rel, size_t f,
+                                 const TuplePredicate& keep,
+                                 const std::vector<size_t>& projection) {
+  std::vector<Tuple> rows;
+  for (const Tuple& t : rel.fragment(f).tuples) {
+    if (!keep(t)) continue;
+    if (projection.empty()) {
+      rows.push_back(t);
+      continue;
+    }
+    std::vector<Value> values;
+    for (size_t c : projection) values.push_back(t.at(c));
+    rows.push_back(Tuple(std::move(values)));
+  }
   return rows;
 }
 
@@ -792,23 +858,31 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
     ASSERT_TRUE(db.StartRuntime(ropt).ok());
     Relation* rel = db.relation("w").value();
 
-    // The ESQL members carry the spec the planner builds for their text:
-    // the lowered PredExpr, the projection and the result schema.
+    // The ESQL members carry the spec the planner builds for their text
+    // (the lowered PredExpr, the projection and the result schema) and the
+    // plain C++ condition the naive reference keeps rows by.
     struct EsqlMember {
       const char* text;
       Predicate predicate;
       std::vector<size_t> projection;
+      TuplePredicate keep;
     };
+    const auto unique1 = [](const Tuple& t) { return t.at(0).AsInt(); };
     const std::vector<EsqlMember> esql = {
         {"SELECT * FROM w WHERE unique1 = 1234", PredExpr::IntEquals(0, 1234),
-         {}},
+         {},
+         [&](const Tuple& t) { return unique1(t) == 1234; }},
         {"SELECT * FROM w WHERE unique1 >= 1000 AND unique1 < 3000",
          PredExpr::And({PredExpr::IntGreaterEq(0, 1000),
                         PredExpr::IntLess(0, 3000)}),
-         {}},
+         {},
+         [&](const Tuple& t) {
+           return unique1(t) >= 1000 && unique1(t) < 3000;
+         }},
         {"SELECT unique2, unique1 FROM w WHERE unique1 < 2500",
          PredExpr::IntLess(0, 2500),
-         {1, 0}},
+         {1, 0},
+         [&](const Tuple& t) { return unique1(t) < 2500; }},
     };
     const TuplePredicate row_form = [](const Tuple& t) {
       return t.at(0).AsInt() % 7 == 3;
@@ -850,30 +924,41 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
 
     for (size_t i = 0; i < esql.size(); ++i) {
       SCOPED_TRACE(esql[i].text);
-      // Run alone, after the batch: a lone query never folds.
-      auto expected = ExecuteEsql(db, esql[i].text);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      // Run alone, after the batch: a lone query never folds, and it runs
+      // the same one-node scan as a batch of one.
+      QueryHandle lone = SubmitEsql(db, esql[i].text);
+      auto alone = lone.Take();
+      ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+      EXPECT_EQ(lone.stats().shared_batch_queries, 0u);
+      const ExecutionResult& solo = alone.value().execution;
+      ASSERT_EQ(solo.op_stats.size(), 1u);
+      EXPECT_EQ(solo.op_stats[0].activations, rel->degree());
+
       const Relation& shared = *results[i].result;
-      const Relation& reference = *expected.value().result;
+      const Relation& reference = *alone.value().result;
       EXPECT_EQ(shared.schema(), reference.schema());
-      ASSERT_EQ(shared.degree(), reference.degree());
-      for (size_t f = 0; f < shared.degree(); ++f) {
-        EXPECT_EQ(SortedFragment(shared, f), SortedFragment(reference, f))
+      ASSERT_EQ(shared.degree(), rel->degree());
+      ASSERT_EQ(reference.degree(), rel->degree());
+      size_t expected_rows = 0;
+      for (size_t f = 0; f < rel->degree(); ++f) {
+        const std::vector<Tuple> expected =
+            NaiveFragment(*rel, f, esql[i].keep, esql[i].projection);
+        EXPECT_EQ(shared.fragment(f).tuples, expected) << "fragment " << f;
+        EXPECT_EQ(reference.fragment(f).tuples, expected)
             << "fragment " << f;
+        expected_rows += expected.size();
       }
-      EXPECT_EQ(handles[i].stats().units_processed, reference.cardinality());
+      EXPECT_EQ(handles[i].stats().units_processed, expected_rows);
+      EXPECT_EQ(lone.stats().units_processed, expected_rows);
     }
     EXPECT_GT(results[1].result->cardinality(), 0u);
 
     const Relation& filtered = *results.back().result;
     ASSERT_EQ(filtered.degree(), rel->degree());
     for (size_t f = 0; f < rel->degree(); ++f) {
-      std::vector<Tuple> expected;
-      for (const Tuple& t : rel->fragment(f).tuples) {
-        if (row_form(t)) expected.push_back(t);
-      }
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(SortedFragment(filtered, f), expected) << "fragment " << f;
+      EXPECT_EQ(filtered.fragment(f).tuples,
+                NaiveFragment(*rel, f, row_form, {}))
+          << "fragment " << f;
     }
   }
 }

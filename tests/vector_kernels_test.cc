@@ -694,9 +694,9 @@ TEST_F(VectorDifferentialTest, FragmentsAndChunksOfOneToThreeRows) {
 TEST_F(VectorDifferentialTest, EsqlWhereWithAnUntypedConjunct) {
   // `string4 < 'OOOO'` has no typed leaf (no string ranges), so it runs as
   // a row leaf between the two conjuncts that lower. At every chunk size
-  // the query runs solo (its own FilterLogic scan) and as one shared scan
-  // of kCopies identical members: a single driver holds the lead's batch
-  // open until every copy has queued. The solo run goes to a second
+  // the query runs alone (a shared scan of one) and as one shared scan of
+  // kCopies identical members: a single driver holds the lead's batch
+  // open until every copy has queued. The lone run goes to a second
   // database holding the same tenk1, as a lone copy on the batching
   // runtime would wait out the whole window.
   Database solo_db;
