@@ -4,6 +4,30 @@
 
 namespace dbs3 {
 
+namespace {
+
+/// Refuses a relation holding a row outside the fragment its partitioner
+/// picks: an IdealJoin, which pairs fragment i with fragment i, would miss
+/// that row's matches.
+Status CheckPlacement(const Relation& rel) {
+  for (size_t f = 0; f < rel.degree(); ++f) {
+    for (const Tuple& t : rel.fragment(f).tuples) {
+      const size_t home = rel.partitioner().FragmentOf(
+          t.at(rel.partition_column()));
+      if (home != f) {
+        return Status::InvalidArgument(
+            "relation '" + rel.name() + "' holds a row in fragment " +
+            std::to_string(f) + " that its partitioner " +
+            rel.partitioner().ToString() + " places in fragment " +
+            std::to_string(home));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Database::Database(size_t num_disks) : disks_(num_disks) {}
 
 /// Out of line so the header does not need QueryRuntime's destructor;
@@ -71,6 +95,7 @@ Status Database::CreateSkewedPair(const SkewSpec& spec,
 }
 
 Status Database::AddRelation(std::unique_ptr<Relation> relation) {
+  DBS3_RETURN_IF_ERROR(CheckPlacement(*relation));
   disks_.Place(*relation);
   return catalog_.Add(std::move(relation));
 }

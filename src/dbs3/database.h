@@ -46,6 +46,9 @@ class Database {
                           const std::string& b_name);
 
   /// Registers an externally built relation (placing its fragments).
+  /// Fails with InvalidArgument when a row sits outside the fragment the
+  /// relation's partitioner picks for it: the planners trust that
+  /// placement (an IdealJoin pairs fragment i with fragment i).
   Status AddRelation(std::unique_ptr<Relation> relation);
 
   /// The relation named `name`, or NotFound.
@@ -55,7 +58,8 @@ class Database {
   Status SaveRelation(const std::string& name, const std::string& path) const;
 
   /// Reads a relation file written by SaveRelation and registers it
-  /// (placing its fragments on the disks). Fails on duplicate names.
+  /// (placing its fragments on the disks). Fails on duplicate names and,
+  /// as AddRelation does, on a row outside its partitioner's fragment.
   Status LoadRelation(const std::string& path);
 
   Catalog& catalog() { return catalog_; }

@@ -54,11 +54,17 @@ Result<PlannedQuery> PlanIdealJoin(Database& db, const std::string& outer,
                         ColumnOf(outer_rel, outer_column));
   DBS3_ASSIGN_OR_RETURN(const size_t inner_col,
                         ColumnOf(inner_rel, inner_column));
-  if (outer_rel->degree() != inner_rel->degree()) {
+  // Instance i joins fragment i with fragment i: sound only when equal
+  // partitioners place both operands on their join columns.
+  if (outer_rel->partitioner() != inner_rel->partitioner() ||
+      outer_rel->partition_column() != outer_col ||
+      inner_rel->partition_column() != inner_col) {
     return Status::FailedPrecondition(
-        "IdealJoin needs co-partitioned operands: '" + outer + "' has " +
-        std::to_string(outer_rel->degree()) + " fragments, '" + inner +
-        "' has " + std::to_string(inner_rel->degree()));
+        "IdealJoin needs operands partitioned alike on the join columns: '" +
+        outer + "' is " + outer_rel->partitioner().ToString() +
+        " on column " + std::to_string(outer_rel->partition_column()) +
+        ", '" + inner + "' is " + inner_rel->partitioner().ToString() +
+        " on column " + std::to_string(inner_rel->partition_column()));
   }
   const size_t degree = outer_rel->degree();
   PlannedQuery planned;

@@ -21,31 +21,15 @@ namespace {
 /// that are parkable.
 constexpr size_t kGrantQuantum = 256;
 
-/// The executor's view of its own plan as a malleable job: load snapshots
-/// per operation, park requests routed to the operation with the largest
-/// worker surplus, grants dispatched into the hottest (most queued work)
-/// operation. Called concurrently with the execution by the server's
-/// rebalance tick; every Operation method used here is thread-safe.
+/// The executor's view of its own plan as a malleable job: park requests
+/// routed to the operation with the largest worker surplus, grants
+/// dispatched into the hottest (most queued work) operation. Called
+/// concurrently with the execution by the server's rebalance tick; every
+/// Operation method used here is thread-safe.
 class PlanMalleable final : public MalleableExecution {
  public:
   explicit PlanMalleable(std::vector<std::unique_ptr<Operation>>* ops)
       : ops_(ops) {}
-
-  std::vector<OpLoad> SampleLoad() override {
-    std::vector<OpLoad> loads;
-    loads.reserve(ops_->size());
-    for (const auto& op : *ops_) {
-      OpLoad load;
-      load.name = op->config().name;
-      load.instances = op->config().num_instances;
-      load.active_workers = op->active_workers();
-      load.pending_units =
-          static_cast<uint64_t>(std::max<int64_t>(0, op->pending()));
-      load.drained = op->drained();
-      loads.push_back(std::move(load));
-    }
-    return loads;
-  }
 
   size_t RequestPark(size_t n) override {
     // Largest surplus first, one pass: each operation already clamps its

@@ -3,26 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace dbs3 {
-
-/// Live load of one operation of a running plan, as sampled by the
-/// steady-state rebalancer (engine-side view of the server's
-/// PoolLoadBoard).
-struct OpLoad {
-  std::string name;
-  size_t instances = 0;
-  /// Worker loops currently consuming (parked claims excluded).
-  size_t active_workers = 0;
-  /// Queued tuple units, clamped at 0 (pending can be transiently
-  /// negative during producer/consumer races).
-  uint64_t pending_units = 0;
-  /// All producers done and queues drained: the remaining workers are
-  /// exiting on their own and are not worth parking.
-  bool drained = false;
-};
 
 /// A running execution as the rebalancer sees it: a malleable job whose
 /// worker count can shrink (cooperative parks at activation boundaries)
@@ -32,9 +14,6 @@ struct OpLoad {
 class MalleableExecution {
  public:
   virtual ~MalleableExecution() = default;
-
-  /// Snapshot of per-operation load (advisory; lock-free reads).
-  virtual std::vector<OpLoad> SampleLoad() = 0;
 
   /// Asks up to `n` surplus workers to park at their next activation
   /// boundary and return their threads to the pool. Returns how many were

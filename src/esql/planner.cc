@@ -1,6 +1,7 @@
 #include "esql/planner.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "engine/blocking_operators.h"
@@ -26,7 +27,11 @@ struct PipelineState {
   int tail = -1;  ///< Last node id.
   size_t instances = 0;
   Schema schema;
+  /// Where each column of `schema` comes from, in pipeline order.
   std::vector<Binding> bindings;
+  /// The pipeline columns `SELECT *` lists, in FROM order; empty when the
+  /// pipeline already runs in FROM order.
+  std::vector<size_t> star;
   std::string description;
 
   /// Relations materialized for this query (repartition temporaries); must
@@ -37,7 +42,10 @@ struct PipelineState {
   std::vector<ExecutionResult> phase_execs;
 };
 
-Result<size_t> ResolveBinding(const std::vector<Binding>& bindings,
+/// The one place a column reference meets a column: the index of the
+/// binding `ref` names, NotFound when none does and InvalidArgument when
+/// more than one does.
+Result<size_t> ResolveBinding(std::span<const Binding> bindings,
                               const ColumnRef& ref) {
   int found = -1;
   for (size_t i = 0; i < bindings.size(); ++i) {
@@ -57,13 +65,37 @@ Result<size_t> ResolveBinding(const std::vector<Binding>& bindings,
   return static_cast<size_t>(found);
 }
 
-std::vector<Binding> BindingsOf(const Relation& rel) {
-  std::vector<Binding> out;
-  out.reserve(rel.schema().num_columns());
-  for (const Column& c : rel.schema().columns()) {
-    out.push_back({rel.name(), c.name});
+/// The FROM relations' columns in FROM order, each bound under its
+/// relation's name: the one table every column reference of a query
+/// resolves against.
+struct FromTable {
+  std::vector<Binding> bindings;
+  /// Where relation i's columns start; a last entry closes the table.
+  std::vector<size_t> starts;
+
+  /// The columns of relations 0..last.
+  std::span<const Binding> Through(size_t last) const {
+    return std::span<const Binding>(bindings).first(starts[last + 1]);
   }
-  return out;
+  /// The relation that owns table column `col`.
+  size_t OwnerOf(size_t col) const {
+    return static_cast<size_t>(
+               std::upper_bound(starts.begin(), starts.end(), col) -
+               starts.begin()) -
+           1;
+  }
+};
+
+FromTable BindFrom(std::span<Relation* const> rels) {
+  FromTable table;
+  for (const Relation* rel : rels) {
+    table.starts.push_back(table.bindings.size());
+    for (const Column& c : rel->schema().columns()) {
+      table.bindings.push_back({rel->name(), c.name});
+    }
+  }
+  table.starts.push_back(table.bindings.size());
+  return table;
 }
 
 /// A row leaf evaluating one comparison under Value's total order: the
@@ -150,26 +182,17 @@ struct Conjunct {
   Value literal;
 };
 
-/// Resolves each WHERE conjunct once against the columns of `rels`, bound
-/// under their names in FROM order, and files it under the relation it
-/// resolves into. An unknown or ambiguous column fails here, before any
-/// phase runs.
+/// Resolves each WHERE conjunct once against `table` and files it under the
+/// relation it resolves into. An unknown or ambiguous column fails here,
+/// before any phase runs.
 Result<std::vector<std::vector<Conjunct>>> ClassifyWhere(
-    const std::vector<Relation*>& rels,
-    const std::vector<Comparison>& where) {
-  std::vector<Binding> bindings;
-  std::vector<size_t> first;  // Where each relation's columns start.
-  for (const Relation* rel : rels) {
-    first.push_back(bindings.size());
-    for (Binding& b : BindingsOf(*rel)) bindings.push_back(std::move(b));
-  }
-  std::vector<std::vector<Conjunct>> out(rels.size());
+    const FromTable& table, const std::vector<Comparison>& where) {
+  std::vector<std::vector<Conjunct>> out(table.starts.size() - 1);
   for (const Comparison& cmp : where) {
     DBS3_ASSIGN_OR_RETURN(const size_t col,
-                          ResolveBinding(bindings, cmp.column));
-    size_t owner = rels.size() - 1;
-    while (first[owner] > col) --owner;
-    out[owner].push_back({col - first[owner], cmp.op, cmp.literal});
+                          ResolveBinding(table.bindings, cmp.column));
+    const size_t owner = table.OwnerOf(col);
+    out[owner].push_back({col - table.starts[owner], cmp.op, cmp.literal});
   }
   return out;
 }
@@ -231,7 +254,8 @@ struct JoinStep {
 /// chain of pipelined joins, with the paper's IdealJoin shortcut for a
 /// single co-partitioned join and repartition materializations (subquery
 /// boundaries) for misaligned inners. Every name — join columns and WHERE
-/// columns — is resolved before the first phase runs.
+/// columns — is resolved against the FROM relations' bindings before the
+/// first phase runs.
 Status BuildSource(Database& db, const EsqlQuery& query,
                    const EsqlOptions& options, QueryEnv& env,
                    PipelineState* state) {
@@ -243,9 +267,31 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     DBS3_ASSIGN_OR_RETURN(Relation * r, db.relation(jc.relation));
     rels.push_back(r);
   }
+  const FromTable table = BindFrom(rels);
+  state->bindings = table.bindings;
+
+  // Join clause j adds relation j + 1 to relations 0..j: both sides
+  // resolve against those relations, and exactly one falls in j + 1 (the
+  // inner column); the other is the pipeline's, in FROM order.
+  std::vector<JoinStep> chain;
+  for (size_t j = 0; j < query.joins.size(); ++j) {
+    const std::span<const Binding> visible = table.Through(j + 1);
+    DBS3_ASSIGN_OR_RETURN(const size_t a,
+                          ResolveBinding(visible, query.joins[j].left));
+    DBS3_ASSIGN_OR_RETURN(const size_t b,
+                          ResolveBinding(visible, query.joins[j].right));
+    const size_t inner_start = table.starts[j + 1];
+    if ((a >= inner_start) == (b >= inner_start)) {
+      return Status::InvalidArgument(
+          "join condition must reference the joined relation and the "
+          "preceding ones");
+    }
+    chain.push_back({j + 1, std::min(a, b), std::max(a, b) - inner_start});
+  }
+
+  DBS3_ASSIGN_OR_RETURN(auto rel_preds, ClassifyWhere(table, query.where));
 
   if (query.joins.empty()) {
-    DBS3_ASSIGN_OR_RETURN(auto rel_preds, ClassifyWhere(rels, query.where));
     auto pred = CombinePredicates(from_rel->schema(), rel_preds[0]);
     state->tail = static_cast<int>(state->plan.AddNode(
         "scan(" + from_rel->name() + ")", ActivationMode::kTriggered,
@@ -254,84 +300,12 @@ Status BuildSource(Database& db, const EsqlQuery& query,
                                       pred.second)));
     state->instances = from_rel->degree();
     state->schema = from_rel->schema();
-    state->bindings = BindingsOf(*from_rel);
     state->description = "scan(" + from_rel->name() + ")";
     return Status::OK();
   }
 
-  // Resolve the first join's sides against the two base relations.
-  auto side_of = [](const ColumnRef& ref, const Relation& a,
-                    const Relation& b) -> Result<int> {
-    const bool in_a = (ref.relation.empty() || ref.relation == a.name()) &&
-                      a.schema().IndexOf(ref.column).ok();
-    const bool in_b = (ref.relation.empty() || ref.relation == b.name()) &&
-                      b.schema().IndexOf(ref.column).ok();
-    if (in_a && in_b) {
-      return Status::InvalidArgument("ambiguous join column '" +
-                                     ref.ToString() + "'");
-    }
-    if (in_a) return 0;
-    if (in_b) return 1;
-    return Status::NotFound("unknown join column '" + ref.ToString() + "'");
-  };
-  const EsqlQuery::JoinClause& jc = query.joins[0];
-  DBS3_ASSIGN_OR_RETURN(const int ls, side_of(jc.left, *rels[0], *rels[1]));
-  DBS3_ASSIGN_OR_RETURN(const int rs, side_of(jc.right, *rels[0], *rels[1]));
-  if (ls == rs) {
-    return Status::InvalidArgument(
-        "join condition must reference both relations");
-  }
-  const ColumnRef& left_ref = ls == 0 ? jc.left : jc.right;
-  const ColumnRef& right_ref = ls == 0 ? jc.right : jc.left;
-  DBS3_ASSIGN_OR_RETURN(const size_t left_col,
-                        rels[0]->schema().IndexOf(left_ref.column));
-  DBS3_ASSIGN_OR_RETURN(const size_t right_col,
-                        rels[1]->schema().IndexOf(right_ref.column));
-
-  // Resolve the later join clauses: each has one side among the relations
-  // already joined (in FROM order, so their bindings are known now) and
-  // the other in the relation it adds.
-  std::vector<Binding> pipeline = BindingsOf(*rels[0]);
-  for (Binding& b : BindingsOf(*rels[1])) pipeline.push_back(std::move(b));
-  std::vector<JoinStep> later;
-  for (size_t j = 1; j < query.joins.size(); ++j) {
-    const Relation& inner = *rels[j + 1];
-    auto resolve = [&](const ColumnRef& ref)
-        -> Result<std::pair<bool, size_t>> {
-      auto in_pipe = ResolveBinding(pipeline, ref);
-      if (!in_pipe.ok() &&
-          in_pipe.status().code() == StatusCode::kInvalidArgument) {
-        return in_pipe.status();  // Ambiguous within the pipeline.
-      }
-      const bool in_rel =
-          (ref.relation.empty() || ref.relation == inner.name()) &&
-          inner.schema().IndexOf(ref.column).ok();
-      if (in_pipe.ok() && in_rel) {
-        return Status::InvalidArgument("ambiguous join column '" +
-                                       ref.ToString() + "'");
-      }
-      if (in_pipe.ok()) return std::make_pair(true, in_pipe.value());
-      if (in_rel) {
-        return std::make_pair(false,
-                              inner.schema().IndexOf(ref.column).value());
-      }
-      return Status::NotFound("unknown join column '" + ref.ToString() +
-                              "'");
-    };
-    DBS3_ASSIGN_OR_RETURN(auto a, resolve(query.joins[j].left));
-    DBS3_ASSIGN_OR_RETURN(auto b, resolve(query.joins[j].right));
-    if (a.first == b.first) {
-      return Status::InvalidArgument(
-          "join condition must reference the joined relation and the "
-          "preceding pipeline");
-    }
-    later.push_back({j + 1, a.first ? a.second : b.second,
-                     a.first ? b.second : a.second});
-    for (Binding& bd : BindingsOf(inner)) pipeline.push_back(std::move(bd));
-  }
-
-  DBS3_ASSIGN_OR_RETURN(auto rel_preds, ClassifyWhere(rels, query.where));
-
+  const size_t left_col = chain[0].probe_col;
+  const size_t right_col = chain[0].inner_col;
   const bool copartitioned =
       rels[0]->partitioner() == rels[1]->partitioner() &&
       rels[0]->partition_column() == left_col &&
@@ -345,23 +319,28 @@ Status BuildSource(Database& db, const EsqlQuery& query,
                                              right_col, options.algorithm)));
     state->instances = rels[0]->degree();
     state->schema = Schema::Concat(rels[0]->schema(), rels[1]->schema());
-    state->bindings = std::move(pipeline);  // No later joins: both sides.
     state->description =
         "IdealJoin(" + rels[0]->name() + ", " + rels[1]->name() + ")";
     return Status::OK();
   }
 
   // Orient the first join: prefer the side partitioned on its join
-  // attribute (and free of pushdown predicates) as the inner.
-  size_t probe_idx = 0, inner_idx = 1;
-  size_t probe_col = left_col, inner_col = right_col;
+  // attribute (and free of pushdown predicates) as the inner. A swapped
+  // join keeps its physical order, relation 1's columns first.
   const bool right_inner_ok =
       rels[1]->partition_column() == right_col && rel_preds[1].empty();
   const bool left_inner_ok =
       rels[0]->partition_column() == left_col && rel_preds[0].empty();
-  if (!right_inner_ok && left_inner_ok && query.joins.size() == 1) {
-    std::swap(probe_idx, inner_idx);
-    std::swap(probe_col, inner_col);
+  const size_t probe_idx =
+      !right_inner_ok && left_inner_ok && query.joins.size() == 1 ? 1 : 0;
+  if (probe_idx == 1) {
+    chain[0] = {0, right_col, left_col};
+    const size_t n_left = table.starts[1];
+    const size_t n_right = table.starts[2] - n_left;
+    std::rotate(state->bindings.begin(), state->bindings.begin() + n_left,
+                state->bindings.end());
+    for (size_t c = 0; c < n_left; ++c) state->star.push_back(n_right + c);
+    for (size_t c = 0; c < n_right; ++c) state->star.push_back(c);
   }
 
   // Repartitions an inner that is not partitioned on its join attribute
@@ -390,7 +369,7 @@ Status BuildSource(Database& db, const EsqlQuery& query,
   // The first join's inner is resolved before the probe scan, so a key
   // filter covers exactly the relation that join probes.
   DBS3_ASSIGN_OR_RETURN(Relation* const first_inner,
-                        resolve_inner(inner_idx, inner_col));
+                        resolve_inner(chain[0].rel, chain[0].inner_col));
 
   // Start the pipeline with the probe-side scan (pushdown predicates
   // applied in the scan — the FilterLogic generalization of Transmit),
@@ -400,14 +379,14 @@ Status BuildSource(Database& db, const EsqlQuery& query,
   auto probe_pred = CombinePredicates(probe->schema(), rel_preds[probe_idx]);
   const std::string scan = "scan(" + probe->name() + ")";
   std::string scan_description = scan;
-  std::optional<PredExpr> key_filter =
-      ProbeKeyFilter(*probe, probe_col, *first_inner, inner_col);
+  std::optional<PredExpr> key_filter = ProbeKeyFilter(
+      *probe, chain[0].probe_col, *first_inner, chain[0].inner_col);
   if (key_filter.has_value()) {
     probe_pred.first = PredExpr::And(
         {std::move(probe_pred.first), std::move(*key_filter)});
-    scan_description = "scan(" + probe->name() + ", keyfilter(" +
-                       first_inner->name() + "." +
-                       first_inner->schema().column(inner_col).name + "))";
+    scan_description =
+        "scan(" + probe->name() + ", keyfilter(" + first_inner->name() +
+        "." + first_inner->schema().column(chain[0].inner_col).name + "))";
   }
   state->tail = static_cast<int>(state->plan.AddNode(
       scan, ActivationMode::kTriggered, probe->degree(),
@@ -418,8 +397,6 @@ Status BuildSource(Database& db, const EsqlQuery& query,
   state->description += scan_description;
 
   // The chain: the oriented first join, then the later clauses in order.
-  std::vector<JoinStep> chain = {{inner_idx, probe_col, inner_col}};
-  chain.insert(chain.end(), later.begin(), later.end());
   for (size_t step = 0; step < chain.size(); ++step) {
     const JoinStep& js = chain[step];
     Relation* inner = first_inner;
@@ -441,28 +418,6 @@ Status BuildSource(Database& db, const EsqlQuery& query,
     state->description += " ; AssocJoin(probe=" + probe_name +
                           ", inner=" + inner->name() + ")";
   }
-
-  // A swapped first join produced (right, left) column order; restore the
-  // SQL order (FROM relation first) with a projection.
-  if (probe_idx == 1) {
-    const size_t n_right = rels[1]->schema().num_columns();
-    const size_t n_left = rels[0]->schema().num_columns();
-    std::vector<size_t> reorder;
-    for (size_t c = 0; c < n_left; ++c) reorder.push_back(n_right + c);
-    for (size_t c = 0; c < n_right; ++c) reorder.push_back(c);
-    std::vector<Column> columns;
-    for (size_t c : reorder) columns.push_back(state->schema.column(c));
-    const size_t project = state->plan.AddNode(
-        "reorder", ActivationMode::kPipelined, state->instances,
-        std::make_unique<ProjectLogic>(std::move(reorder)));
-    DBS3_RETURN_IF_ERROR(state->plan.ConnectSameInstance(
-        static_cast<size_t>(state->tail), project));
-    state->tail = static_cast<int>(project);
-    state->schema = Schema(std::move(columns));
-  }
-  // FROM order, each relation under its own name, also where the join
-  // probes its repartitioned temporary.
-  state->bindings = std::move(pipeline);
   return Status::OK();
 }
 
@@ -559,7 +514,7 @@ bool SelectsStar(const EsqlQuery& query) {
 /// columns of `schema`): the kept columns in output order, and the result
 /// columns, each named by its alias or else its column.
 Result<std::pair<std::vector<size_t>, std::vector<Column>>> ResolveSelectList(
-    const EsqlQuery& query, const std::vector<Binding>& bindings,
+    const EsqlQuery& query, std::span<const Binding> bindings,
     const Schema& schema) {
   std::pair<std::vector<size_t>, std::vector<Column>> out;
   for (const SelectItem& item : query.items) {
@@ -573,17 +528,23 @@ Result<std::pair<std::vector<size_t>, std::vector<Column>>> ResolveSelectList(
   return out;
 }
 
-/// Appends the projection stage for plain (non-aggregate) select lists.
+/// Appends the projection stage for plain (non-aggregate) select lists:
+/// the resolved select list, or for `SELECT *` the pipeline's columns in
+/// FROM order under their pipeline names — no node when the pipeline
+/// already runs in FROM order.
 Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
-  if (SelectsStar(query)) return Status::OK();
-  DBS3_ASSIGN_OR_RETURN(
-      auto projection,
-      ResolveSelectList(query, state->bindings, state->schema));
-  auto& [columns, out_columns] = projection;
-  std::vector<Binding> out_bindings;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    out_bindings.push_back(
-        {state->bindings[columns[i]].relation, out_columns[i].name});
+  std::vector<size_t> columns;
+  std::vector<Column> out_columns;
+  if (SelectsStar(query)) {
+    if (state->star.empty()) return Status::OK();
+    columns = state->star;
+    for (size_t c : columns) out_columns.push_back(state->schema.column(c));
+  } else {
+    DBS3_ASSIGN_OR_RETURN(
+        auto projection,
+        ResolveSelectList(query, state->bindings, state->schema));
+    columns = std::move(projection.first);
+    out_columns = std::move(projection.second);
   }
   const size_t project = state->plan.AddNode(
       "project", ActivationMode::kPipelined, state->instances,
@@ -592,7 +553,6 @@ Status BuildProjection(const EsqlQuery& query, PipelineState* state) {
       static_cast<size_t>(state->tail), project));
   state->tail = static_cast<int>(project);
   state->schema = Schema(std::move(out_columns));
-  state->bindings = std::move(out_bindings);
   state->description += " ; project";
   return Status::OK();
 }
@@ -672,7 +632,8 @@ bool ScanOnly(const EsqlQuery& query) {
 Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
     Database& db, const EsqlQuery& query, const EsqlOptions& options) {
   DBS3_ASSIGN_OR_RETURN(Relation * rel, db.relation(query.from));
-  DBS3_ASSIGN_OR_RETURN(auto where, ClassifyWhere({rel}, query.where));
+  const FromTable table = BindFrom({&rel, 1});
+  DBS3_ASSIGN_OR_RETURN(auto where, ClassifyWhere(table, query.where));
   auto spec = std::make_shared<SharedScanSpec>();
   spec->relation = rel;
   auto pred = CombinePredicates(rel->schema(), where[0]);
@@ -683,7 +644,7 @@ Result<std::shared_ptr<const SharedScanSpec>> MakeSharedSpec(
   } else {
     DBS3_ASSIGN_OR_RETURN(
         auto projection,
-        ResolveSelectList(query, BindingsOf(*rel), rel->schema()));
+        ResolveSelectList(query, table.bindings, rel->schema()));
     spec->projection = std::move(projection.first);
     spec->result_schema = Schema(std::move(projection.second));
   }

@@ -42,10 +42,14 @@ struct EsqlOptions : QueryOptions {
 /// one side is partitioned on its join attribute becomes an AssocJoin
 /// probing with the other side (Figure 11); otherwise one side is first
 /// repartitioned into a materialized temporary (a subquery boundary,
-/// Figure 5) and an AssocJoin follows. Each WHERE conjunct runs in the
-/// scan of the FROM relation its column resolves into (an unknown or
-/// ambiguous column fails before any phase runs); GROUP BY repartitions on
-/// the grouping attribute; ORDER BY sorts each result fragment.
+/// Figure 5) and an AssocJoin follows. Every column reference resolves
+/// against the FROM relations' columns, each under its relation's name
+/// (an unknown or ambiguous column fails before any phase runs), and join
+/// clause j must name relation j + 1 on exactly one side. Each WHERE
+/// conjunct runs in the scan of the FROM relation its column resolves
+/// into; GROUP BY repartitions on the grouping attribute; ORDER BY sorts
+/// each result fragment. `SELECT *` lists the FROM relations' columns in
+/// FROM order, also where the join probes with the second relation.
 Result<QueryResult> ExecuteEsql(Database& db, const std::string& query,
                                 const EsqlOptions& options = {});
 

@@ -4,8 +4,7 @@
 #include <numeric>
 #include <utility>
 
-#include "server/shared/shared_batch.h"
-#include "server/shared/shared_query.h"
+#include "server/shared/shared_scan.h"
 
 namespace dbs3 {
 
@@ -77,6 +76,26 @@ Result<PhaseOutcome> QueryEnv::Run(Plan& plan,
   return out;
 }
 
+QueryRuntime::RuntimeMetrics::RuntimeMetrics(MetricsRegistry& registry)
+    : submitted(registry.counter("runtime.queries_submitted")),
+      shed(registry.counter("runtime.queries_shed")),
+      completed(registry.counter("runtime.queries_completed")),
+      cancelled(registry.counter("runtime.queries_cancelled")),
+      deadline_exceeded(registry.counter("runtime.queries_deadline_exceeded")),
+      threads_granted(registry.counter("runtime.threads_granted")),
+      threads_released(registry.counter("runtime.threads_released")),
+      shared_batches(registry.counter("runtime.shared_batches")),
+      tuple_units(registry.counter("engine.tuple_units")),
+      units_cancelled(registry.counter("engine.units_cancelled")),
+      admission_wait_us(registry.summary("runtime.admission_wait_us")),
+      execution_wall_us(registry.summary("runtime.execution_wall_us")),
+      busy_us(registry.summary("runtime.busy_us")),
+      quota_high_water_units(
+          registry.summary("runtime.quota_high_water_units")),
+      queries_per_batch(registry.summary("shared.queries_per_batch")),
+      batch_window_wait_us(registry.summary("shared.batch_window_wait_us")),
+      pool_idle_threads(registry.gauge("runtime.pool_idle_threads")) {}
+
 QueryRuntime::QueryRuntime(QueryRuntimeOptions options)
     : options_(options),
       pool_(DefaultPoolThreads(options.pool_threads)),
@@ -95,10 +114,13 @@ QueryRuntime::QueryRuntime(QueryRuntimeOptions options)
       board_(PoolLoadBoard::Hooks{
           [this] { return TryReserveOneWorker(); },
           [this] { ReleaseWorkers(1); }}),
-      free_slots_(pool_.num_threads()) {
-  if (options_.metrics != nullptr) {
-    options_.metrics->gauge("runtime.pool_idle_threads")
-        ->Set(static_cast<int64_t>(pool_.idle_threads()));
+      free_slots_(pool_.num_threads()),
+      metrics_(options.metrics != nullptr
+                   ? std::make_unique<const RuntimeMetrics>(*options.metrics)
+                   : nullptr) {
+  if (metrics_ != nullptr) {
+    metrics_->pool_idle_threads->Set(
+        static_cast<int64_t>(pool_.idle_threads()));
   }
   if (options_.rebalance_interval_us > 0) {
     rebalancer_ = std::thread([this] { RebalanceLoop(); });
@@ -153,9 +175,7 @@ QueryHandle QueryRuntime::Submit(QuerySpec spec) {
     };
   }
 
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("runtime.queries_submitted")->Add(1);
-  }
+  if (metrics_ != nullptr) metrics_->submitted->Add(1);
 
   PendingQuery pending;
   pending.id = state->id;
@@ -171,28 +191,31 @@ QueryHandle QueryRuntime::Submit(QuerySpec spec) {
                                  const QueryRunStats& stats) {
     Complete(state, std::move(outcome), stats);
   };
-  pending.run = [this, state, memory_units = spec.memory_units,
-                 body = std::move(spec.body)](double wait_seconds) mutable {
-    live_.fetch_add(1);
-    QueryEnv env(this, state->cancel, memory_units,
-                 [state](const QueryRunStats& s) {
-                   MutexLock lock(&state->mu);
-                   state->stats = s;
-                 });
-    env.stats_.admission_wait_seconds = wait_seconds;
-    env.publish_(env.stats_);
-    Result<QueryResult> outcome = body(env);
-    live_.fetch_sub(1);
-    Complete(state, std::move(outcome), env.stats_);
-  };
+  // A scan-only query runs its shared spec and never its body.
+  if (spec.body) {
+    pending.run = [this, state, memory_units = spec.memory_units,
+                   body = std::move(spec.body)](double wait_seconds) mutable {
+      live_.fetch_add(1);
+      QueryEnv env(this, state->cancel, memory_units,
+                   [state](const QueryRunStats& s) {
+                     MutexLock lock(&state->mu);
+                     state->stats = s;
+                   });
+      env.stats_.admission_wait_seconds = wait_seconds;
+      env.publish_(env.stats_);
+      Result<QueryResult> outcome = body(env);
+      live_.fetch_sub(1);
+      Complete(state, std::move(outcome), env.stats_);
+    };
+  }
 
   const Status queued = admission_.TryEnqueue(std::move(pending));
   if (!queued.ok()) {
     // Shed (or submitted into a shutting-down runtime): the handle
     // completes immediately with the admission error.
-    if (options_.metrics != nullptr &&
+    if (metrics_ != nullptr &&
         queued.code() == StatusCode::kResourceExhausted) {
-      options_.metrics->counter("runtime.queries_shed")->Add(1);
+      metrics_->shed->Add(1);
     }
     Complete(state, queued, QueryRunStats{});
   }
@@ -255,6 +278,19 @@ void QueryRuntime::RunSharedBatch(
     cancels.push_back(m->cancel);
   }
 
+  // The batch is one shared-scan node over the lead's relation; the scan
+  // refuses, in Prepare, a member over another relation.
+  const Relation* rel = specs[0]->relation;
+  const std::string scan_name = "shared-scan(" + rel->name() + ")";
+  const std::string detail =
+      scan_name + "[" + std::to_string(members.size()) + " queries]";
+  auto logic = std::make_unique<SharedScanLogic>(rel, std::move(specs),
+                                                 cancels);
+  SharedScanLogic* scan = logic.get();
+  Plan plan;
+  plan.AddNode(scan_name, ActivationMode::kTriggered, rel->degree(),
+               std::move(logic));
+
   // The phase runs on behalf of every member: the slot wait lasts while
   // any of them is live, so a cancelled lead hands the wait to the next
   // member instead of pushing the batch onto private threads beside a
@@ -265,11 +301,8 @@ void QueryRuntime::RunSharedBatch(
   MemoryQuota quota(0);
   exec.quota = &quota;
   RebalanceTotals rebalance;
-  Result<SharedBatchPlan> built = BuildSharedBatchPlan(specs, cancels);
-  Result<PhaseOutcome> phase =
-      built.ok() ? RunPhase(built.value().plan, members[0]->shared->schedule,
-                            cancels, &exec, &rebalance)
-                 : Result<PhaseOutcome>(built.status());
+  Result<PhaseOutcome> phase = RunPhase(
+      plan, members[0]->shared->schedule, cancels, &exec, &rebalance);
 
   // A batch of one shares nothing: it is no shared batch in the stats or
   // the metrics, though it still reports how long it was held open.
@@ -279,17 +312,16 @@ void QueryRuntime::RunSharedBatch(
     for (const OperationStats& op : phase.value().execution.op_stats) {
       total_busy += op.busy_seconds;
     }
-    if (options_.metrics != nullptr && folded > 0) {
-      options_.metrics->counter("runtime.shared_batches")->Add(1);
-      options_.metrics->summary("shared.queries_per_batch")
-          ->Record(static_cast<int64_t>(folded));
-      options_.metrics->summary("shared.batch_window_wait_us")
-          ->Record(Micros(window_wait_seconds));
+    if (metrics_ != nullptr && folded > 0) {
+      metrics_->shared_batches->Add(1);
+      metrics_->queries_per_batch->Record(static_cast<int64_t>(folded));
+      metrics_->batch_window_wait_us->Record(Micros(window_wait_seconds));
     }
   }
 
   for (size_t i = 0; i < members.size(); ++i) {
     PendingQuery* m = members[i];
+    std::unique_ptr<Relation> result = scan->TakeResult(i);
     QueryRunStats stats;
     stats.admission_wait_seconds = AdmissionWait(*m, popped_at);
     stats.shared_batch_queries = folded;
@@ -304,8 +336,8 @@ void QueryRuntime::RunSharedBatch(
       stats.phases = 1;
       stats.used_shared_pool = exec.workers != nullptr;
       // Rows are stored by the scan itself, so nothing is ever in flight
-      // to drop: a member's work is what its sink holds.
-      stats.units_processed = built.value().sinks[i]->cardinality();
+      // to drop: a member's work is what its result holds.
+      stats.units_processed = result->cardinality();
       // The pass was shared; attribute an even share of the busy time.
       stats.busy_seconds = total_busy / static_cast<double>(members.size());
     }
@@ -317,12 +349,12 @@ void QueryRuntime::RunSharedBatch(
     } else if (!phase.value().execution.completion.ok()) {
       m->finish(phase.value().execution.completion, stats);
     } else {
-      QueryResult result;
-      result.result = std::move(built.value().sinks[i]);
-      result.execution = phase.value().execution;
-      result.schedule = phase.value().schedule;
-      result.detail = built.value().detail;
-      m->finish(std::move(result), stats);
+      QueryResult out;
+      out.result = std::move(result);
+      out.execution = phase.value().execution;
+      out.schedule = phase.value().schedule;
+      out.detail = detail;
+      m->finish(std::move(out), stats);
     }
   }
   live_.fetch_sub(1);
@@ -394,32 +426,26 @@ Result<PhaseOutcome> QueryRuntime::RunPhase(
 void QueryRuntime::Complete(const std::shared_ptr<QueryHandle::State>& state,
                             Result<QueryResult> outcome,
                             const QueryRunStats& stats) {
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& m = *options_.metrics;
+  if (metrics_ != nullptr) {
+    const RuntimeMetrics& m = *metrics_;
     if (outcome.ok()) {
-      m.counter("runtime.queries_completed")->Add(1);
+      m.completed->Add(1);
     } else if (outcome.status().code() == StatusCode::kCancelled) {
-      m.counter("runtime.queries_cancelled")->Add(1);
+      m.cancelled->Add(1);
     } else if (outcome.status().code() == StatusCode::kDeadlineExceeded) {
-      m.counter("runtime.queries_deadline_exceeded")->Add(1);
+      m.deadline_exceeded->Add(1);
     }
     // The work of every query, however it ran (facade, ESQL, a shared
     // batch member) and however it ended.
-    m.counter("engine.tuple_units")->Add(stats.units_processed);
-    m.counter("engine.units_cancelled")->Add(stats.units_cancelled);
-    if (stats.threads_granted > 0) {
-      m.counter("runtime.threads_granted")->Add(stats.threads_granted);
-    }
-    if (stats.threads_released > 0) {
-      m.counter("runtime.threads_released")->Add(stats.threads_released);
-    }
-    m.summary("runtime.admission_wait_us")
-        ->Record(Micros(stats.admission_wait_seconds));
-    m.summary("runtime.execution_wall_us")
-        ->Record(Micros(stats.execution_seconds));
-    m.summary("runtime.busy_us")->Record(Micros(stats.busy_seconds));
-    m.summary("runtime.quota_high_water_units")
-        ->Record(static_cast<int64_t>(stats.quota_high_water_units));
+    m.tuple_units->Add(stats.units_processed);
+    m.units_cancelled->Add(stats.units_cancelled);
+    m.threads_granted->Add(stats.threads_granted);
+    m.threads_released->Add(stats.threads_released);
+    m.admission_wait_us->Record(Micros(stats.admission_wait_seconds));
+    m.execution_wall_us->Record(Micros(stats.execution_seconds));
+    m.busy_us->Record(Micros(stats.busy_seconds));
+    m.quota_high_water_units->Record(
+        static_cast<int64_t>(stats.quota_high_water_units));
   }
   {
     MutexLock lock(&state->mu);
@@ -489,9 +515,9 @@ void QueryRuntime::RebalanceTick() {
   const bool pressure = waiters > 0 || queued > 0;
   board_.Rebalance(pool_.num_threads(), free_now, pressure,
                    waiters + queued);
-  if (options_.metrics != nullptr) {
-    options_.metrics->gauge("runtime.pool_idle_threads")
-        ->Set(static_cast<int64_t>(pool_.idle_threads()));
+  if (metrics_ != nullptr) {
+    metrics_->pool_idle_threads->Set(
+        static_cast<int64_t>(pool_.idle_threads()));
   }
 }
 

@@ -49,7 +49,8 @@ struct QueryRuntimeOptions {
   /// .threads_released; engine.tuple_units and engine.units_cancelled, the
   /// work of every finished query) and per-query latency summaries in
   /// microseconds (runtime.admission_wait_us, .execution_wall_us,
-  /// .busy_us) here. Must outlive the runtime.
+  /// .busy_us) here, each registered, at 0, when the runtime starts. Must
+  /// outlive the runtime.
   MetricsRegistry* metrics = nullptr;
   /// Largest shared-scan batch a driver folds (lead included). 1 never
   /// folds: each scan-only query runs its one-node shared scan alone. The
@@ -198,9 +199,10 @@ class QueryRuntime {
                 Result<QueryResult> outcome, const QueryRunStats& stats);
 
   /// Executes one shared-scan batch of the live `members` (one or more,
-  /// popped together at `popped_at`): runs the single one-node plan through
-  /// RunPhase on their behalf and completes every member's handle from its
-  /// sink. A batch of one is no shared batch in its stats or the metrics.
+  /// popped together at `popped_at`): runs one shared-scan node over their
+  /// specs through RunPhase on their behalf and completes every member's
+  /// handle from its result. A batch of one is no shared batch in its stats
+  /// or the metrics.
   void RunSharedBatch(const std::vector<PendingQuery*>& members,
                       std::chrono::steady_clock::time_point popped_at,
                       double window_wait_seconds);
@@ -263,6 +265,30 @@ class QueryRuntime {
   CondVar rebalance_cv_;
   bool rebalance_stop_ GUARDED_BY(rebalance_mu_) = false;
   std::thread rebalancer_;
+
+  /// The runtime's metrics in `options.metrics`, resolved once so that no
+  /// query looks a metric up by name. Null when `options.metrics` is.
+  struct RuntimeMetrics {
+    explicit RuntimeMetrics(MetricsRegistry& registry);
+    MetricCounter* submitted;
+    MetricCounter* shed;
+    MetricCounter* completed;
+    MetricCounter* cancelled;
+    MetricCounter* deadline_exceeded;
+    MetricCounter* threads_granted;
+    MetricCounter* threads_released;
+    MetricCounter* shared_batches;
+    MetricCounter* tuple_units;
+    MetricCounter* units_cancelled;
+    MetricSummary* admission_wait_us;
+    MetricSummary* execution_wall_us;
+    MetricSummary* busy_us;
+    MetricSummary* quota_high_water_units;
+    MetricSummary* queries_per_batch;
+    MetricSummary* batch_window_wait_us;
+    MetricGauge* pool_idle_threads;
+  };
+  const std::unique_ptr<const RuntimeMetrics> metrics_;
 
   std::vector<std::thread> drivers_;
 };

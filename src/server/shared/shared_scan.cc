@@ -12,18 +12,19 @@ namespace dbs3 {
 namespace {
 
 /// Appends the `kept` rows of `tile` that `sel` selects to fragment
-/// `instance` of `member`'s sink: a copy of the row for SELECT *, the
-/// projected columns otherwise — one allocation per stored row either way.
-void StoreSelected(const SharedScanMember& member, size_t instance,
-                   const Tuple* tile, const uint32_t* sel, size_t kept) {
+/// `instance` of `result`: a copy of the row for SELECT *, the `projection`
+/// columns otherwise — one allocation per stored row either way.
+void StoreSelected(const std::vector<size_t>& projection, Relation* result,
+                   size_t instance, const Tuple* tile, const uint32_t* sel,
+                   size_t kept) {
   for (size_t i = 0; i < kept; ++i) {
     const Tuple& row = tile[sel[i]];
-    if (member.projection.empty()) {
-      member.result->AppendToFragment(instance, row);
+    if (projection.empty()) {
+      result->AppendToFragment(instance, row);
     } else {
       Tuple stored;
-      stored.AssignSelect(row, member.projection);
-      member.result->AppendToFragment(instance, std::move(stored));
+      stored.AssignSelect(row, projection);
+      result->AppendToFragment(instance, std::move(stored));
     }
   }
 }
@@ -31,8 +32,16 @@ void StoreSelected(const SharedScanMember& member, size_t instance,
 }  // namespace
 
 SharedScanLogic::SharedScanLogic(const Relation* input,
-                                 std::vector<SharedScanMember> members)
-    : input_(input), members_(std::move(members)) {}
+                                 std::vector<const SharedScanSpec*> specs,
+                                 std::vector<CancelToken> cancels)
+    : input_(input), specs_(std::move(specs)), cancels_(std::move(cancels)) {
+  results_.reserve(specs_.size());
+  for (const SharedScanSpec* spec : specs_) {
+    results_.push_back(std::make_unique<Relation>(
+        spec->result_name, spec->result_schema, /*partition_column=*/0,
+        Partitioner(PartitionKind::kHash, input_->degree())));
+  }
+}
 
 Status SharedScanLogic::Prepare(size_t num_instances) {
   if (num_instances > input_->degree()) {
@@ -41,25 +50,29 @@ Status SharedScanLogic::Prepare(size_t num_instances) {
         " instances but relation '" + input_->name() + "' has only " +
         std::to_string(input_->degree()) + " fragments");
   }
-  for (const SharedScanMember& member : members_) {
-    if (member.result == nullptr) {
-      return Status::InvalidArgument("shared scan member has no result sink");
-    }
-    if (num_instances > member.result->degree()) {
+  const size_t columns = input_->schema().num_columns();
+  for (const SharedScanSpec* spec : specs_) {
+    if (spec->relation != input_) {
       return Status::InvalidArgument(
-          "shared scan has " + std::to_string(num_instances) +
-          " instances but sink '" + member.result->name() + "' has only " +
-          std::to_string(member.result->degree()) + " fragments");
+          "shared scan of '" + input_->name() +
+          "' was handed a member over another relation");
     }
-    DBS3_RETURN_IF_ERROR(member.predicate.Validate());
+    for (size_t c : spec->projection) {
+      if (c >= columns) {
+        return Status::InvalidArgument(
+            "shared scan member projects column " + std::to_string(c) +
+            " but '" + input_->name() + "' has " + std::to_string(columns));
+      }
+    }
+    DBS3_RETURN_IF_ERROR(spec->predicate.Validate());
   }
   return Status::OK();
 }
 
 void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
-  (void)out;  // Rows go straight to the members' sinks.
+  (void)out;  // Rows go straight to the members' results.
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
-  const size_t num_members = members_.size();
+  const size_t num_members = specs_.size();
   Arena& arena = ThreadLocalKernelArena();
   for (size_t tile = 0; tile < rows.size(); tile += kFragmentTile) {
     const size_t count = std::min(kFragmentTile, rows.size() - tile);
@@ -72,13 +85,14 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
     uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
     bool any_live = false;
     for (size_t m = 0; m < num_members; ++m) {
-      const SharedScanMember& member = members_[m];
       // Per-tile member cancel check: a fired token stops this member's
       // share of the pass; the other members keep scanning.
-      if (member.cancel.ShouldStop()) continue;
+      if (cancels_[m].ShouldStop()) continue;
       any_live = true;
-      const size_t kept = SelectRows(member.predicate, batch, sel);
-      StoreSelected(member, instance, rows.data() + tile, sel, kept);
+      const SharedScanSpec& spec = *specs_[m];
+      const size_t kept = SelectRows(spec.predicate, batch, sel);
+      StoreSelected(spec.projection, results_[m].get(), instance,
+                    rows.data() + tile, sel, kept);
     }
     if (!any_live) return;  // Every member cancelled: the pass is moot.
   }
@@ -88,10 +102,10 @@ NodeEstimate SharedScanLogic::Estimate(const CostModel& cost_model,
                                        double input_tuples) const {
   (void)input_tuples;  // Triggered: work comes from the fragments.
   NodeEstimate e;
-  const double members = static_cast<double>(members_.size());
+  const double members = static_cast<double>(specs_.size());
   double output = 0.0;
-  for (const SharedScanMember& m : members_) {
-    output += m.selectivity * static_cast<double>(input_->cardinality());
+  for (const SharedScanSpec* spec : specs_) {
+    output += spec->selectivity * static_cast<double>(input_->cardinality());
   }
   // The pass reads each tuple once but evaluates N predicates on it; the
   // scheduler sees roughly the per-member filter work without the N

@@ -111,32 +111,6 @@ void TempIndex::IntResolveTile(uint32_t* pos, const int64_t* keys,
   }
 }
 
-void TempIndex::ProbeHashed(std::span<const uint64_t> hashes,
-                            const int64_t* keys, uint32_t* out_first) const {
-  const size_t n = hashes.size();
-  if (head_.empty()) {
-    for (size_t i = 0; i < n; ++i) out_first[i] = kNone;
-    return;
-  }
-  // Bucket heads are prefetched one whole tile ahead: a tile's head slots
-  // are requested while the previous tile is still being resolved.
-  uint32_t pos[kProbeTile];
-  for (size_t i = 0; i < std::min(kProbeTile, n); ++i) {
-    __builtin_prefetch(&head_[hashes[i] & mask_]);
-  }
-  for (size_t base = 0; base < n; base += kProbeTile) {
-    const size_t count = std::min(kProbeTile, n - base);
-    const size_t next_end = std::min(base + 2 * kProbeTile, n);
-    for (size_t j = base + kProbeTile; j < next_end; ++j) {
-      __builtin_prefetch(&head_[hashes[j] & mask_]);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      pos[i] = head_[hashes[base + i] & mask_];
-    }
-    IntResolveTile(pos, keys + base, count, out_first + base);
-  }
-}
-
 void TempIndex::ProbeKeys(std::span<const int64_t> keys,
                           uint32_t* out_first) const {
   const size_t n = keys.size();

@@ -107,13 +107,6 @@ class TempIndex {
   void ProbeHashed(std::span<const uint64_t> hashes, const Value* const* keys,
                    uint32_t* out_first) const;
 
-  /// As the batched ProbeHashed, for an int64 probe-key column laid out
-  /// contiguously (a ColumnBatch::Ints gather). Requires int_keyed(): the
-  /// confirm compares the inline key cache against `keys[i]` directly —
-  /// one flat-array load, no tuple dereference, no Value dispatch.
-  void ProbeHashed(std::span<const uint64_t> hashes, const int64_t* keys,
-                   uint32_t* out_first) const;
-
   /// Batched probe straight off an int64 key column: bucket indexes are
   /// computed inline (the same SplitMix64 finalizer Value::Hash applies to
   /// ints) one tile ahead of the resolving tile — no per-key Value

@@ -1,8 +1,13 @@
 #include "dbs3/database.h"
 
+#include <algorithm>
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "dbs3/query.h"
+#include "esql/planner.h"
+#include "storage/serialize.h"
 
 namespace dbs3 {
 namespace {
@@ -211,6 +216,156 @@ TEST(QueryTest, EmptyRowTestIsRefusedBeforeAnyWorkerRuns) {
   auto after = RunSelect(db, "w", ColumnBetween(0, 0, 9), 1.0, {});
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().result->cardinality(), 10u);
+}
+
+// ---------------------------------------------------------------------
+// Placement: every row of a registered relation sits in the fragment its
+// partitioner picks, so an IdealJoin (fragment i with fragment i) cannot
+// miss matches. Each entry point below once returned too few rows with OK.
+
+Schema KeyValueSchema() {
+  return Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}});
+}
+
+/// `(k, k % 10)` for k in [0, rows), placed by Insert: hash on column
+/// `partition_column`, degree 4.
+std::unique_ptr<Relation> PlacedKeyValues(const std::string& name,
+                                          size_t partition_column,
+                                          int64_t rows) {
+  auto rel = std::make_unique<Relation>(
+      name, KeyValueSchema(), partition_column,
+      Partitioner(PartitionKind::kHash, 4));
+  for (int64_t k = 0; k < rows; ++k) {
+    EXPECT_TRUE(rel->Insert(Tuple({Value(k), Value(k % 10)})).ok());
+  }
+  return rel;
+}
+
+/// The same rows as PlacedKeyValues(name, 0, 100), all appended to
+/// fragment 0.
+std::unique_ptr<Relation> MisplacedKeyValues(const std::string& name) {
+  auto rel = std::make_unique<Relation>(name, KeyValueSchema(), 0,
+                                        Partitioner(PartitionKind::kHash, 4));
+  for (int64_t k = 0; k < 100; ++k) {
+    rel->AppendToFragment(0, Tuple({Value(k), Value(k % 10)}));
+  }
+  return rel;
+}
+
+/// The naive oracle: every (a, b) pair with a[a_col] == b[b_col], sorted.
+std::vector<Tuple> NestedLoopJoin(const Relation& a, size_t a_col,
+                                  const Relation& b, size_t b_col) {
+  std::vector<Tuple> out;
+  for (const Tuple& ta : a.Scan()) {
+    for (const Tuple& tb : b.Scan()) {
+      if (ta.at(a_col) == tb.at(b_col)) out.push_back(ta.Concat(tb));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Tuple> SortedRows(const Relation& rel) {
+  std::vector<Tuple> rows = rel.Scan();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PlacementTest, AddRelationRefusesARowOutsideItsFragment) {
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 100)).ok());
+  const Status refused = db.AddRelation(MisplacedKeyValues("B"));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("'B'"), std::string::npos)
+      << refused.message();
+  EXPECT_NE(refused.message().find("fragment 0"), std::string::npos)
+      << refused.message();
+  EXPECT_FALSE(db.relation("B").ok());
+
+  // Placed by Insert, the same rows register and join like the oracle.
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("B", 0, 100)).ok());
+  auto joined = ExecuteEsql(db, "SELECT * FROM A JOIN B ON A.k = B.k");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(SortedRows(*joined.value().result),
+            NestedLoopJoin(*db.relation("A").value(), 0,
+                           *db.relation("B").value(), 0));
+  EXPECT_EQ(joined.value().result->cardinality(), 100u);
+}
+
+TEST(PlacementTest, LoadRelationRefusesARowOutsideItsFragment) {
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 100)).ok());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/misplaced_b.dbs3";
+  ASSERT_TRUE(WriteRelation(*MisplacedKeyValues("B"), path).ok());
+  EXPECT_EQ(db.LoadRelation(path).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.relation("B").ok());
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(WriteRelation(*PlacedKeyValues("B", 0, 100), path).ok());
+  ASSERT_TRUE(db.LoadRelation(path).ok());
+  std::remove(path.c_str());
+  auto joined = ExecuteEsql(db, "SELECT * FROM A JOIN B ON A.k = B.k");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(SortedRows(*joined.value().result),
+            NestedLoopJoin(*db.relation("A").value(), 0,
+                           *db.relation("B").value(), 0));
+}
+
+TEST(PlacementTest, UnplacedEsqlResultIsRefusedAtRegistration) {
+  // The result of `SELECT v, k FROM A` declares hash partitioning on its
+  // column 0 (v), but its rows sit in A's fragments, placed by k.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 1'000)).ok());
+  auto c = std::make_unique<Relation>(
+      "C", Schema({{"v", ValueType::kInt64}, {"w", ValueType::kInt64}}), 0,
+      Partitioner(PartitionKind::kHash, 4));
+  for (int64_t v = 0; v < 10; ++v) {
+    ASSERT_TRUE(c->Insert(Tuple({Value(v), Value(100 + v)})).ok());
+  }
+  ASSERT_TRUE(db.AddRelation(std::move(c)).ok());
+  EsqlOptions options;
+  options.result_name = "P";
+  auto projected = ExecuteEsql(db, "SELECT v, k FROM A", options);
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  std::unique_ptr<Relation> p = std::move(projected.value().result);
+  const std::vector<Tuple> p_rows = SortedRows(*p);
+  EXPECT_EQ(db.AddRelation(std::move(p)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.relation("P").ok());
+
+  // The same rows placed by Insert register, and the join the planner
+  // then runs as an IdealJoin matches the oracle.
+  auto placed = std::make_unique<Relation>(
+      "P", Schema({{"v", ValueType::kInt64}, {"k", ValueType::kInt64}}), 0,
+      Partitioner(PartitionKind::kHash, 4));
+  for (const Tuple& t : p_rows) ASSERT_TRUE(placed->Insert(t).ok());
+  ASSERT_TRUE(db.AddRelation(std::move(placed)).ok());
+  auto joined = ExecuteEsql(db, "SELECT * FROM P JOIN C ON P.v = C.v");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_NE(joined.value().detail.find("IdealJoin(P, C)"), std::string::npos)
+      << joined.value().detail;
+  EXPECT_EQ(SortedRows(*joined.value().result),
+            NestedLoopJoin(*db.relation("P").value(), 0,
+                           *db.relation("C").value(), 0));
+  EXPECT_EQ(joined.value().result->cardinality(), 1'000u);
+}
+
+TEST(PlacementTest, FacadeIdealJoinRefusesOperandsNotPlacedOnTheJoinColumns) {
+  // A and B are both hash on v: equal partitioners, but not on k.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 1, 100)).ok());
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("B", 1, 100)).ok());
+  auto refused = RunIdealJoin(db, "A", "k", "B", "k", QueryOptions());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+
+  // Joined on their partition column they are co-partitioned.
+  auto on_v = RunIdealJoin(db, "A", "v", "B", "v", QueryOptions());
+  ASSERT_TRUE(on_v.ok()) << on_v.status().ToString();
+  EXPECT_EQ(SortedRows(*on_v.value().result),
+            NestedLoopJoin(*db.relation("A").value(), 1,
+                           *db.relation("B").value(), 1));
 }
 
 }  // namespace

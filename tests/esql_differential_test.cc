@@ -149,8 +149,19 @@ class EsqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {
           s->Insert(Tuple({Value(rng.Range(0, 40)), Value(rng.Range(0, 9))}))
               .ok());
     }
+    // m(k, y): modulo on y, not on its join column k, so a join of r and
+    // m probes with m (the planner swaps the join's sides).
+    auto m = std::make_unique<Relation>(
+        "m", Schema({{"k", ValueType::kInt64}, {"y", ValueType::kInt64}}),
+        1, Partitioner(PartitionKind::kModulo, 7));
+    for (int i = 0; i < 80; ++i) {
+      ASSERT_TRUE(
+          m->Insert(Tuple({Value(rng.Range(0, 40)), Value(rng.Range(0, 9))}))
+              .ok());
+    }
     ASSERT_TRUE(db_.AddRelation(std::move(r)).ok());
     ASSERT_TRUE(db_.AddRelation(std::move(s)).ok());
+    ASSERT_TRUE(db_.AddRelation(std::move(m)).ok());
     options_.schedule.total_threads = 3;
     options_.schedule.processors = 4;
   }
@@ -236,6 +247,36 @@ TEST_P(EsqlDifferentialTest, Projection) {
       ReferenceEval(*db_.relation("r").value(), std::nullopt, 0, 0,
                     {{2, cmp}}, std::nullopt, {}, {1, 0});
   EXPECT_EQ(RunEngine(query), expected.rows) << query;
+}
+
+TEST_P(EsqlDifferentialTest, SwappedJoinMatchesReference) {
+  // m is not partitioned on k and r is, so m probes r and the pipeline
+  // runs in (m, r) order; SELECT * still lists r's columns first.
+  Rng rng(GetParam() * 71 + 4);
+  const int64_t lit = rng.Range(-10, 10);
+  const Relation& r = *db_.relation("r").value();
+  const Relation* m = db_.relation("m").value();
+  const std::string star = "SELECT * FROM r JOIN m ON r.k = m.k";
+  EXPECT_EQ(RunEngine(star),
+            ReferenceEval(r, m, 0, 0, {}, std::nullopt, {}, {}).rows)
+      << star;
+
+  const std::string grouped =
+      "SELECT w, COUNT(*), SUM(y), MAX(v) FROM r JOIN m ON r.k = m.k "
+      "WHERE v < " +
+      std::to_string(lit) + " GROUP BY w";
+  Comparison cmp;
+  cmp.op = Comparison::Op::kLt;
+  cmp.literal = Value(lit);
+  // Joined schema: r's columns (3) then m's; y is column 4.
+  EXPECT_EQ(RunEngine(grouped),
+            ReferenceEval(r, m, 0, 0, {{1, cmp}}, /*group_col=*/2,
+                          {{AggKind::kCount, 0},
+                           {AggKind::kSum, 4},
+                           {AggKind::kMax, 1}},
+                          {})
+                .rows)
+      << grouped;
 }
 
 TEST_P(EsqlDifferentialTest, BudgetedExecutionMatchesUnbudgeted) {

@@ -121,6 +121,83 @@ TEST_F(EsqlPlannerTest, MisalignedInnerSwapsProbeSide) {
   EXPECT_EQ(r.value().result->cardinality(), 2'000u);
 }
 
+/// Every (a, b) pair of `a` and `b` whose `a_col` and `b_col` are equal,
+/// `a`'s columns first, sorted: the naive nested-loop join.
+std::vector<Tuple> NestedLoopJoin(const Relation& a, size_t a_col,
+                                  const Relation& b, size_t b_col) {
+  std::vector<Tuple> out;
+  for (const Tuple& ta : a.Scan()) {
+    for (const Tuple& tb : b.Scan()) {
+      if (ta.at(a_col) == tb.at(b_col)) out.push_back(ta.Concat(tb));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Tuple> SortedRows(const Relation& rel) {
+  std::vector<Tuple> rows = rel.Scan();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST_F(EsqlPlannerTest, SwappedJoinNeedsNoReorderNode) {
+  // misaligned probes residents (a swapped join): the pipeline runs in
+  // (misaligned, residents) order and only SELECT * restores FROM order.
+  const Relation& residents = *db_.relation("residents").value();
+  const Relation& misaligned = *db_.relation("misaligned").value();
+  const std::vector<Tuple> joined =
+      NestedLoopJoin(residents, 0, misaligned, 0);
+  const std::string from =
+      " FROM residents JOIN misaligned ON residents.key = misaligned.key";
+
+  // An explicit select list: scan, join, project, store.
+  auto listed = ExecuteEsql(db_, "SELECT grp, payload" + from, options_);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  EXPECT_EQ(listed.value().execution.op_stats.size(), 4u)
+      << listed.value().detail;
+  std::vector<Tuple> expected_listed;
+  for (const Tuple& t : joined) {
+    expected_listed.push_back(Tuple({t.at(3), t.at(1)}));
+  }
+  std::sort(expected_listed.begin(), expected_listed.end());
+  EXPECT_EQ(SortedRows(*listed.value().result), expected_listed);
+
+  // A GROUP BY: scan, join, group-by, store.
+  auto grouped = ExecuteEsql(
+      db_, "SELECT grp, COUNT(*), SUM(payload)" + from + " GROUP BY grp",
+      options_);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(grouped.value().execution.op_stats.size(), 4u)
+      << grouped.value().detail;
+  std::map<int64_t, std::pair<int64_t, int64_t>> groups;
+  for (const Tuple& t : joined) {
+    auto& [count, sum] = groups[t.at(3).AsInt()];
+    ++count;
+    sum += t.at(1).AsInt();
+  }
+  std::vector<Tuple> expected_groups;
+  for (const auto& [grp, agg] : groups) {
+    expected_groups.push_back(
+        Tuple({Value(grp), Value(agg.first), Value(agg.second)}));
+  }
+  EXPECT_EQ(SortedRows(*grouped.value().result), expected_groups);
+
+  // SELECT *: residents' columns first, misaligned's duplicate-free names
+  // as they were, residents' `key` under the join's `r_` prefix.
+  auto star = ExecuteEsql(db_, "SELECT *" + from, options_);
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  EXPECT_EQ(star.value().execution.op_stats.size(), 4u)
+      << star.value().detail;
+  const Schema& schema = star.value().result->schema();
+  ASSERT_EQ(schema.num_columns(), 4u);
+  EXPECT_EQ(schema.column(0).name, "r_key");
+  EXPECT_EQ(schema.column(1).name, "payload");
+  EXPECT_EQ(schema.column(2).name, "key");
+  EXPECT_EQ(schema.column(3).name, "grp");
+  EXPECT_EQ(SortedRows(*star.value().result), joined);
+}
+
 TEST_F(EsqlPlannerTest, FullyMisalignedJoinRepartitions) {
   // Neither side is partitioned on its join column: the planner
   // materializes a repartition of the right side first (a subquery
@@ -295,6 +372,29 @@ TEST_F(EsqlPlannerTest, SemanticErrors) {
                            "residents.key = residents.payload",
                            options_)
                    .ok());
+  // Join clauses, the first and a later one: an unknown side, an
+  // unqualified name both sides have, and both sides in one relation.
+  const auto code_of = [this](const std::string& query) {
+    return ExecuteEsql(db_, query, options_).status().code();
+  };
+  const std::string first = "SELECT * FROM residents JOIN cities ON ";
+  const std::string later =
+      "SELECT * FROM residents JOIN cities ON residents.key = cities.key "
+      "JOIN orders ON ";
+  EXPECT_EQ(code_of(first + "residents.zzz = cities.key"),
+            StatusCode::kNotFound);
+  EXPECT_EQ(code_of(later + "orders.key = cities.zzz"),
+            StatusCode::kNotFound);
+  EXPECT_EQ(code_of(first + "key = cities.key"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of(later + "orders.key = payload"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of(first + "residents.key = residents.payload"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of(later + "orders.key = orders.amount"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of(later + "residents.key = cities.key"),
+            StatusCode::kInvalidArgument);
   // A WHERE column no FROM relation has, and one both have.
   const Status unknown =
       ExecuteEsql(db_, "SELECT * FROM orders WHERE zzz < 3", options_)

@@ -978,11 +978,13 @@ std::unique_ptr<Relation> MixedFragmentRelation() {
   return rel;
 }
 
-/// A result sink shaped like `rel` (same schema and degree).
-std::unique_ptr<Relation> SinkFor(const Relation& rel) {
-  return std::make_unique<Relation>(
-      "sink", rel.schema(), 0,
-      Partitioner(PartitionKind::kModulo, rel.degree()));
+/// A whole-row member over `rel` keeping the rows `predicate` selects.
+SharedScanSpec SpecOver(const Relation& rel, Predicate predicate) {
+  SharedScanSpec spec;
+  spec.relation = &rel;
+  spec.predicate = std::move(predicate);
+  spec.result_schema = rel.schema();
+  return spec;
 }
 
 TEST(SharedScanTest, TinyFragmentsSelectLikeOpaqueRowLeaves) {
@@ -992,16 +994,15 @@ TEST(SharedScanTest, TinyFragmentsSelectLikeOpaqueRowLeaves) {
   const std::unique_ptr<Relation> rel = MixedFragmentRelation();
   const PredExpr typed = PredExpr::And(
       {PredExpr::IntNotEquals(1, 0), PredExpr::IntLess(0, 100)});
-  const std::unique_ptr<Relation> typed_sink = SinkFor(*rel);
-  const std::unique_ptr<Relation> opaque_sink = SinkFor(*rel);
-  std::vector<SharedScanMember> members(2);
-  members[0].predicate = typed;
-  members[0].result = typed_sink.get();
-  members[1].predicate = [typed](const Tuple& t) { return typed.EvalRow(t); };
-  members[1].result = opaque_sink.get();
-  SharedScanLogic scan(rel.get(), std::move(members));
+  const SharedScanSpec typed_spec = SpecOver(*rel, typed);
+  const SharedScanSpec opaque_spec = SpecOver(
+      *rel, [typed](const Tuple& t) { return typed.EvalRow(t); });
+  SharedScanLogic scan(rel.get(), {&typed_spec, &opaque_spec},
+                       {CancelToken(), CancelToken()});
   ASSERT_TRUE(scan.Prepare(rel->degree()).ok());
   for (size_t f = 0; f < rel->degree(); ++f) scan.OnTrigger(f, nullptr);
+  const std::unique_ptr<Relation> typed_sink = scan.TakeResult(0);
+  const std::unique_ptr<Relation> opaque_sink = scan.TakeResult(1);
   size_t kept = 0;
   for (size_t f = 0; f < rel->degree(); ++f) {
     std::vector<Tuple> expected;
@@ -1019,14 +1020,42 @@ TEST(SharedScanTest, TinyFragmentsSelectLikeOpaqueRowLeaves) {
 
 TEST(SharedScanTest, PrepareRefusesAMemberWithAnEmptyRowTest) {
   const std::unique_ptr<Relation> rel = MixedFragmentRelation();
-  const std::unique_ptr<Relation> sink = SinkFor(*rel);
-  std::vector<SharedScanMember> members(2);
-  members[0].result = sink.get();  // Default predicate: keeps every row.
-  members[1].predicate = TuplePredicate();
-  members[1].result = sink.get();
-  SharedScanLogic scan(rel.get(), std::move(members));
+  // Default predicate: keeps every row.
+  const SharedScanSpec keep_all = SpecOver(*rel, Predicate());
+  const SharedScanSpec empty_test = SpecOver(*rel, TuplePredicate());
+  SharedScanLogic scan(rel.get(), {&keep_all, &empty_test},
+                       {CancelToken(), CancelToken()});
   EXPECT_EQ(scan.Prepare(rel->degree()).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(SharedScanTest, PrepareRefusesAForeignOrOutOfRangeMember) {
+  // The runtime folds queries by share class alone; the scan itself checks
+  // that each member scans its input and projects only the input's
+  // columns.
+  const std::unique_ptr<Relation> rel = MixedFragmentRelation();
+  const std::unique_ptr<Relation> other = MixedFragmentRelation();
+  const SharedScanSpec own = SpecOver(*rel, Predicate());
+  const SharedScanSpec foreign = SpecOver(*other, Predicate());
+  SharedScanLogic with_foreign(rel.get(), {&own, &foreign},
+                               {CancelToken(), CancelToken()});
+  EXPECT_EQ(with_foreign.Prepare(rel->degree()).code(),
+            StatusCode::kInvalidArgument);
+
+  SharedScanSpec past_end = SpecOver(*rel, Predicate());
+  past_end.projection = {1, rel->schema().num_columns()};
+  past_end.result_schema =
+      Schema({{"v", ValueType::kInt64}, {"x", ValueType::kInt64}});
+  SharedScanLogic with_past_end(rel.get(), {&own, &past_end},
+                                {CancelToken(), CancelToken()});
+  EXPECT_EQ(with_past_end.Prepare(rel->degree()).code(),
+            StatusCode::kInvalidArgument);
+
+  // The same members over their own relation and columns prepare.
+  past_end.projection = {1, 0};
+  SharedScanLogic in_range(rel.get(), {&own, &past_end},
+                           {CancelToken(), CancelToken()});
+  EXPECT_TRUE(in_range.Prepare(rel->degree()).ok());
 }
 
 TEST(SharedScanTest, CancelledLeadHandsTheSlotReservationToALiveMember) {
@@ -1481,7 +1510,6 @@ TEST(ReassignPlanTest, ParksAndGrantsNeverShareATick) {
 
 class FakeMalleable : public MalleableExecution {
  public:
-  std::vector<OpLoad> SampleLoad() override { return {}; }
   size_t RequestPark(size_t n) override {
     park_requests += n;
     return n;
