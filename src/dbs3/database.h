@@ -46,9 +46,13 @@ class Database {
                           const std::string& b_name);
 
   /// Registers an externally built relation (placing its fragments).
-  /// Fails with InvalidArgument when a row sits outside the fragment the
-  /// relation's partitioner picks for it: the planners trust that
-  /// placement (an IdealJoin pairs fragment i with fragment i).
+  /// Runs Relation::VerifyPlacement: fails with InvalidArgument when a row
+  /// sits outside the fragment the relation's partitioner picks for it,
+  /// and otherwise leaves the relation marked verified. The planners trust
+  /// that placement (an IdealJoin pairs fragment i with fragment i), and
+  /// the shared scan prunes a point member to the one fragment its key
+  /// maps to. A later AppendToFragment clears the mark, which stops the
+  /// pruning; the IdealJoin does not check it.
   Status AddRelation(std::unique_ptr<Relation> relation);
 
   /// The relation named `name`, or NotFound.

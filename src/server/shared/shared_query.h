@@ -28,7 +28,11 @@ namespace dbs3 {
 /// are the point of sharing the pass.
 struct SharedScanSpec {
   /// The relation the shared pass scans. Must outlive execution (catalog
-  /// relations do; the planner only marks catalog scans shareable).
+  /// relations do; the planner only marks catalog scans shareable). The
+  /// pass prunes a member that fixes the partition column to one integer
+  /// only when the relation's placement was verified, which
+  /// Database::AddRelation does for every catalog relation; an unregistered
+  /// relation is scanned in full for every member.
   const Relation* relation = nullptr;
   /// This member's WHERE conjunction (typed leaves where the planner could
   /// lower a conjunct, row leaves for the rest).

@@ -29,6 +29,28 @@ void StoreSelected(const std::vector<size_t>& projection, Relation* result,
   }
 }
 
+constexpr size_t kUnpinned = static_cast<size_t>(-1);
+
+/// The fragment of `rel` that holds every row `pred` keeps, when `pred` is
+/// an integer equality on the partition column or a conjunction with one;
+/// kUnpinned otherwise. Sound only for a placement-verified relation: the
+/// leaf keeps only rows whose value is the integer k, and each of those
+/// sits in FragmentOf(k).
+size_t PinOf(const PredExpr& pred, const Relation& rel) {
+  if (pred.kind == PredExpr::Kind::kAnd) {
+    for (const PredExpr& child : pred.children) {
+      const size_t pin = PinOf(child, rel);
+      if (pin != kUnpinned) return pin;
+    }
+    return kUnpinned;
+  }
+  if (pred.kind != PredExpr::Kind::kIntRange || pred.lo != pred.hi ||
+      pred.column != rel.partition_column()) {
+    return kUnpinned;
+  }
+  return rel.partitioner().FragmentOf(Value(pred.lo));
+}
+
 }  // namespace
 
 SharedScanLogic::SharedScanLogic(const Relation* input,
@@ -36,19 +58,32 @@ SharedScanLogic::SharedScanLogic(const Relation* input,
                                  std::vector<CancelToken> cancels)
     : input_(input), specs_(std::move(specs)), cancels_(std::move(cancels)) {
   results_.reserve(specs_.size());
+  pins_.reserve(specs_.size());
+  evaluated_.assign(input_->degree(), 0);
+  size_t unpinned = 0;
   for (const SharedScanSpec* spec : specs_) {
     results_.push_back(std::make_unique<Relation>(
         spec->result_name, spec->result_schema, /*partition_column=*/0,
         Partitioner(PartitionKind::kHash, input_->degree())));
+    const size_t pin = input_->placement_verified()
+                           ? PinOf(spec->predicate, *input_)
+                           : kUnpinned;
+    pins_.push_back(pin);
+    if (pin == kUnpinned) {
+      ++unpinned;
+    } else {
+      ++evaluated_[pin];
+    }
   }
+  for (size_t& n : evaluated_) n += unpinned;
 }
 
 Status SharedScanLogic::Prepare(size_t num_instances) {
-  if (num_instances > input_->degree()) {
+  if (num_instances != input_->degree()) {
     return Status::InvalidArgument(
-        "shared scan has " + std::to_string(num_instances) +
-        " instances but relation '" + input_->name() + "' has only " +
-        std::to_string(input_->degree()) + " fragments");
+        "shared scan must have one instance per fragment of '" +
+        input_->name() + "' (" + std::to_string(input_->degree()) +
+        "), got " + std::to_string(num_instances));
   }
   const size_t columns = input_->schema().num_columns();
   for (const SharedScanSpec* spec : specs_) {
@@ -71,6 +106,8 @@ Status SharedScanLogic::Prepare(size_t num_instances) {
 
 void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
   (void)out;  // Rows go straight to the members' results.
+  // Pruned: every member is pinned to another fragment.
+  if (evaluated_[instance] == 0) return;
   const std::vector<Tuple>& rows = input_->fragment(instance).tuples;
   const size_t num_members = specs_.size();
   Arena& arena = ThreadLocalKernelArena();
@@ -85,6 +122,8 @@ void SharedScanLogic::OnTrigger(size_t instance, Emitter* out) {
     uint32_t* sel = arena.AllocateArrayOf<uint32_t>(count);
     bool any_live = false;
     for (size_t m = 0; m < num_members; ++m) {
+      // A member pinned to another fragment has no row here.
+      if (pins_[m] != kUnpinned && pins_[m] != instance) continue;
       // Per-tile member cancel check: a fired token stops this member's
       // share of the pass; the other members keep scanning.
       if (cancels_[m].ShouldStop()) continue;
@@ -102,23 +141,26 @@ NodeEstimate SharedScanLogic::Estimate(const CostModel& cost_model,
                                        double input_tuples) const {
   (void)input_tuples;  // Triggered: work comes from the fragments.
   NodeEstimate e;
-  const double members = static_cast<double>(specs_.size());
   double output = 0.0;
   for (const SharedScanSpec* spec : specs_) {
     output += spec->selectivity * static_cast<double>(input_->cardinality());
   }
-  // The pass reads each tuple once but evaluates N predicates on it; the
-  // scheduler sees roughly the per-member filter work without the N
-  // repeated fragment reads.
-  e.total_work =
-      static_cast<double>(input_->cardinality()) * cost_model.scan_tuple *
-      std::max(1.0, members * 0.5);
   e.activations = 0.0;
   e.output_tuples = output;
-  for (uint64_t c : input_->FragmentCardinalities()) {
-    e.per_instance_work.push_back(static_cast<double>(c) *
-                                  cost_model.scan_tuple *
-                                  std::max(1.0, members * 0.5));
+  // An instance's pass reads each tuple of its fragment once but evaluates
+  // the N members it serves on it: the scheduler sees roughly the
+  // per-member filter work without the N repeated fragment reads. A pruned
+  // instance does nothing.
+  const std::vector<uint64_t> sizes = input_->FragmentCardinalities();
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const double members = static_cast<double>(evaluated_[i]);
+    const double work =
+        members == 0.0 ? 0.0
+                       : static_cast<double>(sizes[i]) *
+                             cost_model.scan_tuple *
+                             std::max(1.0, members * 0.5);
+    e.per_instance_work.push_back(work);
+    e.total_work += work;
   }
   return e;
 }

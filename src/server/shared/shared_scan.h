@@ -25,22 +25,34 @@ namespace dbs3 {
 /// per instance, so fragment i of every result has one writer and needs no
 /// lock. Each member's rows are selected from the shared tile by
 /// SelectRows, the same routine the single-query filters use.
+///
+/// Pruning by placement: when the input's placement was verified
+/// (Relation::placement_verified), a member whose predicate fixes the
+/// partition column to an integer k — an integer equality leaf on it,
+/// alone or as one conjunct — can only keep rows of fragment
+/// partitioner().FragmentOf(Value(k)). The member is pinned there, and
+/// every other instance skips it; an instance whose members are all
+/// pinned elsewhere returns at once.
 class SharedScanLogic : public OperatorLogic {
  public:
   /// `input` and every spec must outlive the execution. Creates each
   /// member's result relation: the spec's name and schema, hash-partitioned
-  /// on column 0 with the input's degree. `cancels[i]` is member i's
-  /// token: once fired, the scan stops storing member i's rows (per-tile
-  /// check) and the other members keep scanning.
+  /// on column 0 with the input's degree, and pins each member as above.
+  /// `cancels[i]` is member i's token: once fired, the scan stops storing
+  /// member i's rows (per-tile check) and the other members keep scanning.
   SharedScanLogic(const Relation* input,
                   std::vector<const SharedScanSpec*> specs,
                   std::vector<CancelToken> cancels);
 
-  /// Refuses a member over another relation, one projecting a column past
-  /// the input's schema, and one whose predicate fails PredExpr::Validate.
+  /// Requires one instance per input fragment (instance i scans fragment
+  /// i). Refuses a member over another relation, one projecting a column
+  /// past the input's schema, and one whose predicate fails
+  /// PredExpr::Validate.
   Status Prepare(size_t num_instances) override;
   void OnTrigger(size_t instance, Emitter* out) override;
   std::string name() const override { return "shared-scan"; }
+  /// Charges each instance its fragment's pass over the members it
+  /// evaluates (nothing when it evaluates none); total_work is the sum.
   NodeEstimate Estimate(const CostModel& cost_model,
                         double input_tuples) const override;
 
@@ -55,6 +67,11 @@ class SharedScanLogic : public OperatorLogic {
   std::vector<const SharedScanSpec*> specs_;
   std::vector<CancelToken> cancels_;
   std::vector<std::unique_ptr<Relation>> results_;
+  /// Per member: the one fragment that can hold its rows, or kUnpinned.
+  std::vector<size_t> pins_;
+  /// Per instance: how many members it evaluates (the unpinned ones and
+  /// those pinned to its fragment).
+  std::vector<size_t> evaluated_;
 };
 
 }  // namespace dbs3

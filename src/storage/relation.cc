@@ -61,7 +61,26 @@ Status Relation::Insert(Tuple tuple) {
 
 void Relation::AppendToFragment(size_t f, Tuple tuple) {
   assert(f < fragments_.size());
+  if (placement_verified_) placement_verified_ = false;
   fragments_[f].tuples.push_back(std::move(tuple));
+}
+
+Status Relation::VerifyPlacement() {
+  placement_verified_ = false;
+  for (size_t f = 0; f < fragments_.size(); ++f) {
+    for (const Tuple& t : fragments_[f].tuples) {
+      const size_t home = partitioner_.FragmentOf(t.at(partition_column_));
+      if (home != f) {
+        return Status::InvalidArgument(
+            "relation '" + name_ + "' holds a row in fragment " +
+            std::to_string(f) + " that its partitioner " +
+            partitioner_.ToString() + " places in fragment " +
+            std::to_string(home));
+      }
+    }
+  }
+  placement_verified_ = true;
+  return Status::OK();
 }
 
 std::vector<Tuple> Relation::Scan() const {

@@ -56,13 +56,33 @@ class Relation {
   /// Routes `tuple` to its fragment via the partitioning function.
   /// Fails with InvalidArgument if the tuple's arity does not match the
   /// schema or a value's type differs from its column's declared type.
+  /// Keeps the verified-placement mark: the row lands where the
+  /// partitioner puts it.
   Status Insert(Tuple tuple);
 
   /// Appends directly to fragment `f`, bypassing the partitioning function
   /// and every check: callers guarantee the arity and the column types.
   /// Used by generators that construct a wanted placement (and by Store,
   /// whose input was already routed by a Transmit). Requires f < degree().
+  /// Clears the verified-placement mark, since the row may sit outside the
+  /// fragment its partitioner picks; the mark is only written when set, so
+  /// workers appending to disjoint fragments of an unverified result never
+  /// race on it.
   void AppendToFragment(size_t f, Tuple tuple);
+
+  /// Checks that every row sits in the fragment its partitioner picks for
+  /// its partition-column value, and sets the verified-placement mark when
+  /// it does. Fails with InvalidArgument naming the first misplaced row's
+  /// fragment otherwise (and clears the mark). Database::AddRelation runs
+  /// it on every relation entering the catalog.
+  Status VerifyPlacement();
+
+  /// True once VerifyPlacement passed and no AppendToFragment ran since:
+  /// a row whose partition-column value is v then sits in fragment
+  /// partitioner().FragmentOf(v), which the shared scan prunes by. An
+  /// edit through the mutable fragment(i) is not tracked; the IdealJoin
+  /// trusts the placement as far.
+  bool placement_verified() const { return placement_verified_; }
 
   /// All tuples of all fragments, in fragment order. Convenience for tests.
   std::vector<Tuple> Scan() const;
@@ -84,6 +104,7 @@ class Relation {
   size_t partition_column_;
   Partitioner partitioner_;
   std::vector<Fragment> fragments_;
+  bool placement_verified_ = false;
 };
 
 }  // namespace dbs3

@@ -249,6 +249,34 @@ TEST_P(EsqlDifferentialTest, Projection) {
   EXPECT_EQ(RunEngine(query), expected.rows) << query;
 }
 
+TEST_P(EsqlDifferentialTest, PointSelectOnAndOffThePartitionColumn) {
+  // Registration verified both placements: r modulo on k, m modulo on y.
+  // An equality on the partition column scans only the fragment its
+  // literal maps to; one on another column scans every fragment.
+  Rng rng(GetParam() * 89 + 5);
+  const int64_t k = rng.Range(0, 40);
+  const int64_t y = rng.Range(0, 9);
+  struct Point {
+    const char* relation;
+    const char* column_name;
+    size_t column;
+    int64_t literal;
+  };
+  for (const Point& p : {Point{"r", "k", 0, k}, Point{"m", "y", 1, y},
+                         Point{"m", "k", 0, k}}) {
+    const std::string query = std::string("SELECT * FROM ") + p.relation +
+                              " WHERE " + p.column_name + " = " +
+                              std::to_string(p.literal);
+    Comparison cmp;
+    cmp.op = Comparison::Op::kEq;
+    cmp.literal = Value(p.literal);
+    const ReferenceResult expected =
+        ReferenceEval(*db_.relation(p.relation).value(), std::nullopt, 0, 0,
+                      {{p.column, cmp}}, std::nullopt, {}, {});
+    EXPECT_EQ(RunEngine(query), expected.rows) << query;
+  }
+}
+
 TEST_P(EsqlDifferentialTest, SwappedJoinMatchesReference) {
   // m is not partitioned on k and r is, so m probes r and the pipeline
   // runs in (m, r) order; SELECT * still lists r's columns first.

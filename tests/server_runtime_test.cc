@@ -860,14 +860,34 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
 
     // The ESQL members carry the spec the planner builds for their text
     // (the lowered PredExpr, the projection and the result schema) and the
-    // plain C++ condition the naive reference keeps rows by.
+    // plain C++ condition the naive reference keeps rows by. `w` is hashed
+    // on unique1 and registered, so each typed member fixing unique1 runs
+    // on one fragment only; the opaque pass is the unpruned reference.
     struct EsqlMember {
-      const char* text;
+      std::string text;
       Predicate predicate;
       std::vector<size_t> projection;
       TuplePredicate keep;
     };
     const auto unique1 = [](const Tuple& t) { return t.at(0).AsInt(); };
+    const auto unique2 = [](const Tuple& t) { return t.at(1).AsInt(); };
+    ASSERT_TRUE(rel->placement_verified());
+    // A point key in the fragment 1234 does not hash to.
+    int64_t other_key = 0;
+    while (rel->partitioner().FragmentOf(Value(other_key)) ==
+           rel->partitioner().FragmentOf(Value(int64_t{1234}))) {
+      ++other_key;
+    }
+    // The bound that keeps unique1 = 2345's row: unique2 is its position.
+    int64_t below = 0;
+    for (const Tuple& t : rel->Scan()) {
+      if (unique1(t) == 2345) below = unique2(t) + 1;
+    }
+    const std::string other_point =
+        "SELECT * FROM w WHERE unique1 = " + std::to_string(other_key);
+    const std::string point_and_range =
+        "SELECT * FROM w WHERE unique1 = 2345 AND unique2 < " +
+        std::to_string(below);
     const std::vector<EsqlMember> esql = {
         {"SELECT * FROM w WHERE unique1 = 1234", PredExpr::IntEquals(0, 1234),
          {},
@@ -883,6 +903,20 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
          PredExpr::IntLess(0, 2500),
          {1, 0},
          [&](const Tuple& t) { return unique1(t) < 2500; }},
+        {other_point, PredExpr::IntEquals(0, other_key),
+         {},
+         [&](const Tuple& t) { return unique1(t) == other_key; }},
+        {point_and_range,
+         PredExpr::And(
+             {PredExpr::IntEquals(0, 2345), PredExpr::IntLess(1, below)}),
+         {},
+         [&](const Tuple& t) {
+           return unique1(t) == 2345 && unique2(t) < below;
+         }},
+        // Not on the partition column: never pinned.
+        {"SELECT * FROM w WHERE unique2 = 777", PredExpr::IntEquals(1, 777),
+         {},
+         [&](const Tuple& t) { return unique2(t) == 777; }},
     };
     const TuplePredicate row_form = [](const Tuple& t) {
       return t.at(0).AsInt() % 7 == 3;
@@ -952,6 +986,10 @@ TEST(SharedScanTest, BatchIsOneNodeAndMatchesSoloFragmentForFragment) {
       EXPECT_EQ(lone.stats().units_processed, expected_rows);
     }
     EXPECT_GT(results[1].result->cardinality(), 0u);
+    // Each point member keeps its one row.
+    for (size_t i : {0, 3, 4, 5}) {
+      EXPECT_EQ(results[i].result->cardinality(), 1u) << esql[i].text;
+    }
 
     const Relation& filtered = *results.back().result;
     ASSERT_EQ(filtered.degree(), rel->degree());
@@ -1018,6 +1056,110 @@ TEST(SharedScanTest, TinyFragmentsSelectLikeOpaqueRowLeaves) {
   EXPECT_GT(kept, 0u);
 }
 
+/// The column-0 keys of the rows on which a lone member over `rel` calls
+/// its row leaf, in scan order, when its predicate is that leaf ANDed with
+/// the equality `column 0 = k`. Also checks that the member keeps exactly
+/// the rows with key `k`.
+std::vector<int64_t> RowsTheLeafSees(const Relation& rel, int64_t k) {
+  std::vector<int64_t> seen;
+  const SharedScanSpec spec = SpecOver(
+      rel, PredExpr::And({[&seen](const Tuple& t) {
+                            seen.push_back(t.at(0).AsInt());
+                            return true;
+                          },
+                          PredExpr::IntEquals(0, k)}));
+  SharedScanLogic scan(&rel, {&spec}, {CancelToken()});
+  EXPECT_TRUE(scan.Prepare(rel.degree()).ok());
+  for (size_t f = 0; f < rel.degree(); ++f) scan.OnTrigger(f, nullptr);
+  std::vector<Tuple> expected;
+  for (const Tuple& t : rel.Scan()) {
+    if (t.at(0).AsInt() == k) expected.push_back(t);
+  }
+  EXPECT_EQ(scan.TakeResult(0)->Scan(), expected) << "key " << k;
+  return seen;
+}
+
+/// The column-0 keys of `rows`, in order.
+std::vector<int64_t> KeysOf(const std::vector<Tuple>& rows) {
+  std::vector<int64_t> keys;
+  for (const Tuple& t : rows) keys.push_back(t.at(0).AsInt());
+  return keys;
+}
+
+TEST(SharedScanTest, PointMemberScansOnlyItsFragmentOfAVerifiedRelation) {
+  // Modulo 4 on k: the equality k = key pins the member to fragment
+  // key % 4 once registration verified the placement, so its row leaf
+  // (the first conjunct, called on every row the pass evaluates) sees that
+  // fragment's rows and no other.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(MixedFragmentRelation()).ok());
+  Relation* registered = db.relation("mixed").value();
+  ASSERT_TRUE(registered->placement_verified());
+  for (const int64_t key : {0, 5, 10, 7, 99}) {
+    SCOPED_TRACE(key);
+    EXPECT_EQ(RowsTheLeafSees(*registered, key),
+              KeysOf(registered->fragment(static_cast<size_t>(key % 4))
+                         .tuples));
+  }
+
+  // Never registered: no verified placement, so every row is evaluated.
+  const std::unique_ptr<Relation> unregistered = MixedFragmentRelation();
+  EXPECT_FALSE(unregistered->placement_verified());
+  EXPECT_EQ(RowsTheLeafSees(*unregistered, 7), KeysOf(unregistered->Scan()));
+  EXPECT_EQ(unregistered->cardinality(), 46u);
+
+  // A raw append clears the mark: the row may sit outside the fragment
+  // its partitioner picks, as a second k = 7 in fragment 0 does here, and
+  // the member must find it there.
+  registered->AppendToFragment(
+      0, Tuple({Value(int64_t{7}), Value(int64_t{1})}));
+  EXPECT_FALSE(registered->placement_verified());
+  EXPECT_EQ(RowsTheLeafSees(*registered, 7), KeysOf(registered->Scan()));
+}
+
+TEST(SharedScanTest, EstimateChargesEachInstanceOnlyTheMembersItEvaluates) {
+  // Fragments of 1, 2, 3 and 40 rows, modulo 4 on k. Members pinned to
+  // fragments 1, 3 and 3: the pass over fragment i costs its rows times
+  // max(1, members / 2), and a fragment no member is pinned to costs
+  // nothing.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(MixedFragmentRelation()).ok());
+  const Relation* rel = db.relation("mixed").value();
+  const std::unique_ptr<Relation> unregistered = MixedFragmentRelation();
+  const CostModel cost;
+  const auto estimate = [&](const Relation& input,
+                            const std::vector<Predicate>& predicates) {
+    std::vector<SharedScanSpec> specs;
+    for (const Predicate& p : predicates) specs.push_back(SpecOver(input, p));
+    std::vector<const SharedScanSpec*> members;
+    for (const SharedScanSpec& spec : specs) members.push_back(&spec);
+    SharedScanLogic scan(&input, std::move(members),
+                         std::vector<CancelToken>(specs.size()));
+    return scan.Estimate(cost, 0.0);
+  };
+  const std::vector<Predicate> points = {PredExpr::IntEquals(0, 1),
+                                         PredExpr::IntEquals(0, 3),
+                                         PredExpr::IntEquals(0, 7)};
+  NodeEstimate pinned = estimate(*rel, points);
+  EXPECT_EQ(pinned.per_instance_work,
+            (std::vector<double>{0.0, 2.0, 0.0, 40.0}));
+  EXPECT_DOUBLE_EQ(pinned.total_work, 42.0);
+
+  // An unpinned range member rides every instance.
+  std::vector<Predicate> mixed = points;
+  mixed.push_back(PredExpr::IntLess(0, 100));
+  NodeEstimate with_range = estimate(*rel, mixed);
+  EXPECT_EQ(with_range.per_instance_work,
+            (std::vector<double>{1.0, 2.0, 3.0, 40.0 * 1.5}));
+  EXPECT_DOUBLE_EQ(with_range.total_work, 66.0);
+
+  // Unverified placement: every instance evaluates all three points.
+  NodeEstimate unpruned = estimate(*unregistered, points);
+  EXPECT_EQ(unpruned.per_instance_work,
+            (std::vector<double>{1.5, 3.0, 4.5, 60.0}));
+  EXPECT_DOUBLE_EQ(unpruned.total_work, 69.0);
+}
+
 TEST(SharedScanTest, PrepareRefusesAMemberWithAnEmptyRowTest) {
   const std::unique_ptr<Relation> rel = MixedFragmentRelation();
   // Default predicate: keeps every row.
@@ -1051,10 +1193,16 @@ TEST(SharedScanTest, PrepareRefusesAForeignOrOutOfRangeMember) {
   EXPECT_EQ(with_past_end.Prepare(rel->degree()).code(),
             StatusCode::kInvalidArgument);
 
-  // The same members over their own relation and columns prepare.
+  // The same members over their own relation and columns prepare, with
+  // one instance per fragment only: instance i scans fragment i, so fewer
+  // instances would drop the last fragments' rows.
   past_end.projection = {1, 0};
   SharedScanLogic in_range(rel.get(), {&own, &past_end},
                            {CancelToken(), CancelToken()});
+  EXPECT_EQ(in_range.Prepare(rel->degree() - 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(in_range.Prepare(rel->degree() + 1).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_TRUE(in_range.Prepare(rel->degree()).ok());
 }
 
