@@ -1,8 +1,10 @@
 #ifndef DBS3_BENCH_BENCH_UTIL_H_
 #define DBS3_BENCH_BENCH_UTIL_H_
 
+#include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -106,6 +108,118 @@ inline void PrintQueryLatencies(const MetricsSnapshot& snapshot) {
     std::printf(" max=%lld\n", static_cast<long long>(s.max));
   }
 }
+
+/// printf into a std::string, for check details.
+__attribute__((format(printf, 1, 2))) inline std::string Format(
+    const char* format, ...) {
+  char buffer[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buffer, sizeof(buffer), format, args);
+  va_end(args);
+  return buffer;
+}
+
+/// The report of one gated bench, written as BENCH_<bench>.json. A record
+/// is one measured number: a BENCHMARK.json metric entry (name, unit,
+/// which direction is better) plus the case it was measured on, the layer
+/// it measures and its value. A check is one verdict of the bench's own
+/// gate: kHard for rows, budgets, allocation counts and non-vacuity, which
+/// no rerun excuses; kSpeed for a timing comparison that a shared runner
+/// may retry.
+class BenchReport {
+ public:
+  enum Better { kLower, kHigher };
+  enum Kind { kHard, kSpeed };
+
+  /// `bench` is the binary's name; every record measures `layer`.
+  BenchReport(std::string bench, std::string layer)
+      : bench_(std::move(bench)), layer_(std::move(layer)) {}
+
+  void Record(std::string case_name, std::string name, std::string unit,
+              Better better, double value) {
+    records_.push_back({std::move(case_name), std::move(name),
+                        std::move(unit), better, value});
+  }
+
+  void Check(std::string name, Kind kind, bool pass, std::string detail) {
+    checks_.push_back({std::move(name), kind, pass, std::move(detail)});
+  }
+
+  /// Writes the report, prints one OK/FAIL line per check and returns the
+  /// bench's exit status: 0 when every check passed, 1 when a hard check
+  /// failed, 2 when only speed checks failed. (A bench that cannot run
+  /// exits 1 through CheckOk or UnwrapOrDie.)
+  int Finish() const {
+    const std::string path = "BENCH_" + bench_ + ".json";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+    std::fprintf(f, "{\"bench\": %s,\n \"records\": [",
+                 Quote(bench_).c_str());
+    for (size_t i = 0; i < records_.size(); ++i) {
+      const RecordEntry& r = records_[i];
+      std::fprintf(f,
+                   "%s\n  {\"case\": %s, \"layer\": %s, \"name\": %s, "
+                   "\"unit\": %s, \"better\": \"%s\", \"value\": %.10g}",
+                   i > 0 ? "," : "", Quote(r.case_name).c_str(),
+                   Quote(layer_).c_str(), Quote(r.name).c_str(),
+                   Quote(r.unit).c_str(),
+                   r.better == kLower ? "lower" : "higher", r.value);
+    }
+    std::fprintf(f, "],\n \"checks\": [");
+    bool hard_failed = false;
+    bool speed_failed = false;
+    for (size_t i = 0; i < checks_.size(); ++i) {
+      const CheckEntry& c = checks_[i];
+      const char* kind = c.kind == kHard ? "hard" : "speed";
+      std::fprintf(f,
+                   "%s\n  {\"name\": %s, \"kind\": \"%s\", \"pass\": %s, "
+                   "\"detail\": %s}",
+                   i > 0 ? "," : "", Quote(c.name).c_str(), kind,
+                   c.pass ? "true" : "false", Quote(c.detail).c_str());
+      std::printf("%s %s [%s]: %s\n", c.pass ? "OK  " : "FAIL",
+                  c.name.c_str(), kind, c.detail.c_str());
+      if (!c.pass) (c.kind == kHard ? hard_failed : speed_failed) = true;
+    }
+    std::fprintf(f, "]}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+    return hard_failed ? 1 : speed_failed ? 2 : 0;
+  }
+
+ private:
+  struct RecordEntry {
+    std::string case_name;
+    std::string name;
+    std::string unit;
+    Better better;
+    double value;
+  };
+  struct CheckEntry {
+    std::string name;
+    Kind kind;
+    bool pass;
+    std::string detail;
+  };
+
+  /// A JSON string literal: quotes and backslashes escaped.
+  static std::string Quote(const std::string& text) {
+    std::string out = "\"";
+    for (char ch : text) {
+      if (ch == '"' || ch == '\\') out += '\\';
+      out += ch;
+    }
+    return out + "\"";
+  }
+
+  std::string bench_;
+  std::string layer_;
+  std::vector<RecordEntry> records_;
+  std::vector<CheckEntry> checks_;
+};
 
 }  // namespace dbs3
 

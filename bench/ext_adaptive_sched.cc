@@ -19,10 +19,11 @@
 // drops or duplicates work while parking/granting fails as MISMATCH, not
 // as a perf number.
 //
-// Writes BENCH_adaptive.json next to the binary; the CI gate
-// (compare_bench.py --adaptive) requires results to match, adaptive
-// short p95/p99 below static, the long wall within 5% of static, and the
-// rebalancer to have actually parked and granted workers (else VACUOUS).
+// Writes BENCH_ext_adaptive_sched.json and exits with its gate's verdict
+// (BenchReport). Hard: both modes' results match, and the adaptive run
+// parked and granted at least one worker (else it never reallocated
+// anything and the comparison is vacuous). Speed: adaptive short p95 and
+// p99 below static, and the long wall within kMaxLongWallRatio of static.
 
 #include <algorithm>
 #include <chrono>
@@ -52,6 +53,9 @@ constexpr size_t kShortDegree = 8;
 constexpr size_t kMaxShorts = 24;   // Per rep.
 constexpr uint64_t kPaceBaseUs = 80'000;   // Open-loop arrival pacing.
 constexpr uint64_t kRebalanceUs = 1'000;   // Adaptive tick period.
+// Gate (speed): what parking may cost the long query, as its adaptive
+// wall over its static wall.
+constexpr double kMaxLongWallRatio = 1.05;
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
@@ -218,7 +222,7 @@ ModeResult RunMode(bool adaptive) {
   return mode;
 }
 
-void Run() {
+int Run() {
   PrintHeader("EXT adaptive-sched",
               "mid-query worker reallocation: short tails under a long scan");
   std::printf("pool %zu threads, long scan %llu rows x %u spin (degree %zu),"
@@ -246,57 +250,43 @@ void Run() {
   }
   const double ratio =
       stat.long_wall_s > 0 ? adap.long_wall_s / stat.long_wall_s : 0.0;
-  std::printf("\nlong-wall ratio adaptive/static: %.3f (gate <= 1.05)\n",
-              ratio);
 
-  FILE* json = std::fopen("BENCH_adaptive.json", "w");
-  CheckOk(json != nullptr
-              ? Status::OK()
-              : Status::Internal("cannot open BENCH_adaptive.json"),
-          "open json");
-  std::fprintf(json,
-               "{\n"
-               "  \"pool_threads\": %zu,\n"
-               "  \"long_rows\": %llu,\n"
-               "  \"long_degree\": %zu,\n"
-               "  \"rebalance_interval_us\": %llu,\n"
-               "  \"modes\": {\n",
-               kPool, static_cast<unsigned long long>(kLongRows),
-               kLongDegree, static_cast<unsigned long long>(kRebalanceUs));
-  const ModeResult* modes[] = {&stat, &adap};
-  const char* names[] = {"static", "adaptive"};
-  for (int i = 0; i < 2; ++i) {
-    const ModeResult& m = *modes[i];
-    std::fprintf(json,
-                 "    \"%s\": {\"shorts\": %zu,"
-                 " \"short_p50_us\": %.1f,"
-                 " \"short_p95_us\": %.1f,"
-                 " \"short_p99_us\": %.1f,"
-                 " \"long_wall_s\": %.4f,"
-                 " \"threads_parked\": %llu,"
-                 " \"threads_granted\": %llu,"
-                 " \"results_match\": %s}%s\n",
-                 names[i], m.short_lat_us.size(),
-                 Percentile(m.short_lat_us, 0.50),
-                 Percentile(m.short_lat_us, 0.95),
-                 Percentile(m.short_lat_us, 0.99), m.long_wall_s,
-                 static_cast<unsigned long long>(m.long_parked),
-                 static_cast<unsigned long long>(m.long_granted),
-                 m.results_match ? "true" : "false", i == 0 ? "," : "");
+  BenchReport report("ext_adaptive_sched", "rebalance");
+  for (const ModeResult* m : {&stat, &adap}) {
+    const char* c = m == &stat ? "static" : "adaptive";
+    report.Record(c, "short_p50_us", "us", BenchReport::kLower,
+                  Percentile(m->short_lat_us, 0.50));
+    report.Record(c, "short_p95_us", "us", BenchReport::kLower,
+                  Percentile(m->short_lat_us, 0.95));
+    report.Record(c, "short_p99_us", "us", BenchReport::kLower,
+                  Percentile(m->short_lat_us, 0.99));
+    report.Record(c, "long_wall_s", "s", BenchReport::kLower, m->long_wall_s);
+    report.Check(Format("%s rows match", c), BenchReport::kHard,
+                 m->results_match,
+                 Format("%zu shorts and the long query",
+                        m->short_lat_us.size()));
   }
-  std::fprintf(json,
-               "  },\n"
-               "  \"long_wall_ratio\": %.4f\n"
-               "}\n",
-               ratio);
-  std::fclose(json);
-  std::printf("wrote BENCH_adaptive.json\n");
+  report.Record("adaptive/static", "long_wall_ratio", "ratio",
+                BenchReport::kLower, ratio);
+  report.Check("adaptive parked and granted", BenchReport::kHard,
+               adap.long_parked > 0 && adap.long_granted > 0,
+               Format("%llu parked, %llu granted",
+                      static_cast<unsigned long long>(adap.long_parked),
+                      static_cast<unsigned long long>(adap.long_granted)));
+  for (const double q : {0.95, 0.99}) {
+    const double s = Percentile(stat.short_lat_us, q);
+    const double a = Percentile(adap.short_lat_us, q);
+    report.Check(Format("short p%.0f adaptive below static", q * 100),
+                 BenchReport::kSpeed, a < s,
+                 Format("adaptive %.0f us vs static %.0f us", a, s));
+  }
+  report.Check("long wall adaptive/static", BenchReport::kSpeed,
+               ratio <= kMaxLongWallRatio,
+               Format("%.3f (at most %.2f)", ratio, kMaxLongWallRatio));
+  return report.Finish();
 }
 
 }  // namespace
 }  // namespace dbs3
 
-int main() {
-  dbs3::Run();
-  return 0;
-}
+int main() { return dbs3::Run(); }

@@ -20,12 +20,13 @@
 // the paper attributes to thread-pool reuse: worker start-up/tear-down
 // leaves the per-query critical path.
 //
-// Writes BENCH_multiuser.json next to the binary; the CI gate reads the
-// top-level "speedup" (the 8-session point) and expects > 1.0.
+// Writes BENCH_ext_multiuser_engine.json and exits with its gate's verdict
+// (BenchReport): the 8-session speedup must exceed kMinSpeedup.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -43,6 +44,9 @@ constexpr size_t kThreads = 4;             // Total threads, both modes.
 constexpr int kReps = 5;                   // Best-of to damp noise.
 // In-flight execution cap chosen by admission control; see file comment.
 constexpr size_t kAdmissionLevel = 1;
+// Gate (speed): at kGateSessions the shared-pool runtime must beat
+// kGateSessions sequential Executor::Run calls at equal total threads.
+constexpr double kMinSpeedup = 1.0;
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
@@ -158,7 +162,7 @@ ModeResult RunConcurrent(Database& db, size_t sessions) {
   return out;
 }
 
-void Run() {
+int Run() {
   PrintHeader("Extension: multi-user engine",
               "IdealJoin session sweep, shared worker pool vs sequential "
               "private threads (equal total threads)");
@@ -220,62 +224,29 @@ void Run() {
   std::printf("per-query latency summaries (runtime registry):\n");
   PrintQueryLatencies(db.metrics().Snapshot());
 
-  FILE* json = std::fopen("BENCH_multiuser.json", "w");
-  CheckOk(json != nullptr
-              ? Status::OK()
-              : Status::Internal("cannot open BENCH_multiuser.json"),
-          "open json");
-  std::fprintf(json,
-               "{\n"
-               "  \"sessions\": %zu,\n"
-               "  \"total_threads\": %zu,\n"
-               "  \"admission_level\": %zu,\n"
-               "  \"sweep\": [\n",
-               kGateSessions, kThreads, kAdmissionLevel);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(json,
-                 "    {\"sessions\": %zu,"
-                 " \"sequential_wall_s\": %.6f,"
-                 " \"sequential_qps\": %.4f,"
-                 " \"sequential_p50_s\": %.6f,"
-                 " \"sequential_p95_s\": %.6f,"
-                 " \"sequential_p99_s\": %.6f,"
-                 " \"sequential_max_s\": %.6f,"
-                 " \"concurrent_wall_s\": %.6f,"
-                 " \"concurrent_qps\": %.4f,"
-                 " \"concurrent_p50_s\": %.6f,"
-                 " \"concurrent_p95_s\": %.6f,"
-                 " \"concurrent_p99_s\": %.6f,"
-                 " \"concurrent_max_s\": %.6f,"
-                 " \"speedup\": %.4f}%s\n",
-                 p.sequential.sessions, p.sequential.wall_s,
-                 p.sequential.qps(), p.sequential.p50(),
-                 p.sequential.p95(), p.sequential.p99(),
-                 p.sequential.max(), p.concurrent.wall_s,
-                 p.concurrent.qps(), p.concurrent.p50(),
-                 p.concurrent.p95(), p.concurrent.p99(),
-                 p.concurrent.max(), p.speedup(),
-                 i + 1 < points.size() ? "," : "");
+  BenchReport report("ext_multiuser_engine", "admission+dispatch");
+  for (const SweepPoint& p : points) {
+    for (const ModeResult* m : {&p.sequential, &p.concurrent}) {
+      const std::string c =
+          Format("%s sessions=%zu",
+                 m == &p.sequential ? "sequential" : "shared-pool",
+                 m->sessions);
+      report.Record(c, "wall_s", "s", BenchReport::kLower, m->wall_s);
+      report.Record(c, "qps", "q/s", BenchReport::kHigher, m->qps());
+      report.Record(c, "p50_s", "s", BenchReport::kLower, m->p50());
+      report.Record(c, "p99_s", "s", BenchReport::kLower, m->p99());
+    }
+    report.Record(Format("sessions=%zu", p.sequential.sessions), "speedup",
+                  "ratio", BenchReport::kHigher, p.speedup());
   }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"sequential_qps\": %.4f,\n"
-               "  \"concurrent_qps\": %.4f,\n"
-               "  \"speedup\": %.4f\n"
-               "}\n",
-               gate.sequential.qps(), gate.concurrent.qps(),
-               gate.speedup());
-  std::fclose(json);
-  std::printf("\nwrote BENCH_multiuser.json (gate speedup %.3fx at %zu "
-              "sessions; CI expects > 1.0)\n",
-              gate.speedup(), kGateSessions);
+  report.Check(Format("speedup at %zu sessions", kGateSessions),
+               BenchReport::kSpeed, gate.speedup() > kMinSpeedup,
+               Format("%.3fx (must exceed %.2fx)", gate.speedup(),
+                      kMinSpeedup));
+  return report.Finish();
 }
 
 }  // namespace
 }  // namespace dbs3
 
-int main() {
-  dbs3::Run();
-  return 0;
-}
+int main() { return dbs3::Run(); }

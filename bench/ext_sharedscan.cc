@@ -13,9 +13,11 @@
 // computed directly from the base relation (sorted within a fragment, so
 // the check does not lean on the scan's storing order).
 //
-// Writes BENCH_sharedscan.json next to the binary; the CI gate
-// (compare_bench.py --sharedscan) requires every point's results to
-// match and shared QPS to beat solo QPS at 256 concurrent queries.
+// Writes BENCH_ext_sharedscan.json and exits with its gate's verdict
+// (BenchReport). Hard: at every concurrency level every query's rows
+// match in both modes, and shared batches formed (else the window never
+// folded anything and the sweep is vacuous). Speed: at kGateConcurrency
+// the shared mode's QPS strictly beats the solo mode's.
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +40,7 @@ constexpr uint64_t kRows = 20'000;
 constexpr size_t kDegree = 4;
 constexpr size_t kDrivers = 4;
 constexpr size_t kConcurrency[] = {64, 256, 1024};
-constexpr size_t kGateConcurrency = 256;
+constexpr size_t kGateConcurrency = 256;  // The speed check's point.
 // Batching knobs of the shared mode: generous K so a flood folds into a
 // few wide batches, a window in the paper-era lookup-flood sweet spot.
 constexpr size_t kMaxBatch = 64;
@@ -170,7 +172,7 @@ struct SweepPoint {
   ModeResult shared;
 };
 
-void Run() {
+int Run() {
   PrintHeader("EXT sharedscan",
               "multi-query shared scans vs per-query plans (QPS)");
   std::printf("wisconsin %llu rows, degree %zu, %zu drivers; shared mode: "
@@ -201,65 +203,38 @@ void Run() {
                                                                : "NO");
   }
 
-  const SweepPoint* gate = nullptr;
+  BenchReport report("ext_sharedscan", "shared-scan fold");
   for (const SweepPoint& p : points) {
-    if (p.concurrency == kGateConcurrency) gate = &p;
+    const double solo_qps = p.solo.qps(p.concurrency);
+    const double shared_qps = p.shared.qps(p.concurrency);
+    const std::string c = Format("concurrency=%zu", p.concurrency);
+    report.Record(c, "solo_qps", "q/s", BenchReport::kHigher, solo_qps);
+    report.Record(c, "shared_qps", "q/s", BenchReport::kHigher, shared_qps);
+    report.Record(c, "queries_per_batch", "count", BenchReport::kHigher,
+                  p.shared.mean_queries_per_batch);
+    report.Check(Format("rows match at %zu", p.concurrency),
+                 BenchReport::kHard,
+                 p.solo.results_match && p.shared.results_match,
+                 Format("solo %s, shared %s",
+                        p.solo.results_match ? "match" : "MISMATCH",
+                        p.shared.results_match ? "match" : "MISMATCH"));
+    report.Check(Format("shared batches formed at %zu", p.concurrency),
+                 BenchReport::kHard, p.shared.shared_batches > 0,
+                 Format("%llu batches, %.1f queries/batch",
+                        static_cast<unsigned long long>(
+                            p.shared.shared_batches),
+                        p.shared.mean_queries_per_batch));
+    if (p.concurrency == kGateConcurrency) {
+      report.Check(Format("shared beats solo at %zu", p.concurrency),
+                   BenchReport::kSpeed, shared_qps > solo_qps,
+                   Format("shared %.1f q/s vs solo %.1f q/s", shared_qps,
+                          solo_qps));
+    }
   }
-
-  FILE* json = std::fopen("BENCH_sharedscan.json", "w");
-  CheckOk(json != nullptr
-              ? Status::OK()
-              : Status::Internal("cannot open BENCH_sharedscan.json"),
-          "open json");
-  std::fprintf(json,
-               "{\n"
-               "  \"rows\": %llu,\n"
-               "  \"degree\": %zu,\n"
-               "  \"drivers\": %zu,\n"
-               "  \"window_us\": %llu,\n"
-               "  \"max_batch\": %zu,\n"
-               "  \"points\": [\n",
-               static_cast<unsigned long long>(kRows), kDegree, kDrivers,
-               static_cast<unsigned long long>(kWindowUs), kMaxBatch);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(
-        json,
-        "    {\"concurrency\": %zu,"
-        " \"solo_qps\": %.2f,"
-        " \"shared_qps\": %.2f,"
-        " \"speedup\": %.4f,"
-        " \"shared_batches\": %llu,"
-        " \"mean_queries_per_batch\": %.2f,"
-        " \"results_match\": %s}%s\n",
-        p.concurrency, p.solo.qps(p.concurrency),
-        p.shared.qps(p.concurrency),
-        p.shared.wall_s > 0 ? p.solo.wall_s / p.shared.wall_s : 0.0,
-        static_cast<unsigned long long>(p.shared.shared_batches),
-        p.shared.mean_queries_per_batch,
-        p.solo.results_match && p.shared.results_match ? "true" : "false",
-        i + 1 < points.size() ? "," : "");
-  }
-  const double gate_solo = gate != nullptr ? gate->solo.qps(kGateConcurrency) : 0.0;
-  const double gate_shared =
-      gate != nullptr ? gate->shared.qps(kGateConcurrency) : 0.0;
-  std::fprintf(json,
-               "  ],\n"
-               "  \"gate_concurrency\": %zu,\n"
-               "  \"gate_solo_qps\": %.2f,\n"
-               "  \"gate_shared_qps\": %.2f\n"
-               "}\n",
-               kGateConcurrency, gate_solo, gate_shared);
-  std::fclose(json);
-  std::printf("\nwrote BENCH_sharedscan.json (gate: shared %.1f q/s vs "
-              "solo %.1f q/s at %zu concurrent; CI expects shared > solo)\n",
-              gate_shared, gate_solo, kGateConcurrency);
+  return report.Finish();
 }
 
 }  // namespace
 }  // namespace dbs3
 
-int main() {
-  dbs3::Run();
-  return 0;
-}
+int main() { return dbs3::Run(); }

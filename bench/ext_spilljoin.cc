@@ -13,10 +13,11 @@
 // exercises recursive repartitioning and the nested-loop fallback, not
 // just the clean partition-wise path.
 //
-// Writes BENCH_spill.json next to the binary; the CI gate
-// (compare_bench.py --spill) requires every budgeted point to match the
-// reference, every high water to respect its budget, and at least one
-// point to have actually spilled.
+// Writes BENCH_ext_spilljoin.json and exits with its gate's verdict
+// (BenchReport). All three checks are hard: every budgeted point matches
+// the reference, every high water respects its budget plus
+// kHighWaterSlackUnits, and at least one point actually spilled (else the
+// sweep never pressured the budget and the gate is vacuous).
 
 #include <algorithm>
 #include <chrono>
@@ -43,6 +44,9 @@ constexpr uint64_t kBudgets[] = {96, 1024};
 // Distinct aggregation groups — enough that tight budgets also flush
 // group-by state, not just join partitions.
 constexpr int64_t kGroups = 400;
+// Gate: how far a quota high-water mark may exceed its budget, in units.
+// The slack covers the operators' bounded forced-progress overshoot.
+constexpr int64_t kHighWaterSlackUnits = 64;
 
 struct DataSpec {
   const char* skew;     ///< "uniform" or "hot" (80% of B on one key).
@@ -150,7 +154,7 @@ struct Point {
   }
 };
 
-void Run() {
+int Run() {
   PrintHeader("Extension: spilling memory-budgeted operators",
               "join+aggregate sweep: cardinality x budget x build skew, "
               "budgeted vs unbudgeted (identical rows required)");
@@ -173,10 +177,11 @@ void Run() {
     }
   }
 
+  BenchReport report("ext_spilljoin", "spill");
   std::printf("%8s %8s %8s %8s %7s %11s %12s %10s %9s\n", "a_rows",
               "b_rows", "skew", "budget", "match", "high_water",
               "spill_bytes", "wall(s)", "overhead");
-  bool all_match = true;
+  size_t matched = 0;
   bool any_spilled = false;
   int64_t max_overshoot = 0;
   for (const Point& p : points) {
@@ -187,60 +192,35 @@ void Run() {
                 static_cast<unsigned long long>(p.high_water_units),
                 static_cast<unsigned long long>(p.spill_bytes), p.wall_s,
                 p.overhead());
-    all_match = all_match && p.match;
+    const std::string c =
+        Format("a=%zu b=%zu %s budget=%llu", p.spec.a_rows, p.spec.b_rows,
+               p.spec.skew, static_cast<unsigned long long>(p.budget));
+    report.Record(c, "high_water_units", "count", BenchReport::kLower,
+                  static_cast<double>(p.high_water_units));
+    report.Record(c, "spill_bytes", "bytes", BenchReport::kLower,
+                  static_cast<double>(p.spill_bytes));
+    report.Record(c, "overhead", "ratio", BenchReport::kLower, p.overhead());
+    matched += p.match ? 1 : 0;
     any_spilled = any_spilled || p.spill_bytes > 0;
     max_overshoot =
         std::max(max_overshoot, static_cast<int64_t>(p.high_water_units) -
                                     static_cast<int64_t>(p.budget));
   }
-  std::printf("\nall rows match: %s; any point spilled: %s; max high-water "
-              "overshoot: %lld units\n",
-              all_match ? "yes" : "NO", any_spilled ? "yes" : "NO",
-              static_cast<long long>(max_overshoot));
-
-  FILE* json = std::fopen("BENCH_spill.json", "w");
-  CheckOk(json != nullptr ? Status::OK()
-                          : Status::Internal("cannot open BENCH_spill.json"),
-          "open json");
-  std::fprintf(json,
-               "{\n"
-               "  \"workload\": \"%s\",\n"
-               "  \"reps\": %d,\n"
-               "  \"points\": [\n",
-               kQuery, kReps);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(json,
-                 "    {\"a_rows\": %zu, \"b_rows\": %zu, \"skew\": \"%s\","
-                 " \"budget\": %llu, \"match\": %s,"
-                 " \"high_water_units\": %llu, \"spill_bytes\": %llu,"
-                 " \"wall_s\": %.6f, \"unbudgeted_wall_s\": %.6f,"
-                 " \"overhead\": %.4f}%s\n",
-                 p.spec.a_rows, p.spec.b_rows, p.spec.skew,
-                 static_cast<unsigned long long>(p.budget),
-                 p.match ? "true" : "false",
-                 static_cast<unsigned long long>(p.high_water_units),
-                 static_cast<unsigned long long>(p.spill_bytes), p.wall_s,
-                 p.unbudgeted_wall_s, p.overhead(),
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"all_match\": %s,\n"
-               "  \"any_spilled\": %s,\n"
-               "  \"max_overshoot_units\": %lld\n"
-               "}\n",
-               all_match ? "true" : "false", any_spilled ? "true" : "false",
-               static_cast<long long>(max_overshoot));
-  std::fclose(json);
-  std::printf("\nwrote BENCH_spill.json (CI gate: all match, bounded high "
-              "water, at least one spill)\n");
+  std::printf("\n");
+  report.Check("rows match the unbudgeted reference", BenchReport::kHard,
+               matched == points.size(),
+               Format("%zu of %zu points", matched, points.size()));
+  report.Check("quota high water", BenchReport::kHard,
+               max_overshoot <= kHighWaterSlackUnits,
+               Format("max overshoot %lld units (slack %lld)",
+                      static_cast<long long>(max_overshoot),
+                      static_cast<long long>(kHighWaterSlackUnits)));
+  report.Check("at least one point spilled", BenchReport::kHard, any_spilled,
+               any_spilled ? "yes" : "no point wrote spill bytes");
+  return report.Finish();
 }
 
 }  // namespace
 }  // namespace dbs3
 
-int main() {
-  dbs3::Run();
-  return 0;
-}
+int main() { return dbs3::Run(); }

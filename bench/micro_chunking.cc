@@ -3,7 +3,8 @@
 // Figure 11) at chunk_size in {1, 4, 16, 64, 256} and reports wall-clock,
 // queue-mutex contention, and tuples per activation. chunk_size = 1 is the
 // paper-faithful per-tuple mode; larger chunks amortize the producer-side
-// queue round-trip. Emits BENCH_chunking.json next to the aligned rows.
+// queue round-trip. Writes BENCH_micro_chunking.json next to the aligned
+// rows and exits with its gate's verdict (BenchReport).
 
 #include <algorithm>
 #include <cstdio>
@@ -29,6 +30,9 @@ struct ChunkPoint {
 };
 
 constexpr int kReps = 5;
+constexpr size_t kChunkSizes[] = {1, 4, 16, 64, 256};
+// The gate compares this chunk size against the per-tuple mode.
+constexpr size_t kGateChunk = 16;
 
 ChunkPoint MeasureChunk(Database& db, size_t chunk_size) {
   ChunkPoint point;
@@ -73,38 +77,6 @@ double ContentionRatio(const ChunkPoint& p) {
              : 0.0;
 }
 
-void WriteJson(const std::vector<ChunkPoint>& points, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"micro_chunking\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"plan\": \"assoc-join\", \"probe_tuples\": "
-               "8000, \"result_tuples\": 40000, \"degree\": 32, \"threads\": "
-               "4, \"reps\": %d},\n",
-               kReps);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const ChunkPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"chunk_size\": %zu, \"wall_seconds\": %.6f, "
-                 "\"busy_seconds\": %.6f, \"wall_span_seconds\": %.6f, "
-                 "\"queue_acquisitions\": %llu, \"queue_contended\": %llu, "
-                 "\"contention_ratio\": %.6f, \"tuples_per_activation\": "
-                 "%.2f}%s\n",
-                 p.chunk_size, p.wall_seconds, p.busy_seconds,
-                 p.span_seconds,
-                 static_cast<unsigned long long>(p.queue_acquisitions),
-                 static_cast<unsigned long long>(p.queue_contended),
-                 ContentionRatio(p), p.tuples_per_activation,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 int Main() {
   PrintHeader("micro_chunking",
               "chunked data activations on the pipelined join");
@@ -117,11 +89,12 @@ int Main() {
   spec.theta = 0.5;
   CheckOk(db.CreateSkewedPair(spec, "A", "B"), "CreateSkewedPair");
 
+  BenchReport report("micro_chunking", "queue");
   std::vector<ChunkPoint> points;
   std::printf("%-12s %-10s %-10s %-10s %-14s %-12s %-12s %s\n",
               "chunk_size", "wall_ms", "busy_ms", "span_ms", "acquisitions",
               "contended", "cont_ratio", "tuples/activation");
-  for (size_t chunk : {1ul, 4ul, 16ul, 64ul, 256ul}) {
+  for (size_t chunk : kChunkSizes) {
     const ChunkPoint p = MeasureChunk(db, chunk);
     std::printf("%-12zu %-10.2f %-10.2f %-10.2f %-14llu %-12llu %-12.6f "
                 "%.1f\n",
@@ -130,35 +103,52 @@ int Main() {
                 static_cast<unsigned long long>(p.queue_acquisitions),
                 static_cast<unsigned long long>(p.queue_contended),
                 ContentionRatio(p), p.tuples_per_activation);
+    const std::string c = Format("chunk=%zu", chunk);
+    report.Record(c, "wall_ms", "ms", BenchReport::kLower,
+                  p.wall_seconds * 1e3);
+    report.Record(c, "busy_ms", "ms", BenchReport::kLower,
+                  p.busy_seconds * 1e3);
+    report.Record(c, "span_ms", "ms", BenchReport::kLower,
+                  p.span_seconds * 1e3);
+    report.Record(c, "queue_acquisitions", "count", BenchReport::kLower,
+                  static_cast<double>(p.queue_acquisitions));
+    report.Record(c, "queue_contended", "count", BenchReport::kLower,
+                  static_cast<double>(p.queue_contended));
+    report.Record(c, "contention_ratio", "ratio", BenchReport::kLower,
+                  ContentionRatio(p));
+    report.Record(c, "tuples_per_activation", "count", BenchReport::kHigher,
+                  p.tuples_per_activation);
     points.push_back(p);
   }
 
-  WriteJson(points, "BENCH_chunking.json");
-  std::printf("\nwrote BENCH_chunking.json\n");
-
-  // Acceptance gate: at chunk_size 16 the wall-clock, the queue traffic
-  // (acquisitions) and the contended acquisitions must all be strictly
-  // below the per-tuple mode. Every chunk size runs the same workload, so
-  // the contended count measures contention per unit of work; the ratio
-  // contended/acquisitions is printed but not gated, because chunking cuts
-  // its denominator about 12x and the ratio can rise while contention
-  // itself falls.
-  const ChunkPoint& base = points[0];
-  const ChunkPoint& chunked = points[2];  // chunk_size 16
-  const bool ok = chunked.wall_seconds < base.wall_seconds &&
-                  chunked.queue_acquisitions < base.queue_acquisitions &&
-                  chunked.queue_contended < base.queue_contended;
-  std::printf("chunk=16 vs chunk=1: wall %.2f ms -> %.2f ms, acquisitions "
-              "%llu -> %llu, contended %llu -> %llu (ratio %.6f -> %.6f)  "
-              "[%s]\n",
-              base.wall_seconds * 1e3, chunked.wall_seconds * 1e3,
-              static_cast<unsigned long long>(base.queue_acquisitions),
-              static_cast<unsigned long long>(chunked.queue_acquisitions),
-              static_cast<unsigned long long>(base.queue_contended),
-              static_cast<unsigned long long>(chunked.queue_contended),
-              ContentionRatio(base), ContentionRatio(chunked),
-              ok ? "IMPROVED" : "NO IMPROVEMENT");
-  return ok ? 0 : 1;
+  // Gate: at kGateChunk the wall-clock, the queue traffic (acquisitions)
+  // and the contended acquisitions must all be strictly below the
+  // per-tuple mode. Every chunk size runs the same workload, so the
+  // contended count measures contention per unit of work; the ratio
+  // contended/acquisitions is recorded but not gated, because chunking
+  // cuts its denominator about 12x and the ratio can rise while
+  // contention itself falls.
+  const ChunkPoint& base = points.front();
+  const ChunkPoint& chunked = *std::find_if(
+      points.begin(), points.end(),
+      [](const ChunkPoint& p) { return p.chunk_size == kGateChunk; });
+  report.Check("chunk 16 wall below chunk 1", BenchReport::kHard,
+               chunked.wall_seconds < base.wall_seconds,
+               Format("%.2f ms -> %.2f ms", base.wall_seconds * 1e3,
+                      chunked.wall_seconds * 1e3));
+  report.Check(
+      "chunk 16 acquisitions below chunk 1", BenchReport::kHard,
+      chunked.queue_acquisitions < base.queue_acquisitions,
+      Format("%llu -> %llu",
+             static_cast<unsigned long long>(base.queue_acquisitions),
+             static_cast<unsigned long long>(chunked.queue_acquisitions)));
+  report.Check(
+      "chunk 16 contended below chunk 1", BenchReport::kHard,
+      chunked.queue_contended < base.queue_contended,
+      Format("%llu -> %llu",
+             static_cast<unsigned long long>(base.queue_contended),
+             static_cast<unsigned long long>(chunked.queue_contended)));
+  return report.Finish();
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // over the gathered key column. Global operator
 // new/delete are replaced with counting hooks so every point also reports
 // its steady-state allocation count (the vectorized path must stay at
-// zero). Emits BENCH_kernels.json; compare_bench.py --kernels enforces the
-// >= 2x speedup and zero-allocation gates.
+// zero). Writes BENCH_micro_kernels.json and exits with its gate's verdict
+// (BenchReport): checksums and zero allocations are hard checks, the
+// speedup a speed check.
 
 #include <algorithm>
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -84,6 +86,11 @@ constexpr size_t kFilterPasses = 64;      // 1M tuple-visits per rep.
 constexpr size_t kProbeRows = 1 << 18;    // 256K probe keys.
 constexpr size_t kInnerRows = 1 << 18;    // 256K inner tuples, unique keys.
 constexpr size_t kChunkSizes[] = {1, 4, 16, 64, 256, 1024};
+// Gate: the best batch speedup over the row path among chunk sizes of at
+// least kMinGatedChunk must reach kMinSpeedup, per sweep. Each point is
+// already best-of-kReps.
+constexpr size_t kMinGatedChunk = 16;
+constexpr double kMinSpeedup = 2.0;
 
 struct Measurement {
   double seconds = 0.0;        // Best of kReps.
@@ -128,7 +135,49 @@ struct SweepPoint {
   double tuples_per_second = 0.0;
   double speedup = 0.0;  // vs the row-path baseline of the same sweep.
   uint64_t allocations = 0;
+  bool checksum_match = false;  // Same checksum as the row path.
 };
+
+/// Records one sweep's points and makes its three checks: every checksum
+/// matches the row paths' (hard), every point runs allocation-free in
+/// steady state (hard), and the best speedup at a gated chunk size
+/// reaches kMinSpeedup (speed).
+void ReportSweep(BenchReport& report, const char* sweep,
+                 bool row_paths_match, const std::vector<SweepPoint>& points) {
+  std::string mismatched;
+  std::string allocating;
+  const SweepPoint* best = nullptr;
+  for (const SweepPoint& p : points) {
+    const std::string c = Format("%s chunk=%zu", sweep, p.chunk_size);
+    report.Record(c, "mtuples_per_second", "Mtuples/s", BenchReport::kHigher,
+                  p.tuples_per_second / 1e6);
+    report.Record(c, "speedup", "ratio", BenchReport::kHigher, p.speedup);
+    report.Record(c, "steady_allocations", "count", BenchReport::kLower,
+                  static_cast<double>(p.allocations));
+    if (!p.checksum_match) mismatched += Format(" %zu", p.chunk_size);
+    if (p.allocations != 0) allocating += Format(" %zu", p.chunk_size);
+    if (p.chunk_size >= kMinGatedChunk &&
+        (best == nullptr || p.speedup > best->speedup)) {
+      best = &p;
+    }
+  }
+  report.Check(Format("%s checksums", sweep), BenchReport::kHard,
+               row_paths_match && mismatched.empty(),
+               !row_paths_match ? "the row paths disagree"
+               : mismatched.empty()
+                   ? "every chunk size matches the row path"
+                   : "batch disagrees at chunk" + mismatched);
+  report.Check(Format("%s zero allocations", sweep), BenchReport::kHard,
+               allocating.empty(),
+               allocating.empty() ? "at every chunk size"
+                                  : "allocating at chunk" + allocating);
+  report.Check(Format("%s speedup", sweep), BenchReport::kSpeed,
+               best->speedup >= kMinSpeedup,
+               Format("best %.2fx at chunk %zu (must reach %.2fx at chunk "
+                      ">= %zu)",
+                      best->speedup, best->chunk_size, kMinSpeedup,
+                      kMinGatedChunk));
+}
 
 // ---------------------------------------------------------------- Filter --
 
@@ -384,50 +433,6 @@ uint64_t BatchProbeSweep(const TempIndex& index,
   return sum;
 }
 
-// ------------------------------------------------------------------ JSON --
-
-void WritePoints(std::FILE* f, const std::vector<SweepPoint>& points) {
-  std::fprintf(f, "[");
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "%s\n    {\"chunk_size\": %zu, \"tuples_per_second\": %.0f, "
-                 "\"speedup\": %.3f, \"steady_allocations\": %llu}",
-                 i > 0 ? "," : "", points[i].chunk_size,
-                 points[i].tuples_per_second, points[i].speedup,
-                 static_cast<unsigned long long>(points[i].allocations));
-  }
-  std::fprintf(f, "\n  ]");
-}
-
-void WriteJson(double filter_row_tps, double filter_evalrow_tps,
-               const std::vector<SweepPoint>& filter_points,
-               double probe_row_tps, double probe_current_row_tps,
-               const std::vector<SweepPoint>& probe_points, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"micro_kernels\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"filter_rows\": %zu, \"probe_rows\": %zu, "
-               "\"inner_rows\": %zu, \"reps\": %d},\n",
-               kFilterRows, kProbeRows, kInnerRows, kReps);
-  std::fprintf(f,
-               "  \"filter\": {\"row_tuples_per_second\": %.0f, "
-               "\"evalrow_tuples_per_second\": %.0f, \"points\": ",
-               filter_row_tps, filter_evalrow_tps);
-  WritePoints(f, filter_points);
-  std::fprintf(f, "},\n");
-  std::fprintf(f,
-               "  \"probe\": {\"row_tuples_per_second\": %.0f, "
-               "\"current_row_tuples_per_second\": %.0f, \"points\": ",
-               probe_row_tps, probe_current_row_tps);
-  WritePoints(f, probe_points);
-  std::fprintf(f, "}\n}\n");
-  std::fclose(f);
-}
-
 int Main() {
   PrintHeader("micro_kernels",
               "vectorized kernel throughput vs the row path");
@@ -461,10 +466,6 @@ int Main() {
     }
     return sum;
   });
-  if (evalrow_filter.checksum != row_filter.checksum) {
-    std::fprintf(stderr, "row paths disagree\n");
-    return 1;
-  }
   const double filter_row_tps =
       TuplesPerSecond(filter_visits, row_filter.seconds);
   const double filter_evalrow_tps =
@@ -483,15 +484,12 @@ int Main() {
       }
       return sum;
     });
-    if (m.checksum != row_filter.checksum) {
-      std::fprintf(stderr, "batch filter disagrees at chunk %zu\n", chunk_size);
-      return 1;
-    }
     SweepPoint point;
     point.chunk_size = chunk_size;
     point.tuples_per_second = TuplesPerSecond(filter_visits, m.seconds);
     point.speedup = point.tuples_per_second / filter_row_tps;
     point.allocations = m.allocations;
+    point.checksum_match = m.checksum == row_filter.checksum;
     filter_points.push_back(point);
     std::printf("filter batch %4zu:    %11.0f tuples/s (%.2fx, %llu allocs)\n",
                 chunk_size, point.tuples_per_second, point.speedup,
@@ -515,10 +513,6 @@ int Main() {
     for (const Tuple& t : probes) current_prober->OnRow(t);
     return current_prober->Take();
   });
-  if (current_row_probe.checksum != row_probe.checksum) {
-    std::fprintf(stderr, "row probe paths disagree\n");
-    return 1;
-  }
   const double probe_row_tps =
       TuplesPerSecond(probes.size(), row_probe.seconds);
   const double probe_current_row_tps =
@@ -532,25 +526,32 @@ int Main() {
   for (size_t chunk_size : kChunkSizes) {
     const Measurement m =
         Measure([&] { return BatchProbeSweep(index, probes, chunk_size); });
-    if (m.checksum != row_probe.checksum) {
-      std::fprintf(stderr, "batch probe disagrees at chunk %zu\n", chunk_size);
-      return 1;
-    }
     SweepPoint point;
     point.chunk_size = chunk_size;
     point.tuples_per_second = TuplesPerSecond(probes.size(), m.seconds);
     point.speedup = point.tuples_per_second / probe_row_tps;
     point.allocations = m.allocations;
+    point.checksum_match = m.checksum == row_probe.checksum;
     probe_points.push_back(point);
     std::printf("probe batch %4zu:     %11.0f probes/s (%.2fx, %llu allocs)\n",
                 chunk_size, point.tuples_per_second, point.speedup,
                 static_cast<unsigned long long>(point.allocations));
   }
 
-  WriteJson(filter_row_tps, filter_evalrow_tps, filter_points, probe_row_tps,
-            probe_current_row_tps, probe_points, "BENCH_kernels.json");
-  std::printf("\nwrote BENCH_kernels.json\n");
-  return 0;
+  BenchReport report("micro_kernels", "kernels");
+  report.Record("filter row", "mtuples_per_second", "Mtuples/s",
+                BenchReport::kHigher, filter_row_tps / 1e6);
+  report.Record("filter EvalRow", "mtuples_per_second", "Mtuples/s",
+                BenchReport::kHigher, filter_evalrow_tps / 1e6);
+  ReportSweep(report, "filter",
+              evalrow_filter.checksum == row_filter.checksum, filter_points);
+  report.Record("probe row", "mtuples_per_second", "Mtuples/s",
+                BenchReport::kHigher, probe_row_tps / 1e6);
+  report.Record("probe rebuilt-index row", "mtuples_per_second", "Mtuples/s",
+                BenchReport::kHigher, probe_current_row_tps / 1e6);
+  ReportSweep(report, "probe",
+              current_row_probe.checksum == row_probe.checksum, probe_points);
+  return report.Finish();
 }
 
 }  // namespace

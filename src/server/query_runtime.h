@@ -182,15 +182,6 @@ class QueryRuntime {
   /// Query bodies currently executing (the scheduler-feedback signal).
   size_t live_queries() const { return live_.load(); }
 
-  WorkerPool& pool() { return pool_; }
-  const AdmissionController& admission() const { return admission_; }
-  const QueryRuntimeOptions& options() const { return options_; }
-
-  /// The runtime's shared chunk pool: every execution run through a
-  /// QueryEnv recycles its data-path buffers here, so the free list one
-  /// query warms up serves the next.
-  ChunkPool& chunk_pool() { return chunk_pool_; }
-
  private:
   friend class QueryEnv;
 
@@ -246,7 +237,7 @@ class QueryRuntime {
 
   QueryRuntimeOptions options_;
   WorkerPool pool_;
-  ChunkPool chunk_pool_;
+  ChunkPool chunk_pool_;  // Recycles every QueryEnv execution's buffers.
   AdmissionController admission_;
   PoolLoadBoard board_;
   std::atomic<size_t> live_{0};

@@ -62,9 +62,19 @@ SharedScanLogic::SharedScanLogic(const Relation* input,
   evaluated_.assign(input_->degree(), 0);
   size_t unpinned = 0;
   for (const SharedScanSpec* spec : specs_) {
+    // Each stored row sits in the fragment of the base row it came from.
+    const std::vector<size_t>& projection = spec->projection;
+    const auto kept = std::find(projection.begin(), projection.end(),
+                                input_->partition_column());
+    const bool placed = projection.empty() || kept != projection.end();
+    const size_t column =
+        projection.empty() ? input_->partition_column()
+        : placed           ? static_cast<size_t>(kept - projection.begin())
+                           : 0;
     results_.push_back(std::make_unique<Relation>(
-        spec->result_name, spec->result_schema, /*partition_column=*/0,
-        Partitioner(PartitionKind::kHash, input_->degree())));
+        spec->result_name, spec->result_schema, column,
+        placed ? input_->partitioner()
+               : Partitioner(PartitionKind::kHash, input_->degree())));
     const size_t pin = input_->placement_verified()
                            ? PinOf(spec->predicate, *input_)
                            : kUnpinned;

@@ -36,8 +36,13 @@ namespace dbs3 {
 class SharedScanLogic : public OperatorLogic {
  public:
   /// `input` and every spec must outlive the execution. Creates each
-  /// member's result relation: the spec's name and schema, hash-partitioned
-  /// on column 0 with the input's degree, and pins each member as above.
+  /// member's result relation with the spec's name and schema, declaring
+  /// the placement its rows have (each sits in the fragment of the base
+  /// row it came from): SELECT * takes the input's partition column and
+  /// partitioner, a projection keeping the input's partition column takes
+  /// its first position there with the input's partitioner, and any other
+  /// projection is declared hash on column 0 with the input's degree.
+  /// Pins each member as above.
   /// `cancels[i]` is member i's token: once fired, the scan stops storing
   /// member i's rows (per-tile check) and the other members keep scanning.
   SharedScanLogic(const Relation* input,

@@ -312,21 +312,27 @@ TEST(PlacementTest, LoadRelationRefusesARowOutsideItsFragment) {
                            *db.relation("B").value(), 0));
 }
 
-TEST(PlacementTest, UnplacedEsqlResultIsRefusedAtRegistration) {
-  // The result of `SELECT v, k FROM A` declares hash partitioning on its
-  // column 0 (v), but its rows sit in A's fragments, placed by k.
-  Database db(2);
-  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 1'000)).ok());
+/// C(v, w) for v in [0, 10), placed by Insert: hash on v, degree 4.
+std::unique_ptr<Relation> PlacedValueWeights() {
   auto c = std::make_unique<Relation>(
       "C", Schema({{"v", ValueType::kInt64}, {"w", ValueType::kInt64}}), 0,
       Partitioner(PartitionKind::kHash, 4));
   for (int64_t v = 0; v < 10; ++v) {
-    ASSERT_TRUE(c->Insert(Tuple({Value(v), Value(100 + v)})).ok());
+    EXPECT_TRUE(c->Insert(Tuple({Value(v), Value(100 + v)})).ok());
   }
-  ASSERT_TRUE(db.AddRelation(std::move(c)).ok());
+  return c;
+}
+
+TEST(PlacementTest, UnplacedEsqlResultIsRefusedAtRegistration) {
+  // `SELECT v FROM A` keeps no partition column of A, so its result
+  // declares hash partitioning on its column 0 (v), but its rows sit in
+  // A's fragments, placed by k.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 1'000)).ok());
+  ASSERT_TRUE(db.AddRelation(PlacedValueWeights()).ok());
   EsqlOptions options;
   options.result_name = "P";
-  auto projected = ExecuteEsql(db, "SELECT v, k FROM A", options);
+  auto projected = ExecuteEsql(db, "SELECT v FROM A", options);
   ASSERT_TRUE(projected.ok()) << projected.status().ToString();
   std::unique_ptr<Relation> p = std::move(projected.value().result);
   const std::vector<Tuple> p_rows = SortedRows(*p);
@@ -337,7 +343,7 @@ TEST(PlacementTest, UnplacedEsqlResultIsRefusedAtRegistration) {
   // The same rows placed by Insert register, and the join the planner
   // then runs as an IdealJoin matches the oracle.
   auto placed = std::make_unique<Relation>(
-      "P", Schema({{"v", ValueType::kInt64}, {"k", ValueType::kInt64}}), 0,
+      "P", Schema({{"v", ValueType::kInt64}}), 0,
       Partitioner(PartitionKind::kHash, 4));
   for (const Tuple& t : p_rows) ASSERT_TRUE(placed->Insert(t).ok());
   ASSERT_TRUE(db.AddRelation(std::move(placed)).ok());
@@ -349,6 +355,47 @@ TEST(PlacementTest, UnplacedEsqlResultIsRefusedAtRegistration) {
             NestedLoopJoin(*db.relation("P").value(), 0,
                            *db.relation("C").value(), 0));
   EXPECT_EQ(joined.value().result->cardinality(), 1'000u);
+}
+
+TEST(PlacementTest, ScanResultKeepingThePartitionColumnIsPlaced) {
+  // `SELECT v, k FROM A` keeps A's partition column k, so its result
+  // declares A's placement on its column 1 and registers as it is.
+  Database db(2);
+  ASSERT_TRUE(db.AddRelation(PlacedKeyValues("A", 0, 1'000)).ok());
+  ASSERT_TRUE(db.AddRelation(PlacedValueWeights()).ok());
+  EsqlOptions options;
+  options.result_name = "P";
+  auto projected = ExecuteEsql(db, "SELECT v, k FROM A", options);
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  const Status registered =
+      db.AddRelation(std::move(projected.value().result));
+  ASSERT_TRUE(registered.ok()) << registered.ToString();
+  const Relation& p = *db.relation("P").value();
+  EXPECT_EQ(p.partition_column(), 1u);
+  EXPECT_EQ(p.partitioner(), db.relation("A").value()->partitioner());
+
+  // Co-partitioned with A on k, P joins A as an IdealJoin; on v it is not
+  // co-partitioned with C. Both match the oracle.
+  auto on_k = ExecuteEsql(db, "SELECT * FROM P JOIN A ON P.k = A.k");
+  ASSERT_TRUE(on_k.ok()) << on_k.status().ToString();
+  EXPECT_NE(on_k.value().detail.find("IdealJoin(P, A)"), std::string::npos)
+      << on_k.value().detail;
+  EXPECT_EQ(SortedRows(*on_k.value().result),
+            NestedLoopJoin(p, 1, *db.relation("A").value(), 0));
+  EXPECT_EQ(on_k.value().result->cardinality(), 1'000u);
+  auto on_v = ExecuteEsql(db, "SELECT * FROM P JOIN C ON P.v = C.v");
+  ASSERT_TRUE(on_v.ok()) << on_v.status().ToString();
+  EXPECT_EQ(on_v.value().detail.find("IdealJoin"), std::string::npos)
+      << on_v.value().detail;
+  EXPECT_EQ(SortedRows(*on_v.value().result),
+            NestedLoopJoin(p, 0, *db.relation("C").value(), 0));
+
+  // A projection that drops k is still refused.
+  options.result_name = "Q";
+  auto dropped = ExecuteEsql(db, "SELECT v FROM A", options);
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(db.AddRelation(std::move(dropped.value().result)).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PlacementTest, FacadeIdealJoinRefusesOperandsNotPlacedOnTheJoinColumns) {
